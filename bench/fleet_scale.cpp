@@ -19,13 +19,6 @@
 // --clusters TENANTSxHOSTS[,...]; each emits its own block in the JSON
 // "clusters" list and runs under the same run-twice byte-identity check.
 //
-// With --threads N[,N...] the largest cluster shape is additionally run
-// once per thread count under least-loaded placement (threads=1 is always
-// included as the sequential baseline) and every parallel report is
-// checked byte-identical to the sequential one — the parallel engine's
-// determinism guarantee, enforced on every bench run. The sweep lands in
-// the JSON as a "parallel" block with per-thread wall clock and speedup.
-//
 // With --chaos the crash-recovery storm (host crash mid-ramp on a
 // RAM-tight autoscaled fleet) is run twice — byte-identical or bust — and
 // its recovery SLOs (re-admission fraction, time-to-re-place percentiles)
@@ -55,7 +48,7 @@
 // fault windows are tuned against its boot/program phase boundary.
 //
 // Usage: fleet_scale [--tenants N[,N...]] [--hosts M]
-//                    [--clusters NxM[,NxM...]] [--threads N[,N...]]
+//                    [--clusters NxM[,NxM...]]
 //                    [--cells KxMxN[,KxMxN...]]
 //                    [--autoscale] [--chaos] [--programs] [--degraded]
 //                    [--out PATH] [--no-json]
@@ -575,74 +568,6 @@ bool run_federation_sweep(FederationBlock* block) {
   return true;
 }
 
-/// One thread count of the parallel sweep.
-struct ParallelSweepResult {
-  int threads = 0;
-  double wall_ms = 0.0;
-  std::uint64_t events = 0;
-  double events_per_sec = 0.0;
-  double speedup = 0.0;  // vs the threads=1 run of the same sweep
-};
-
-/// The sequential-vs-parallel sweep at one cluster shape.
-struct ParallelSweep {
-  int tenants = 0;
-  int hosts = 0;
-  std::string policy;
-  std::vector<ParallelSweepResult> runs;
-};
-
-/// Runs the storm once per thread count (threads=1 first — the sequential
-/// baseline) and requires every parallel report byte-identical to it.
-/// Returns false on a determinism violation.
-bool run_parallel_sweep(int tenants, int hosts,
-                        const std::vector<int>& thread_counts,
-                        ParallelSweep* out) {
-  auto scenario = fleet::Scenario::cluster_storm(
-      tenants, hosts, fleet::PlacementKind::kLeastLoaded);
-  out->tenants = tenants;
-  out->hosts = hosts;
-  out->policy = fleet::placement_kind_name(scenario.placement);
-
-  std::vector<int> counts = {1};
-  for (const int n : thread_counts) {
-    if (n > 1 && std::find(counts.begin(), counts.end(), n) == counts.end()) {
-      counts.push_back(n);
-    }
-  }
-
-  std::string sequential_text;
-  std::uint64_t sequential_events = 0;
-  double sequential_wall = 0.0;
-  for (const int threads : counts) {
-    auto s = scenario;
-    s.threads = threads;
-    double wall = 0.0;
-    const auto report = run_cluster_once(s, &wall);
-    if (threads == 1) {
-      sequential_text = report.to_text();
-      sequential_events = report.events_processed;
-      sequential_wall = wall;
-    } else if (report.to_text() != sequential_text ||
-               report.events_processed != sequential_events) {
-      std::fprintf(stderr,
-                   "fleet_scale: DETERMINISM VIOLATION — --threads %d "
-                   "produced a report different from the sequential run\n",
-                   threads);
-      return false;
-    }
-    ParallelSweepResult r;
-    r.threads = threads;
-    r.wall_ms = wall;
-    r.events = report.events_processed;
-    r.events_per_sec =
-        wall > 0.0 ? static_cast<double>(r.events) / (wall / 1e3) : 0.0;
-    r.speedup = wall > 0.0 ? sequential_wall / wall : 0.0;
-    out->runs.push_back(r);
-  }
-  return true;
-}
-
 /// Parse a --clusters list: "TENANTSxHOSTS[,TENANTSxHOSTS...]".
 bool parse_cluster_configs(const char* arg, std::vector<ClusterBlock>* out) {
   std::string token;
@@ -799,7 +724,6 @@ const ClusterBaselineEntry* cluster_baseline_for(const ClusterBlock& block,
 
 void write_json(const std::string& path, const std::vector<ScaleResult>& runs,
                 const std::vector<ClusterBlock>& clusters,
-                const ParallelSweep* parallel,
                 const RetryDifferentialResult* retry,
                 const AutoscaleResult* autoscale, const ChaosResult* chaos,
                 const ProgramsResult* programs,
@@ -885,7 +809,7 @@ void write_json(const std::string& path, const std::vector<ScaleResult>& runs,
       first = false;
     }
   }
-  const bool more = !clusters.empty() || parallel != nullptr ||
+  const bool more = !clusters.empty() ||
                     autoscale != nullptr || retry != nullptr ||
                     chaos != nullptr || programs != nullptr || degraded != nullptr ||
                     !federations.empty();
@@ -924,36 +848,9 @@ void write_json(const std::string& path, const std::vector<ScaleResult>& runs,
                    c + 1 < clusters.size() ? "," : "");
     }
     std::fprintf(f, "  ]%s\n",
-                 parallel != nullptr || retry != nullptr ||
+                 retry != nullptr ||
                          autoscale != nullptr || chaos != nullptr ||
                          programs != nullptr || degraded != nullptr || !federations.empty()
-                     ? ","
-                     : "");
-  }
-  if (parallel != nullptr) {
-    std::fprintf(f, "  \"parallel\": {\n");
-    std::fprintf(f, "    \"scenario\": \"cluster-storm\",\n");
-    std::fprintf(f, "    \"hosts\": %d,\n", parallel->hosts);
-    std::fprintf(f, "    \"tenants\": %d,\n", parallel->tenants);
-    std::fprintf(f, "    \"policy\": \"%s\",\n", parallel->policy.c_str());
-    std::fprintf(f, "    \"determinism\": \"every parallel run's report "
-                    "byte-identical to the threads=1 run\",\n");
-    std::fprintf(f, "    \"runs\": [\n");
-    for (std::size_t i = 0; i < parallel->runs.size(); ++i) {
-      const ParallelSweepResult& r = parallel->runs[i];
-      std::fprintf(f,
-                   "      {\"threads\": %d, \"wall_ms\": %.1f, "
-                   "\"events\": %llu, \"events_per_sec\": %.0f, "
-                   "\"speedup_vs_sequential\": %.2f}%s\n",
-                   r.threads, r.wall_ms,
-                   static_cast<unsigned long long>(r.events),
-                   r.events_per_sec, r.speedup,
-                   i + 1 < parallel->runs.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n  }%s\n",
-                 retry != nullptr || autoscale != nullptr ||
-                         chaos != nullptr || programs != nullptr || degraded != nullptr ||
-                         !federations.empty()
                      ? ","
                      : "");
   }
@@ -1133,7 +1030,6 @@ int main(int argc, char** argv) {
   int hosts = 1;
   std::vector<ClusterBlock> extra_clusters;
   std::vector<FederationBlock> federations;
-  std::vector<int> thread_counts;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tenants") == 0 && i + 1 < argc) {
       sizes = parse_sizes(argv[++i]);
@@ -1153,21 +1049,6 @@ int main(int argc, char** argv) {
                      "with positive integers\n");
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = parse_sizes(argv[++i]);
-      if (thread_counts.empty()) {
-        std::fprintf(stderr,
-                     "fleet_scale: --threads wants N[,N...] with positive "
-                     "integers\n");
-        return 2;
-      }
-      for (const int n : thread_counts) {
-        if (n <= 0) {
-          std::fprintf(stderr,
-                       "fleet_scale: thread counts must be positive\n");
-          return 2;
-        }
-      }
     } else if (std::strcmp(argv[i], "--autoscale") == 0) {
       autoscale = true;
     } else if (std::strcmp(argv[i], "--chaos") == 0) {
@@ -1183,7 +1064,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: fleet_scale [--tenants N[,N...]] [--hosts M] "
-                   "[--clusters NxM[,NxM...]] [--threads N[,N...]] "
+                   "[--clusters NxM[,NxM...]] "
                    "[--cells KxMxN[,KxMxN...]] "
                    "[--autoscale] [--chaos] [--programs] [--degraded] "
                    "[--out PATH] [--no-json]\n");
@@ -1278,40 +1159,6 @@ int main(int argc, char** argv) {
     std::printf("determinism: %zu policies x 2 fresh runs each, reports "
                 "byte-identical\n\n",
                 block.runs.size());
-  }
-
-  ParallelSweep parallel_sweep;
-  const bool want_parallel = !thread_counts.empty();
-  if (want_parallel) {
-    if (clusters.empty()) {
-      std::fprintf(stderr,
-                   "fleet_scale: --threads needs a cluster shape "
-                   "(--hosts M or --clusters NxM)\n");
-      return 2;
-    }
-    // Sweep the first explicit --clusters shape (the canonical parallel
-    // configuration — CI pins 100000x64 here), falling back to the
-    // --hosts primary block when no explicit shapes were given. Keeping
-    // the choice positional lets a regeneration run carry bigger cluster
-    // blocks (e.g. 1Mx256) without moving the gated parallel config.
-    const ClusterBlock* shape =
-        extra_clusters.empty() ? &clusters.front() : &extra_clusters.front();
-    std::printf("\nparallel sweep: %d tenants x %d hosts, least-loaded, "
-                "one run per thread count, byte-identical to threads=1\n\n",
-                shape->tenants, shape->hosts);
-    if (!run_parallel_sweep(shape->tenants, shape->hosts, thread_counts,
-                            &parallel_sweep)) {
-      return 1;
-    }
-    stats::Table parallel_table(
-        {"threads", "wall (ms)", "events/sec", "speedup"});
-    for (const ParallelSweepResult& r : parallel_sweep.runs) {
-      parallel_table.add_row({std::to_string(r.threads),
-                              stats::Table::num(r.wall_ms),
-                              stats::Table::num(r.events_per_sec, 0),
-                              stats::Table::num(r.speedup) + "x"});
-    }
-    std::printf("%s\n", parallel_table.to_text().c_str());
   }
 
   RetryDifferentialResult retry_result;
@@ -1427,9 +1274,7 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    write_json(out, runs, clusters,
-               want_parallel ? &parallel_sweep : nullptr,
-               hosts > 1 ? &retry_result : nullptr,
+    write_json(out, runs, clusters, hosts > 1 ? &retry_result : nullptr,
                autoscale ? &autoscale_result : nullptr,
                chaos ? &chaos_result : nullptr,
                programs ? &programs_result : nullptr,

@@ -7,14 +7,7 @@
 // steady-state mixed-platform fleet — each against a fresh HostSystem so
 // output is byte-identical for identical seeds, then shards the storm
 // across a 4-host fleet::Cluster under every placement policy.
-//
-// --threads N runs the cluster and autoscale sections through the
-// engine's parallel execution mode. Output is byte-identical at every
-// thread count — CI's determinism job diffs this harness across
-// --threads 1/2/8.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -40,19 +33,10 @@ void print_report(const fleet::FleetReport& report) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  int threads = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) {
-        std::fprintf(stderr, "fleet_scenarios: --threads must be >= 1\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "usage: fleet_scenarios [--threads N]\n");
-      return 2;
-    }
+int main(int argc, char** /*argv*/) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: fleet_scenarios\n");
+    return 2;
   }
 
   benchutil::print_header(
@@ -106,7 +90,6 @@ int main(int argc, char** argv) {
   bool exported_cluster_cdf = false;
   for (const auto kind : fleet::all_placement_kinds()) {
     auto cluster_scenario = fleet::Scenario::cluster_storm(128, 4, kind);
-    cluster_scenario.threads = threads;
     fleet::Cluster cluster(cluster_scenario.cluster);
     const auto report = cluster.run(cluster_scenario);
     std::printf("--- %s across %d hosts, placement %s ---\n",
@@ -127,7 +110,6 @@ int main(int argc, char** argv) {
   // storm subsides, re-placing drained tenants through placement +
   // admission. Deterministic like everything else here.
   auto scaled = fleet::Scenario::autoscale_storm(192, 2, 4);
-  scaled.threads = threads;
   scaled.guest_ram_bytes = 2048ull << 20;
   scaled.cluster.ram_bytes = 24ull << 30;
   auto fixed = scaled;
@@ -152,7 +134,6 @@ int main(int argc, char** argv) {
   // re-admission surge (not ambient load) trips the scale-out watermark.
   // The report grows a recovery section with per-fault verdicts.
   auto crash = fleet::Scenario::crash_recovery(192, 2, 4);
-  crash.threads = threads;
   fleet::Cluster crash_cluster(crash.cluster);
   const auto crash_report = crash_cluster.run(crash);
   std::printf("--- %s: %d tenants, host 0 crashes at %.0f ms ---\n",
@@ -169,9 +150,8 @@ int main(int argc, char** argv) {
   // HostKernel instead of drawing statistical phases; a statistical control
   // share rides along on the same hosts. The report grows a per-program
   // rollup with per-op-class p50/p99 and SLO verdicts, and must stay
-  // byte-identical across runs and thread counts like everything else.
+  // byte-identical across runs like everything else.
   auto programs = fleet::Scenario::program_storm(160, 2);
-  programs.threads = threads;
   fleet::Cluster program_cluster(programs.cluster);
   const auto program_report = program_cluster.run(programs);
   std::printf("--- %s: %d tenants, built-in programs over the HostKernel ---\n",
@@ -187,7 +167,6 @@ int main(int argc, char** argv) {
   // section with per-fault verdicts, and the no-retry control shows what
   // the same schedule costs without graceful degradation.
   auto degraded = fleet::Scenario::degrade_storm(180, 3);
-  degraded.threads = threads;
   fleet::Cluster degraded_cluster(degraded.cluster);
   const auto degraded_report = degraded_cluster.run(degraded);
   auto no_retry = degraded;

@@ -6,8 +6,8 @@
 // schedules drawn deterministically from the scenario seed. The engine is
 // the mechanism: resolved faults become first-class events on the one
 // global deterministic queue (kHostCrash / kPartitionStart / kPartitionEnd
-// in event_queue.h), so every failure scenario is byte-reproducible at
-// every thread count and can be pinned as a golden like any other run.
+// in event_queue.h), so every failure scenario is byte-reproducible and
+// can be pinned as a golden like any other run.
 //
 // Fault semantics (engine.cpp):
 //  * Crash: every tenant on the host dies mid-phase with its in-flight
@@ -177,8 +177,7 @@ struct PartitionWindow {
 
 /// Per-host partition windows (indexed by initial-topology host index),
 /// sorted and coalesced. Empty when the schedule has no partitions, so
-/// fault-free runs pay nothing. Immutable for the whole run — worker
-/// threads read it without synchronization.
+/// fault-free runs pay nothing. Immutable for the whole run.
 std::vector<std::vector<PartitionWindow>> build_partition_windows(
     const std::vector<ResolvedFault>& faults, int initial_hosts);
 
@@ -203,7 +202,7 @@ struct DegradeWindow {
 /// sorted and split into disjoint pieces; where windows overlap the worst
 /// (largest) multiplier wins and the earliest fault id keeps attribution.
 /// Empty when the schedule has no disk degrades. Immutable for the whole
-/// run — worker threads read it without synchronization.
+/// run.
 std::vector<std::vector<DegradeWindow>> build_degrade_windows(
     const std::vector<ResolvedFault>& faults, int initial_hosts);
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fleet/demand.h"
-
 namespace fleet {
 
 namespace {
@@ -13,8 +11,24 @@ namespace {
 using platforms::PlatformId;
 using platforms::WorkloadClass;
 
-using demand::kBootVcpus;
-using demand::workload_vcpus;
+/// vCPUs a tenant demands while booting.
+constexpr double kBootVcpus = 2.0;
+
+/// vCPUs one in-flight workload phase demands, per class.
+double workload_vcpus(WorkloadClass w) {
+  switch (w) {
+    case WorkloadClass::kCpu:
+      return 2.0;
+    case WorkloadClass::kMemory:
+      return 1.0;
+    case WorkloadClass::kIo:
+    case WorkloadClass::kNetwork:
+      return 0.5;
+    case WorkloadClass::kStartup:
+      return 1.0;
+  }
+  return 1.0;
+}
 
 /// KSM granularity for fleet guest RAM: 2 MiB (THP-sized) units keep the
 /// stable tree small enough to rescan on every admission decision.
@@ -143,7 +157,12 @@ double FleetEngine::Shard::cpu_factor() const {
   return std::max(1.0, cpu_demand / threads);
 }
 
-void FleetEngine::note_shard_peaks(Shard& sh) {
+void FleetEngine::note_peaks(Shard& sh) {
+  report_.peak_active = std::max(report_.peak_active, active_);
+  report_.peak_cpu_demand = std::max(
+      report_.peak_cpu_demand,
+      sh.cpu_demand / static_cast<double>(sh.host->spec().cpu_threads));
+
   sh.rollup.peak_active = std::max(sh.rollup.peak_active, sh.active);
   const std::uint64_t shard_resident = sh.resident_bytes();
   if (shard_resident >= sh.rollup.peak_resident_bytes) {
@@ -154,15 +173,6 @@ void FleetEngine::note_shard_peaks(Shard& sh) {
     sh.rollup.ksm.density_gain = sh.ksm.density_gain();
     sh.rollup.ksm.shared_fraction = sh.ksm.shared_fraction();
   }
-}
-
-void FleetEngine::note_peaks(Shard& sh) {
-  report_.peak_active = std::max(report_.peak_active, active_);
-  report_.peak_cpu_demand = std::max(
-      report_.peak_cpu_demand,
-      sh.cpu_demand / static_cast<double>(sh.host->spec().cpu_threads));
-
-  note_shard_peaks(sh);
 
   if (peak_audit_) {
     // Summed reference form the incremental counters replaced; any drift
@@ -406,9 +416,8 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   // image through the shard's host page cache, both stretched by CPU
   // contention across that host's fleet share. Runs that can shard defer
   // the physics to a kBootPhys event at the same instant: the contention
-  // factor is captured here (placement-visible state), but the sampling
-  // and cache/NVMe charges are shard-local, so the parallel loop can run
-  // them on the shard's worker instead of the coordinator.
+  // factor is captured here, the sampling and cache/NVMe charges happen
+  // when that event pops (see deferred_boot_).
   if (deferred_boot_) {
     t.boot_factor = sh.cpu_factor();
     queue_.push(t.clock.now(), t.id, EventKind::kBootPhys, t.epoch);
@@ -435,19 +444,12 @@ sim::Nanos FleetEngine::boot_physics(Shard& sh, Tenant& t, const Scenario& s,
     image_ns = sim::micros(50);  // fully cache-resident image
   }
 
-  // Floor the boot at the cache-resident image cost. It never binds (the
-  // image term alone is >= 50us in both branches), but it turns "boots are
-  // never instantaneous" into a provable invariant the parallel loop's
-  // harvest horizon leans on: a kBootPhys issued at time T cannot produce a
-  // kBootDone before T + kBootFloorNs.
-  auto total = std::max<sim::Nanos>(
-      kBootFloorNs, static_cast<sim::Nanos>(
-                        static_cast<double>(boot_ns + image_ns) * factor));
+  auto total = static_cast<sim::Nanos>(
+      static_cast<double>(boot_ns + image_ns) * factor);
   // Boots that actually pulled the image run the pull at degraded NVMe
   // speed inside a disk-degrade window, and wait out any partition window
   // on this host; a fully cache-resident boot touches neither the device
-  // nor the wire. Stalls only ever add time, so the kBootFloorNs horizon
-  // still holds.
+  // nor the wire.
   if (misses > 0) {
     if (sh.rollup.host < static_cast<int>(degrades_.size())) {
       total = degraded_completion(
@@ -839,7 +841,8 @@ void FleetEngine::handle_program_step(Tenant& t, const Scenario& s) {
   queue_.push(t.clock.now(), t.id, EventKind::kTeardown, t.epoch);
 }
 
-void FleetEngine::release_core(Shard& sh, Tenant& t) {
+void FleetEngine::release_tenant(Shard& sh, Tenant& t) {
+  const FleetDelta before = fleet_before(sh);
   switch (t.in_flight) {
     case Tenant::InFlight::kBoot:
       sh.cpu_demand -= kBootVcpus;
@@ -875,11 +878,6 @@ void FleetEngine::release_core(Shard& sh, Tenant& t) {
   --sh.active;
   --sh.tenants_by_platform[t.platform_id];
   t.holds_resources = false;
-}
-
-void FleetEngine::release_tenant(Shard& sh, Tenant& t) {
-  const FleetDelta before = fleet_before(sh);
-  release_core(sh, t);
   --active_;
   notify_platform_count(sh, t.platform_id);
   fleet_apply(sh, before);
@@ -1130,8 +1128,8 @@ void FleetEngine::handle_fault(const Event& e, const Scenario& s) {
   }
   if (e.kind == EventKind::kDegradeEnd) {
     // Window closes: one scan pass re-merges whatever survived on the
-    // stable tree. Merging only shrinks resident, but the barrier (and the
-    // republish) keeps placement pressure honest at every thread count.
+    // stable tree. Merging only shrinks resident; the republish keeps
+    // placement pressure honest.
     for (const int h : f.hosts) {
       Shard& sh = shards_[static_cast<std::size_t>(h)];
       if (!sh.live) {
@@ -1146,8 +1144,8 @@ void FleetEngine::handle_fault(const Event& e, const Scenario& s) {
   }
   if (e.kind == EventKind::kPartitionEnd) {
     // Heal instant. The stall itself is precomputed from the immutable
-    // window list; this event exists as a parallel-loop barrier (NIC
-    // behavior changes across it) and to keep the queue's timeline honest.
+    // window list, so the event does nothing; it still counts in
+    // events_processed and keeps the queue's timeline honest.
     return;
   }
   // Every crash-family fault pushes exactly one verdict at its start
@@ -1338,10 +1336,10 @@ sim::Nanos FleetEngine::phase_cost(Tenant& t, WorkloadClass w,
       static_cast<sim::Nanos>(static_cast<double>(cost) * sh.cpu_factor());
   if (w == WorkloadClass::kNetwork) {
     // A partition freezes NIC progress: the phase completion stretches by
-    // exactly the window overlap. Computed from the immutable per-run
-    // window list at scheduling time, so it is identical at every thread
-    // count. t.clock.now() is still the phase start here — start_phase
-    // advances the clock by this function's return value.
+    // exactly the window overlap, computed from the immutable per-run
+    // window list at scheduling time. t.clock.now() is still the phase
+    // start here — start_phase advances the clock by this function's
+    // return value.
     const sim::Nanos stalled =
         partition_stall(sh.rollup.host, t.clock.now(), total);
     if (stalled != total) {
@@ -1464,15 +1462,6 @@ void FleetEngine::process_event(const Event& e, const Scenario& s,
       }
     }
   }
-}
-
-bool FleetEngine::use_parallel(const Scenario& s) const {
-  // Parallelism is across shards; a single fixed host has nothing to fan
-  // out. Churn with a non-positive gap would make the conservative window
-  // (bounded by churn_gap ahead of the earliest possible re-arrival)
-  // empty, so such runs stay sequential.
-  return s.threads > 1 && shards_.size() > 1 &&
-         !(s.churn_rounds > 0 && s.churn_gap <= 0);
 }
 
 FleetReport FleetEngine::run(const Scenario& s) {
@@ -1631,10 +1620,8 @@ FleetReport FleetEngine::run(const Scenario& s) {
   latched_tail_ = false;
   latched_tail_time_ = 0;
   // Runs that can shard (now or mid-run) defer boot physics to kBootPhys
-  // events so the parallel loop can execute them on shard workers. The
-  // flag is fixed per run — both loops see the same event flow, which is
-  // what keeps reports byte-identical across thread counts. Plain
-  // single-host runs keep the inline flow the pinned goldens expect.
+  // events; plain single-host runs keep the inline flow the pinned goldens
+  // expect. The flag is fixed per run.
   deferred_boot_ = shards_.size() > 1 || s.autoscale.enabled ||
                    !s.host_events.empty() || s.faults.enabled();
   live_hosts_ = static_cast<int>(shards_.size());
@@ -1748,12 +1735,8 @@ FleetReport FleetEngine::run(const Scenario& s) {
 
   sim::Nanos first_arrival = arrivals.empty() ? 0 : arrivals.front();
   sim::Nanos last_event = first_arrival;
-  if (use_parallel(s)) {
-    run_loop_parallel(s, arrivals, last_event);
-  } else {
-    while (!queue_.empty()) {
-      process_event(queue_.pop(), s, arrivals, last_event);
-    }
+  while (!queue_.empty()) {
+    process_event(queue_.pop(), s, arrivals, last_event);
   }
   if (latched_tail_) {
     // The bulk-rejected arrivals never became events; without this the

@@ -173,6 +173,12 @@ class FleetEngine {
     double cpu_factor() const;
   };
 
+  /// Pop-side dispatch: count the event, advance the global clock and run
+  /// the one handler for its kind (then seed the next lazy arrival).
+  void process_event(const Event& e, const Scenario& s,
+                     const std::vector<sim::Nanos>& arrivals,
+                     sim::Nanos& last_event);
+
   // Lifecycle handlers.
   void handle_arrival(Tenant& t, const Scenario& s);
   void handle_boot_phys(Tenant& t, const Scenario& s);
@@ -188,12 +194,6 @@ class FleetEngine {
   /// path (factor captured at the arrival).
   sim::Nanos boot_physics(Shard& sh, Tenant& t, const Scenario& s,
                           double factor);
-
-  /// Hard floor on a boot's total duration. Physically it never binds (the
-  /// image term alone is >= 50us); it exists so a deferred boot's kBootDone
-  /// provably lands at least this far after its kBootPhys, which is the
-  /// horizon the parallel lane pipeline runs ahead on.
-  static constexpr sim::Nanos kBootFloorNs = 50'000;
 
   /// Begin tenant t's next workload phase: account its demand, charge its
   /// cost, and schedule the completion event.
@@ -220,15 +220,13 @@ class FleetEngine {
   /// NIC, stretched by CPU contention; network ops wait out partition
   /// windows by exact overlap, disk-touching ops stretch through degrade
   /// windows, and network ops draw a peer that may sit across a partial
-  /// partition. Shard-local, so window workers may call it. `impact`
-  /// (optional) receives the degrade attribution.
+  /// partition. `impact` (optional) receives the degrade attribution.
   sim::Nanos program_op_cost(Tenant& t, const ProgramOp& op,
                              const Scenario& s, OpImpact* impact = nullptr);
 
   /// Outcome of one op *issue* (the retry loop around program_op_cost):
   /// how many re-issues it took, whether it still blew the SLO with
-  /// retries exhausted, and which fault gets the ledger entry. Computed
-  /// identically on the sequential path and window workers.
+  /// retries exhausted, and which fault gets the ledger entry.
   struct OpIssue {
     sim::Nanos service = 0;  // total issue latency: timeouts+backoffs+final
     int fault = -1;          // degrade fault attributed (first disturber)
@@ -245,8 +243,7 @@ class FleetEngine {
   OpIssue issue_program_op(Tenant& t, const ProgramOp& op, const Scenario& s);
 
   /// Fold one issue's outcome into the fleet totals and its fault's
-  /// DegradeVerdict. Coordinator-only: the sequential path calls it from
-  /// start_program_op, the parallel path from replay_record.
+  /// DegradeVerdict.
   void note_op_outcome(std::uint64_t tenant_id, const OpIssue& issue);
 
   /// Admission control against the tenant's shard: would its resident set
@@ -267,16 +264,11 @@ class FleetEngine {
   /// Tell an incremental policy that `sh`'s tenant count for `id` moved.
   void notify_platform_count(Shard& sh, platforms::PlatformId id);
 
-  /// Shard-local half of a release: in-flight CPU/NIC demand, KSM
-  /// registration, resident bytes, the shard's active counters. Touches
-  /// nothing fleet-global, so window workers may call it; the deltas it
-  /// causes are recorded and replayed by the coordinator.
-  void release_core(Shard& sh, Tenant& t);
-
-  /// Release everything tenant t currently charges against shard sh, plus
-  /// the fleet-global bookkeeping (active_, placement notification, fleet
-  /// counters). Shared by teardown and drain migration on the sequential
-  /// path.
+  /// Release everything tenant t currently charges against shard sh
+  /// (in-flight CPU/NIC demand, KSM registration, resident bytes, the
+  /// shard's active counters) plus the fleet-global bookkeeping (active_,
+  /// placement notification, fleet counters). Shared by teardown and drain
+  /// migration.
   void release_tenant(Shard& sh, Tenant& t);
 
   // Mid-run topology changes.
@@ -290,8 +282,7 @@ class FleetEngine {
   void handle_host_event(const Event& e, const Scenario& s);
   void handle_autoscale_eval(sim::Nanos now, const Scenario& s);
 
-  // Fault injection (chaos.h). Coordinator-only: every fault kind is a
-  // barrier in the parallel loop, so these never race a window worker.
+  // Fault injection (chaos.h).
   void handle_fault(const Event& e, const Scenario& s);
   /// Kill every tenant on shard `index`: release their in-flight demand,
   /// drop the host's page cache and KSM stable tree wholesale, retire the
@@ -299,14 +290,13 @@ class FleetEngine {
   void crash_shard(int index, const ResolvedFault& f, sim::Nanos now,
                    sim::Rng& frng, FleetReport::RecoveryVerdict& v);
   /// Stretch of a NIC-bound completion by the host's partition windows;
-  /// `duration` unchanged when none overlap. Reads only immutable per-run
-  /// state, so window workers may call it.
+  /// `duration` unchanged when none overlap.
   sim::Nanos partition_stall(int host, sim::Nanos start,
                              sim::Nanos duration) const;
   /// Recovery bookkeeping when a crash victim's re-arrival is rejected:
   /// the tenant is permanently lost. (Re-admission is counted where the
-  /// re-boot completes — handle_boot_done / replay_record — so a victim
-  /// drain-migrated mid-recovery is never double-counted.)
+  /// re-boot completes — handle_boot_done — so a victim drain-migrated
+  /// mid-recovery is never double-counted.)
   void note_crash_loss(Tenant& t);
 
   /// Virtual duration of one workload phase, including platform profile
@@ -314,12 +304,10 @@ class FleetEngine {
   sim::Nanos phase_cost(Tenant& t, platforms::WorkloadClass w,
                         const Scenario& s);
 
+  /// Fold the current activity into the high-water marks: fleet-wide
+  /// active/CPU/resident peaks (with the KSM snapshot at the resident
+  /// peak) and shard sh's rollup peaks.
   void note_peaks(Shard& sh);
-
-  /// Shard-local slice of note_peaks: the shard rollup's peak-active and
-  /// peak-resident/KSM snapshot. Safe on window workers (one worker owns a
-  /// shard at a time); the fleet-global slice stays coordinator-only.
-  void note_shard_peaks(Shard& sh);
 
   /// Set up a freshly constructed or reset shard for this run: KSM tree,
   /// platform instances for the scenario mix, RAM cap, rollup identity.
@@ -373,15 +361,14 @@ class FleetEngine {
 
   /// Resolved fault schedule for this run (chaos.h); empty when the
   /// scenario injects none. Written once before the loop starts, immutable
-  /// after — worker threads read faults_/partitions_ freely.
+  /// after.
   std::vector<ResolvedFault> faults_;
   /// Per-host partition windows (initial-topology indices only; hosts
   /// added mid-run are never partition targets).
   std::vector<std::vector<PartitionWindow>> partitions_;
   /// Per-host disk-degrade and partial-partition windows (chaos.h), built
-  /// next to partitions_ and equally immutable — worker threads read them
-  /// without synchronization. Both empty when no fault of that kind is
-  /// scheduled, so fault-free runs pay (and draw) nothing.
+  /// next to partitions_ and equally immutable. Both empty when no fault
+  /// of that kind is scheduled, so fault-free runs pay (and draw) nothing.
   std::vector<std::vector<DegradeWindow>> degrades_;
   std::vector<std::vector<PairWindow>> pairs_;
   /// Fault id -> index into report_.recovery (crash kinds) or
@@ -395,8 +382,7 @@ class FleetEngine {
   /// program op. Gates every retry/give-up counter and the extra RNG draws
   /// behind them, so pre-existing scenarios stay byte-identical.
   bool degraded_accounting_ = false;
-  /// Distinct tenants disturbed per degraded verdict (coordinator-only;
-  /// parallel runs insert during replay). Finalized into
+  /// Distinct tenants disturbed per degraded verdict. Finalized into
   /// DegradeVerdict::affected at run end.
   std::vector<std::set<std::uint64_t>> degrade_affected_;
   /// Live shard count, maintained at add/drain/crash so the per-arrival
@@ -425,113 +411,12 @@ class FleetEngine {
   bool peak_audit_ = false;
   bool peak_audit_failed_ = false;
 
-  // --- Parallel execution (scenario.threads > 1, cluster runs) ------------
-  //
-  // Conservative parallel discrete-event simulation: shards only interact
-  // through placement/autoscale decisions, so between coordinator events
-  // (arrivals, host events, autoscale evals) each shard's events run on a
-  // worker thread. Two mechanisms share one worker pool:
-  //
-  //  * Lanes: a deferred kBootPhys popped at the top level has its
-  //    kBootDone seq reserved immediately (determinism) and its physics
-  //    computed asynchronously on the owning shard's lane; the coordinator
-  //    keeps processing arrivals and harvests completed boots before the
-  //    queue reaches them (kBootFloorNs is the provable safety horizon).
-  //  * Windows: runs of non-coordinator events are split into per-shard
-  //    sub-queues, drained concurrently with every global effect written
-  //    to a WorkerRecord, then replayed by the coordinator in merged
-  //    (time, seq) order — reproducing the sequential loop byte for byte.
-
-  /// True once this run committed to the parallel loop.
-  bool use_parallel(const Scenario& s) const;
-
-  /// One sequential-loop iteration (shared by both loops for coordinator
-  /// events, and the whole loop when threads == 1).
-  void process_event(const Event& e, const Scenario& s,
-                     const std::vector<sim::Nanos>& arrivals,
-                     sim::Nanos& last_event);
-
-  void run_loop_parallel(const Scenario& s,
-                         const std::vector<sim::Nanos>& arrivals,
-                         sim::Nanos& last_event);
-
-  /// One shard-local event executed off the coordinator. Global effects
-  /// are deferred here and applied during replay in merged order; `seq` is
-  /// the true global seq for extracted events, or a provisional seq
-  /// (>= win_seq_base_) for events born inside the window.
-  struct WorkerRecord {
-    sim::Nanos time = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t tenant = 0;
-    EventKind kind = EventKind::kArrival;
-    bool stale = false;         // epoch mismatch: counted, otherwise inert
-    bool count_tenant = false;  // first boot: ++platform tenant count
-    bool gen = false;           // handler scheduled one follow-up event
-    EventKind gen_kind = EventKind::kArrival;
-    sim::Nanos gen_time = 0;
-    double sample_ms = 0.0;     // boot_ms / phase_ms / program-op sample
-    /// kProgramStep payload: the op's class and repeat-expanded invocation
-    /// count; sample_ms carries its service latency.
-    std::uint8_t prog_class = 0;
-    std::uint32_t prog_ops = 0;
-    FleetDelta delta{0, 0, 0, 0};  // teardown's fleet-counter deltas
-    /// Crash-recovery resolution carried by a victim's kBootDone: the
-    /// fault whose replace_ms gets `recovery_ms` during replay (-1: none).
-    int recovery_fault = -1;
-    double recovery_ms = 0.0;
-    /// kProgramStep retry ledger: the OpIssue outcome of the *next* op the
-    /// worker started, folded in by note_op_outcome during replay.
-    int op_retries = 0;
-    bool op_give_up = false;
-    int degrade_fault = -1;        // first disturbing fault id; -1 = none
-    double degrade_added_ms = -1.0;  // < 0: no added-latency sample
-  };
-
-  /// Per-shard window state, storage reused across windows.
-  struct ShardTask {
-    EventQueue q;                       // this window's events for the shard
-    std::vector<WorkerRecord> records;  // shard-local (time, seq) order
-    std::vector<std::uint64_t> born;    // provisional -> true seq, in order
-    std::uint64_t next_birth = 0;       // next provisional seq to hand out
-    double max_cpu_ratio = 0.0;         // window max of demand / threads
-    bool dirty = false;                 // non-stale events ran: republish
-    std::vector<platforms::PlatformId> counts_touched;  // teardown platforms
-    std::size_t replay_pos = 0;         // merge cursor into records
-  };
-
-  /// Extract the next window out of queue_ into tasks_; returns the number
-  /// of events extracted.
-  std::size_t build_window(const Scenario& s);
-  /// Worker body: drain one shard's window sub-queue.
-  void window_drain(ShardTask& task, const Scenario& s);
-  void window_step(ShardTask& task, const Event& e, const Scenario& s);
-  void worker_start_phase(ShardTask& task, WorkerRecord& r, Tenant& t,
-                          platforms::WorkloadClass w, const Scenario& s);
-  /// Worker-side start_program_op: shard-local charges applied directly,
-  /// the report-side sample deferred into the record like phases.
-  void worker_start_program_op(ShardTask& task, WorkerRecord& r, Tenant& t,
-                               const Scenario& s);
-  /// Whether an event born at `time` still belongs to the current window.
-  /// Must evaluate identically on workers and during replay.
-  bool birth_in_window(sim::Nanos time) const;
-  /// Merge every task's records by (time, true seq) and apply the global
-  /// effects exactly as the sequential loop would have.
-  void replay_window(const Scenario& s, sim::Nanos& last_event);
-  void replay_record(ShardTask& task, const WorkerRecord& r,
-                     const Scenario& s, sim::Nanos& last_event);
-
-  class ParallelCtx;  // worker pool + boot lanes (engine_parallel.cpp)
-
-  std::vector<ShardTask> tasks_;
-  std::vector<int> win_shards_;    // shards touched by the current window
-  sim::Nanos win_bound_ = 0;       // births at >= bound leave the window
-  bool win_has_stop_ = false;      // window halted by a coordinator event
-  sim::Nanos win_stop_time_ = 0;
-  std::uint64_t win_seq_base_ = 0;  // provisional seqs start here
-
-  /// Cluster-capable runs route boot physics through kBootPhys events (at
-  /// every thread count, so reports stay byte-identical across threads);
-  /// plain single-host runs keep the inline flow the goldens pin.
+  /// Cluster-capable runs (more than one shard, autoscale, host events or
+  /// faults) split each boot into a kBootPhys event at the admitting
+  /// instant; plain single-host runs boot inline, as the goldens pin. The
+  /// split fixes when a boot's sampling and image pull run relative to
+  /// same-instant events, and every kBootPhys counts in events_processed,
+  /// so cluster reports depend on it byte for byte.
   bool deferred_boot_ = false;
 };
 

@@ -29,8 +29,7 @@ enum class EventKind {
                    //   single-host runs boot inline at the arrival)
   kBootDone,       // boot sequence finished; workload phases begin
   kPhaseDone,      // one workload phase finished
-  kProgramStep,    // one syscall-program op finished (program-mix tenants);
-                   //   shard-local and window-parallel, like kPhaseDone
+  kProgramStep,    // one syscall-program op finished (program-mix tenants)
   kTeardown,       // tenant released its resources
   kHostEvent,      // timed operator hook: add or drain a host (tenant field
                    //   indexes Scenario::host_events)
@@ -38,7 +37,7 @@ enum class EventKind {
   kHostCrash,      // fault injection: a host (or rack) dies; tenant field
                    //   indexes the run's resolved fault schedule (chaos.h)
   kPartitionStart,  // network partition opens on the fault's hosts
-  kPartitionEnd,    // ...and heals; barrier marker, stall is precomputed
+  kPartitionEnd,    // ...and heals; a no-op marker, stall is precomputed
   kDegradeStart,    // degrade-family fault opens (disk degrade, memory
                     //   pressure, partial partition); tenant field indexes
                     //   the resolved fault schedule like kHostCrash
@@ -103,13 +102,6 @@ class EventQueue {
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
-
-  /// Next sequence number push() would stamp. The parallel loop snapshots
-  /// this at each window start: shard-local events born inside the window
-  /// get provisional seqs from here upward (strictly above every queued
-  /// event), then the deterministic replay re-issues the real seqs in
-  /// merged order so the global numbering matches the sequential engine's.
-  std::uint64_t next_seq() const { return next_seq_; }
 
   /// Earliest event without removing it. Requires !empty().
   Event top() const {

@@ -171,7 +171,7 @@ struct FederatedScenario {
 
 /// Everything a federated run observed: per-cell FleetReports rolled up
 /// into global totals. Same contract as FleetReport — same scenario, seed
-/// and topology render byte-identical text at every thread count.
+/// and topology render byte-identical text.
 class FederationReport {
  public:
   std::string scenario;

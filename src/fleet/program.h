@@ -44,8 +44,9 @@ OpClass op_class(hostk::Syscall sc);
 /// (write/pwrite64/writev): buffered, so the device charge is fsync's.
 bool op_is_write(hostk::Syscall sc);
 
-/// vCPUs one in-flight program op demands, mirroring demand::workload_vcpus
-/// so programs and statistical phases contend on the same scale.
+/// vCPUs one in-flight program op demands, on the same scale as the
+/// engine's per-workload-class phase demand so programs and statistical
+/// phases contend alike.
 double op_vcpus(OpClass c);
 
 /// One step of a program: `repeat` back-to-back invocations of `sc`, moving

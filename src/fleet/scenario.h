@@ -9,8 +9,8 @@
 //                 SLOs the run is held to, and the seed. One TrafficSpec
 //                 drives a whole federation; it knows nothing about hosts.
 //   CellSpec    — cell-scoped mechanism: topology, placement policy,
-//                 autoscaling, operator host events, fault injection, and
-//                 the execution thread knob for ONE cluster cell.
+//                 autoscaling, operator host events and fault injection
+//                 for ONE cluster cell.
 //   Scenario    — TrafficSpec + CellSpec glued back together (by
 //                 inheritance, so every existing `s.tenant_count` /
 //                 `s.cluster` access keeps compiling verbatim). This is the
@@ -244,8 +244,8 @@ struct TrafficSpec {
 
 /// Cell-scoped mechanism half of a scenario: everything that describes ONE
 /// cluster cell — its hosts, how tenants are placed on them, how it scales,
-/// what faults hit it, and how it executes. A federation carries K of
-/// these, one per cell, possibly heterogeneous.
+/// and what faults hit it. A federation carries K of these, one per cell,
+/// possibly heterogeneous.
 struct CellSpec {
   // --- Cluster ------------------------------------------------------------
   /// Host count and per-host shape; host_count 1 is the single-host engine.
@@ -273,13 +273,6 @@ struct CellSpec {
   /// Host RAM cap for the density check, applied to every host; 0 means
   /// use each HostSystem's spec.
   std::uint64_t host_ram_override_bytes = 0;
-
-  // --- Execution -----------------------------------------------------------
-  /// Worker threads for the engine's parallel execution mode (cluster runs
-  /// only; single-host runs ignore it). 1 = the sequential loop. Any value
-  /// produces byte-identical reports — threads is an execution knob, not a
-  /// model parameter, so it never appears in the report text.
-  int threads = 1;
 };
 
 /// The single-cluster scenario: one TrafficSpec applied to one CellSpec.

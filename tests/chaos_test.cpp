@@ -4,7 +4,7 @@
 // determinism, partition windows stalling NIC-bound completions,
 // recovery-verdict arithmetic, up-front scenario validation, the
 // drain/crash same-instant race hardening, and byte-identity of every
-// chaos builtin across runs and thread counts.
+// chaos builtin across runs.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -257,21 +257,17 @@ TEST(ChaosTest, IncrementalFleetCountersSurviveACrash) {
   // latches any drift from the re-summed reference).
   Scenario s = chaos_storm(200, 3);
   s.faults.timed = {crash_at(sim::millis(60), 1)};
-  for (const int threads : {1, 4}) {
-    Scenario run = s;
-    run.threads = threads;
-    Cluster cluster(run.cluster);
-    const auto policy = fleet::make_placement(run.placement);
-    std::vector<core::HostSystem*> hosts;
-    for (int i = 0; i < cluster.host_count(); ++i) {
-      hosts.push_back(&cluster.host(i));
-    }
-    FleetEngine engine(hosts, policy.get(), &cluster);
-    engine.set_peak_audit(true);
-    const FleetReport r = engine.run(run);
-    EXPECT_TRUE(engine.peak_audit_ok()) << "threads=" << threads;
-    EXPECT_GT(r.crash_victims, 0);
+  Cluster cluster(s.cluster);
+  const auto policy = fleet::make_placement(s.placement);
+  std::vector<core::HostSystem*> hosts;
+  for (int i = 0; i < cluster.host_count(); ++i) {
+    hosts.push_back(&cluster.host(i));
   }
+  FleetEngine engine(hosts, policy.get(), &cluster);
+  engine.set_peak_audit(true);
+  const FleetReport r = engine.run(s);
+  EXPECT_TRUE(engine.peak_audit_ok());
+  EXPECT_GT(r.crash_victims, 0);
 }
 
 TEST(ChaosTest, CrashingTheOnlyHostLosesUnplacedTenants) {
@@ -455,24 +451,6 @@ TEST(ChaosTest, RandomFaultScheduleIsSeedDeterministic) {
   const FleetReport ro = run_cluster(other);
   ASSERT_EQ(ro.recovery.size(), 2u);
   EXPECT_NE(ro.recovery[0].time, r.recovery[0].time);
-}
-
-TEST(ChaosTest, ChaosBuiltinsAreThreadCountInvariant) {
-  const Scenario builtins[] = {
-      Scenario::crash_recovery(600, 4, 8),
-      Scenario::rack_outage(240, 6),
-      Scenario::partition_storm(240, 4),
-  };
-  for (const Scenario& base : builtins) {
-    Scenario s = base;
-    s.threads = 1;
-    const std::string sequential = run_cluster(s).to_text();
-    for (const int threads : {2, 8}) {
-      s.threads = threads;
-      EXPECT_EQ(run_cluster(s).to_text(), sequential)
-          << base.name << " threads=" << threads;
-    }
-  }
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Tests for fleet::Cluster: placement policies (unit + differential),
-// topology construction, per-host rollups, churn loops, and the
-// byte-reproducibility guarantee across hosts.
+// topology construction, per-host rollups, the incremental fleet-counter
+// audit behind note_peaks, churn loops, and the byte-reproducibility
+// guarantee across hosts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "core/host_system.h"
 #include "fleet/cluster.h"
@@ -19,6 +21,7 @@ using fleet::Cluster;
 using fleet::ClusterTopology;
 using fleet::FleetEngine;
 using fleet::FleetReport;
+using fleet::HostEvent;
 using fleet::HostView;
 using fleet::PlacementKind;
 using fleet::PlacementRequest;
@@ -175,6 +178,30 @@ TEST(ClusterTest, PerHostRollupsSumToFleetTotals) {
   EXPECT_EQ(hits, report.page_cache_hits);
   EXPECT_EQ(misses, report.page_cache_misses);
   EXPECT_EQ(hap_fns, report.hap.distinct_functions);
+}
+
+TEST(ClusterTest, IncrementalFleetCountersMatchSummedForm) {
+  // set_peak_audit re-derives the fleet resident/KSM sums from every shard
+  // at each peak check and latches a failure on any drift from the O(1)
+  // incremental counters. Exercise admissions, rejections, teardowns,
+  // churn and drains.
+  Scenario s = Scenario::cluster_storm(700, 4, PlacementKind::kLeastLoaded);
+  s.churn_rounds = 1;
+  HostEvent drain;
+  drain.time = sim::millis(50);
+  drain.kind = HostEvent::Kind::kDrain;
+  s.host_events = {drain};
+  Cluster cluster(s.cluster);
+  const auto policy = make_placement(s.placement);
+  std::vector<core::HostSystem*> hosts;
+  for (int i = 0; i < cluster.host_count(); ++i) {
+    hosts.push_back(&cluster.host(i));
+  }
+  FleetEngine engine(hosts, policy.get(), &cluster);
+  engine.set_peak_audit(true);
+  const FleetReport r = engine.run(s);
+  EXPECT_TRUE(engine.peak_audit_ok());
+  EXPECT_GT(r.admitted, 0);
 }
 
 TEST(ClusterTest, ReportRendersPlacementAndHostTable) {

@@ -5,7 +5,7 @@
 // retry-vs-no-retry graceful-degradation differential on the degrade_storm
 // builtin, crash-during-boot accounting, up-front validation of degrade
 // shapes and retry knobs, and byte-identity of degraded runs across double
-// runs and worker thread counts.
+// runs.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -277,25 +277,21 @@ TEST(DegradedTest, MemPressureSpikesResidentAndAuditsExactly) {
   // exactly — set_peak_audit latches any drift.
   Scenario s = Scenario::program_storm(160, 3);
   s.faults.timed = {mem_pressure_at(sim::millis(60), 1, sim::millis(50))};
-  for (const int threads : {1, 4}) {
-    Scenario run = s;
-    run.threads = threads;
-    Cluster cluster(run.cluster);
-    const auto policy = fleet::make_placement(run.placement);
-    std::vector<core::HostSystem*> hosts;
-    for (int i = 0; i < cluster.host_count(); ++i) {
-      hosts.push_back(&cluster.host(i));
-    }
-    FleetEngine engine(hosts, policy.get(), &cluster);
-    engine.set_peak_audit(true);
-    const FleetReport r = engine.run(run);
-    EXPECT_TRUE(engine.peak_audit_ok()) << "threads=" << threads;
-    ASSERT_EQ(r.degraded.size(), 1u);
-    EXPECT_EQ(r.degraded[0].kind, "mem-pressure");
-    EXPECT_GT(r.degraded[0].resident_spike_bytes, 0u);
-    EXPECT_GT(r.degraded[0].affected, 0);
-    EXPECT_NE(r.to_text().find("resident spike"), std::string::npos);
+  Cluster cluster(s.cluster);
+  const auto policy = fleet::make_placement(s.placement);
+  std::vector<core::HostSystem*> hosts;
+  for (int i = 0; i < cluster.host_count(); ++i) {
+    hosts.push_back(&cluster.host(i));
   }
+  FleetEngine engine(hosts, policy.get(), &cluster);
+  engine.set_peak_audit(true);
+  const FleetReport r = engine.run(s);
+  EXPECT_TRUE(engine.peak_audit_ok());
+  ASSERT_EQ(r.degraded.size(), 1u);
+  EXPECT_EQ(r.degraded[0].kind, "mem-pressure");
+  EXPECT_GT(r.degraded[0].resident_spike_bytes, 0u);
+  EXPECT_GT(r.degraded[0].affected, 0);
+  EXPECT_NE(r.to_text().find("resident spike"), std::string::npos);
 }
 
 // --- Partial partition -------------------------------------------------------
@@ -429,21 +425,15 @@ TEST(DegradedTest, FederationComposesDegradeStormsWithCellOutage) {
 
 // --- Determinism -------------------------------------------------------------
 
-TEST(DegradedTest, DegradeStormIsByteIdenticalAcrossRunsAndThreads) {
+TEST(DegradedTest, DegradeStormIsByteIdenticalAcrossRuns) {
   for (const bool retries_on : {true, false}) {
     Scenario s = Scenario::degrade_storm(180, 3);
     if (!retries_on) {
       s.op_max_retries = 0;
       s.op_backoff_base_ms = 0;
     }
-    s.threads = 1;
-    const std::string sequential = run_cluster(s).to_text();
-    EXPECT_EQ(run_cluster(s).to_text(), sequential);
-    for (const int threads : {2, 8}) {
-      s.threads = threads;
-      EXPECT_EQ(run_cluster(s).to_text(), sequential)
-          << "retries_on=" << retries_on << " threads=" << threads;
-    }
+    const std::string first = run_cluster(s).to_text();
+    EXPECT_EQ(run_cluster(s).to_text(), first) << "retries_on=" << retries_on;
   }
 }
 

@@ -3,8 +3,7 @@
 // policy rank orderings (spec path) and walk/spec equivalence, forced
 // inter-cell spills landing tenants a lone tiny cell would reject,
 // spill-sum bookkeeping, cell-outage victims re-routing through the
-// global router, and byte-identity of K-cell runs across double runs
-// and worker thread counts.
+// global router, and byte-identity of K-cell runs across double runs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -252,19 +251,13 @@ TEST(FederationTest, OutageRunsAreByteIdenticalAcrossRuns) {
 
 // --- Determinism ----------------------------------------------------------
 
-TEST(FederationTest, KCellRunsAreByteIdenticalAcrossRunsAndThreads) {
+TEST(FederationTest, KCellRunsAreByteIdenticalAcrossRuns) {
   for (const RoutingKind kind : fleet::all_routing_kinds()) {
-    FederatedScenario fs = FederatedScenario::federation_storm(90, 3, 2, kind);
+    const FederatedScenario fs =
+        FederatedScenario::federation_storm(90, 3, 2, kind);
     const std::string baseline = run_federation(fs).to_text();
     EXPECT_EQ(run_federation(fs).to_text(), baseline)
         << fleet::routing_kind_name(kind);
-    for (const int threads : {2, 8}) {
-      for (fleet::CellDesc& cell : fs.topology.cells) {
-        cell.spec.threads = threads;
-      }
-      EXPECT_EQ(run_federation(fs).to_text(), baseline)
-          << fleet::routing_kind_name(kind) << " threads " << threads;
-    }
   }
 }
 

@@ -24,14 +24,6 @@ wall-clock is gated at the committed (hosts, max_hosts, tenants)
 configuration, and changed event counts / admission totals are reported
 as behavior changes.
 
-schema_version 5 adds a "parallel" block (fleet_scale --threads): the
-sequential-vs-parallel sweep at the largest cluster shape. It is gated
-per thread count — only a fresh run at the same (hosts, tenants, policy)
-configuration and the same thread count is compared, on wall-clock ratio
-and the events_per_sec floor. A fresh file without the block (a local run
-that skipped --threads) warns and skips; CI always passes the matching
---threads list, so the gate is live where it matters.
-
 schema_version 6 adds a "chaos" block (fleet_scale --chaos): the
 crash-recovery storm — a mid-ramp host crash on a RAM-tight autoscaled
 fleet — with its recovery SLOs. Gated config-matched at the committed
@@ -173,58 +165,6 @@ def check_clusters(fresh_doc, committed_doc, max_ratio):
                       f"{run.get('events')} -> {fresh_run.get('events')} "
                       f"(cluster behavior change — single-host goldens do "
                       f"not cover this)")
-    return failed
-
-
-def check_parallel(fresh_doc, committed_doc, max_ratio):
-    """Gate the sequential-vs-parallel sweep; returns True on failure.
-
-    Only thread-count-matched runs at the same (hosts, tenants, policy)
-    configuration are compared — a threads=8 wall on a saturated runner
-    must never be judged against a committed threads=1 number or vice
-    versa."""
-    base = committed_doc.get("parallel")
-    if base is None:
-        return False  # nothing committed to gate against
-    fresh = fresh_doc.get("parallel")
-    if fresh is None:
-        print("  parallel sweep    no fresh block (run fleet_scale with "
-              "--threads) -- skipped, not gated")
-        return False
-    config = (base.get("hosts"), base.get("tenants"), base.get("policy"))
-    fresh_config = (fresh.get("hosts"), fresh.get("tenants"),
-                    fresh.get("policy"))
-    if fresh_config != config:
-        print(f"  parallel sweep    config mismatch: committed {config}, "
-              f"fresh {fresh_config} -- skipped, not gated")
-        return False
-    print(f"parallel sweep at {config[1]} tenants across {config[0]} hosts "
-          f"({config[2]}):")
-    fresh_runs = {r.get("threads"): r for r in fresh.get("runs", [])}
-    failed = False
-    for run in base.get("runs", []):
-        threads = run.get("threads")
-        label = f"threads={threads}"
-        fresh_run = fresh_runs.get(threads)
-        if fresh_run is None:
-            print(f"  {label:<18} no thread-count-matched fresh run -- "
-                  f"skipped, not gated")
-            continue
-        ratio = (fresh_run["wall_ms"] / run["wall_ms"]
-                 if run["wall_ms"] > 0 else 0.0)
-        verdict = "ok" if ratio <= max_ratio else "REGRESSION"
-        print(f"  {label:<18} committed {run['wall_ms']:8.1f} ms   "
-              f"fresh {fresh_run['wall_ms']:8.1f} ms   "
-              f"ratio {ratio:4.2f}x   {verdict}")
-        if ratio > max_ratio:
-            failed = True
-        if throughput_floor_failed(label, run, fresh_run, max_ratio):
-            failed = True
-        if fresh_run.get("events") != run.get("events"):
-            print(f"  {label:<18} note: event count changed "
-                  f"{run.get('events')} -> {fresh_run.get('events')} "
-                  f"(behavior change — the parallel engine must process "
-                  f"exactly the sequential event stream)")
     return failed
 
 
@@ -529,8 +469,6 @@ def main():
                   f"{base.get('events')} -> {run.get('events')} "
                   f"(behavior change, pinned elsewhere)")
     if check_clusters(fresh_doc, committed_doc, args.max_ratio):
-        failed = True
-    if check_parallel(fresh_doc, committed_doc, args.max_ratio):
         failed = True
     if check_autoscale(fresh_doc, committed_doc, args.max_ratio):
         failed = True
