@@ -48,8 +48,8 @@ int main() {
       "share their zero-page and image digest runs only when they sit on\n"
       "the SAME host's KSM stable tree. Under RAM pressure that headroom\n"
       "becomes extra admissions, and overshoot spills to the next-ranked\n"
-      "host instead of OOMing -- run fleet_scale --hosts 4 --autoscale to\n"
-      "see it at 10k tenants, plus the autoscaler growing the fleet.\n\n"
+      "host instead of OOMing -- run fleet_scale to see it at 10k\n"
+      "tenants, plus the autoscaler growing the fleet.\n\n"
       "The per-host rollup of the last run (%s) shows the other side:\n"
       "piling everything onto few hosts narrows the fleet's attack surface\n"
       "(hap fns column) but concentrates its boot storm.\n\n%s\n",

@@ -537,7 +537,6 @@ FederationReport Federation::run(const FederatedScenario& fs) {
   };
 
   std::unordered_map<int, std::vector<char>> tried;
-  std::vector<int> ranked_scratch;
 
   const auto route_one = [&](int gid) -> int {
     const TenantSeed& seed = eff[static_cast<std::size_t>(gid)];
@@ -548,34 +547,9 @@ FederationReport Federation::run(const FederatedScenario& fs) {
     req.guest_ram_bytes = fs.traffic.guest_ram_bytes;
     const auto it = tried.find(gid);
     const std::vector<char>* skip = it == tried.end() ? nullptr : &it->second;
-    if (router->incremental()) {
-      router->walk_begin(req);
-      int c;
-      while ((c = router->walk_next()) >= 0) {
-        if (skip == nullptr || (*skip)[static_cast<std::size_t>(c)] == 0) {
-          return c;
-        }
-      }
-      return -1;
-    }
-    // Snapshot-sort spec path for custom policies.
-    std::vector<CellView> views(static_cast<std::size_t>(cell_n));
-    for (int k = 0; k < cell_n; ++k) {
-      CellView& v = views[static_cast<std::size_t>(k)];
-      v.index = k;
-      v.ram_cap_bytes = cell_cap[static_cast<std::size_t>(k)];
-      v.resident_bytes = proj[static_cast<std::size_t>(k)].resident;
-      v.active_tenants = proj[static_cast<std::size_t>(k)].count;
-      const auto pit =
-          proj[static_cast<std::size_t>(k)].by_platform.find(req.platform_id);
-      v.same_platform_tenants =
-          pit == proj[static_cast<std::size_t>(k)].by_platform.end()
-              ? 0
-              : pit->second;
-    }
-    ranked_scratch.clear();
-    router->rank_cells(req, views, ranked_scratch);
-    for (const int c : ranked_scratch) {
+    router->walk_begin(req);
+    int c;
+    while ((c = router->walk_next()) >= 0) {
       if (skip == nullptr || (*skip)[static_cast<std::size_t>(c)] == 0) {
         return c;
       }

@@ -92,12 +92,13 @@ struct CellView {
 /// policy: the request type is shared outright.
 using RouteRequest = PlacementRequest;
 
-/// Cell selection for a federation. Same contract as PlacementPolicy one
-/// level down: rank_cells is the snapshot-sort spec path every custom
-/// policy must implement; built-in policies also implement the shared
-/// incremental protocol (RankingPolicy, placement.h) and are served
-/// O(log K) walks. The cell_updated/cell_removed spellings alias the
-/// generic protocol names so federation call sites read naturally.
+/// Cell selection for a federation, PlacementPolicy's counterpart one
+/// level down. Federation routes only through the built-in policies
+/// (make_routing), and serves them through the shared incremental protocol
+/// (RankingPolicy, placement.h) as O(log K) walks. rank_cells is the
+/// snapshot-sort spec that walk order is pinned against in tests. The
+/// cell_updated/cell_removed spellings alias the generic protocol names so
+/// federation call sites read naturally.
 class RoutingPolicy : public RankingPolicy<CellState, RouteRequest> {
  public:
   /// Rank cells from most to least preferred, appending CellView::index

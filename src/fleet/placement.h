@@ -312,7 +312,7 @@ class HeapWalkRanking : public IncrementalRanking<Base> {
 /// Wraps a policy but ranks only its first choice — PR 3's single-shot
 /// placement semantics, where a refusal is an OOM even if another host
 /// has room. For differential comparisons against the retry walk
-/// (bench/fleet_scale's retry_vs_single_shot block and the spill-chain
+/// (bench/fleet_scale's two-platform-storm records and the spill-chain
 /// tests share this definition).
 class SingleShotPolicy final : public PlacementPolicy {
  public:
