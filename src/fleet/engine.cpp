@@ -1784,7 +1784,9 @@ FleetReport FleetEngine::run(const Scenario& s) {
     report_.degraded[i].affected =
         static_cast<int>(degrade_affected_[i].size());
   }
-  return report_;
+  // Hand the report over instead of copying it: the next run() starts from
+  // a fresh one anyway.
+  return std::move(report_);
 }
 
 }  // namespace fleet

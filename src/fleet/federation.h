@@ -22,6 +22,12 @@
 // Affected cells re-run with their updated populations until the
 // assignment reaches a fixed point (each tenant visits a cell at most
 // once, so the loop is bounded by K runs per tenant in the worst case).
+// The cells of one round run concurrently, on up to
+// std::thread::hardware_concurrency() threads: each builds its own fresh
+// Cluster, and cells share only immutable state (the host-kernel model and
+// the built-in program table). Reports merge, and refused tenants are
+// walked through the router, in cell-index order after the whole round has
+// finished, so the outcome never depends on which cell finished first.
 //
 // Cell outages (chaos.h kCellOutage) kill every host of a cell at one
 // instant. Standalone that strands every victim; under a federation the
@@ -232,15 +238,21 @@ class FederationReport {
 
 /// K cells behind one router. Owns the per-cell Clusters; run() is
 /// deterministic for a given FederatedScenario (cells re-built fresh per
-/// run, exactly like "build a fresh Cluster per reproducible run").
+/// run, exactly like "build a fresh Cluster per reproducible run"), and
+/// byte-identical whether a round's cells run on one thread or on many.
 class Federation {
  public:
   explicit Federation(FederationTopology topology);
 
-  /// Route, run, spill to a fixed point, roll up. The scenario's topology
-  /// must match this federation's (cell count); throws
-  /// std::invalid_argument on malformed scenarios (no cells, outage
-  /// targeting an unknown cell, unsorted explicit population).
+  /// Route, run, spill to a fixed point, roll up. The dirty cells of each
+  /// round run concurrently on up to hardware_concurrency() threads while
+  /// the caller waits; a round with one dirty cell runs on the caller and
+  /// starts no thread. The scenario's topology must match this
+  /// federation's (cell count); throws std::invalid_argument on malformed
+  /// scenarios (no cells, outage targeting an unknown cell, unsorted
+  /// explicit population). An exception from a cell's own run reaches the
+  /// caller once every cell of its round has finished; with several, the
+  /// lowest cell index wins.
   FederationReport run(const FederatedScenario& fs);
 
   int cell_count() const { return static_cast<int>(topology_.cells.size()); }

@@ -145,10 +145,10 @@ struct TenantSeed {
   int program = -1;
 };
 
-/// Global policy half of a scenario: the traffic (who arrives when, running
-/// what) and the service-level objectives it is held to. Shared verbatim by
-/// every cell of a federation; contains nothing about hosts or topology.
-struct TrafficSpec {
+/// Every TrafficSpec field but the explicit population (see TrafficSpec
+/// below), split out so a federation can stamp the global knobs into each
+/// cell's scenario without copying the global population.
+struct TrafficKnobs {
   std::string name = "custom";
 
   // --- Tenant population --------------------------------------------------
@@ -158,12 +158,6 @@ struct TrafficSpec {
   sim::Nanos arrival_window = sim::millis(100);
   /// Mean arrival rate (kPoisson).
   double arrival_rate_per_sec = 100.0;
-
-  /// Explicit pre-drawn population. Empty (the default) means the engine
-  /// draws tenant_count tenants from the seed via draw_population(); a
-  /// federation router fills this with each cell's routed subset instead,
-  /// and the engine then ignores tenant_count / arrival knobs entirely.
-  std::vector<TenantSeed> population;
 
   // --- Platform and workload mix ------------------------------------------
   std::vector<PlatformShare> platform_mix;
@@ -233,6 +227,17 @@ struct TrafficSpec {
 
   // --- Reproducibility ----------------------------------------------------
   std::uint64_t seed = 0xF1EE'75EE'D000'0001ull;
+};
+
+/// Global policy half of a scenario: the traffic (who arrives when, running
+/// what) and the service-level objectives it is held to. Shared verbatim by
+/// every cell of a federation; contains nothing about hosts or topology.
+struct TrafficSpec : TrafficKnobs {
+  /// Explicit pre-drawn population. Empty (the default) means the engine
+  /// draws tenant_count tenants from the seed via draw_population(); a
+  /// federation router fills this with each cell's routed subset instead,
+  /// and the engine then ignores tenant_count / arrival knobs entirely.
+  std::vector<TenantSeed> population;
 
   /// Draw the full tenant population from the seed: arrival times first
   /// (then sorted), then per tenant a platform pick, a forked private RNG,

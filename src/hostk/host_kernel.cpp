@@ -1,5 +1,6 @@
 #include "hostk/host_kernel.h"
 
+#include <initializer_list>
 #include <stdexcept>
 
 namespace hostk {
@@ -95,10 +96,34 @@ std::string_view syscall_name(Syscall s) {
   return "unknown";
 }
 
-HostKernel::HostKernel() : ftrace_(registry_) {
+HostKernel::HostKernel()
+    : model_(&shared_model()), ftrace_(model_->registry) {}
+
+const HostKernel::Model& HostKernel::shared_model() {
+  static const Model model;
+  return model;
+}
+
+HostKernel::Model::Model() {
   using sim::DurationDist;
   using sim::micros;
   using sim::nanos;
+
+  const auto define = [this](Syscall sc, DurationDist cost,
+                             std::initializer_list<const char*> functions) {
+    SyscallSpec& spec = specs[index_of(sc)];
+    spec.cost = cost;
+    // Every syscall passes through the common entry/exit path.
+    for (const char* name :
+         {"entry_SYSCALL_64", "do_syscall_64", "syscall_enter_from_user_mode",
+          "syscall_exit_to_user_mode", "exit_to_user_mode_prepare",
+          "audit_filter_syscall"}) {
+      spec.functions.push_back(FunctionHit{registry.id_of(name), 1});
+    }
+    for (const char* name : functions) {
+      spec.functions.push_back(FunctionHit{registry.id_of(name), 1});
+    }
+  };
 
   // Baseline user->kernel transition cost; individual handlers add on top.
   const auto fast = DurationDist::lognormal(nanos(250), 0.15);
@@ -357,37 +382,12 @@ HostKernel::HostKernel() : ftrace_(registry_) {
           "kernfs_iop_lookup", "vfs_read"});
 }
 
-void HostKernel::define(Syscall sc, sim::DurationDist cost,
-                        std::initializer_list<const char*> functions) {
-  auto& spec = specs_[index_of(sc)];
-  spec.cost = cost;
-  spec.functions.clear();
-  // Every syscall passes through the common entry/exit path.
-  append_functions(sc,
-                   {"entry_SYSCALL_64", "do_syscall_64",
-                    "syscall_enter_from_user_mode",
-                    "syscall_exit_to_user_mode", "exit_to_user_mode_prepare",
-                    "audit_filter_syscall"});
-  for (const char* name : functions) {
-    spec.functions.push_back(FunctionHit{registry_.id_of(name), 1});
-  }
-}
-
-void HostKernel::append_functions(Syscall sc,
-                                  std::initializer_list<const char*> functions,
-                                  std::uint32_t count) {
-  auto& spec = specs_[index_of(sc)];
-  for (const char* name : functions) {
-    spec.functions.push_back(FunctionHit{registry_.id_of(name), count});
-  }
-}
-
 sim::Nanos HostKernel::invoke(Syscall sc, sim::Rng& rng, std::uint64_t count) {
   if (count == 0) {
     return 0;
   }
   const std::size_t i = index_of(sc);
-  const auto& spec = specs_[i];
+  const auto& spec = model_->specs[i];
   if (ftrace_.recording()) {
     TraceSlots& cache = trace_slots_[i];
     if (cache.generation != ftrace_.generation()) {
@@ -426,11 +426,11 @@ void HostKernel::record_background(const std::vector<FunctionHit>& hits,
 }
 
 const SyscallSpec& HostKernel::spec(Syscall sc) const {
-  return specs_[index_of(sc)];
+  return model_->specs[index_of(sc)];
 }
 
 sim::Nanos HostKernel::mean_cost(Syscall sc) const {
-  return specs_[index_of(sc)].cost.mean();
+  return model_->specs[index_of(sc)].cost.mean();
 }
 
 }  // namespace hostk

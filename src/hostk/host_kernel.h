@@ -34,13 +34,16 @@ struct SyscallSpec {
 
 /// Host kernel model: syscall dispatcher + ftrace instrumentation.
 ///
-/// Thread-unsafe by design: the simulator is single-threaded and models
-/// concurrency analytically.
+/// The symbol registry and the syscall table are built once per process
+/// and shared read-only by every kernel, so FunctionIds are comparable
+/// across hosts. The ftrace and its trace slots are per kernel and not
+/// thread-safe: one thread drives a host at a time, and the simulator
+/// models concurrency analytically.
 class HostKernel {
  public:
   HostKernel();
 
-  const KernelFunctionRegistry& registry() const { return registry_; }
+  const KernelFunctionRegistry& registry() const { return model_->registry; }
   Ftrace& ftrace() { return ftrace_; }
   const Ftrace& ftrace() const { return ftrace_; }
 
@@ -66,10 +69,14 @@ class HostKernel {
   sim::Nanos mean_cost(Syscall sc) const;
 
  private:
-  void define(Syscall sc, sim::DurationDist cost,
-              std::initializer_list<const char*> functions);
-  void append_functions(Syscall sc, std::initializer_list<const char*> functions,
-                        std::uint32_t count = 1);
+  /// The immutable half of the model, built on first use by a thread-safe
+  /// function-local static and never written afterwards.
+  struct Model {
+    Model();
+    KernelFunctionRegistry registry;
+    std::array<SyscallSpec, kSyscallCount> specs;
+  };
+  static const Model& shared_model();
 
   /// Per-syscall cache of (counter slot, multiplicity) pairs into the
   /// ftrace's current window, rebuilt lazily when the window generation
@@ -82,9 +89,8 @@ class HostKernel {
     std::vector<std::pair<std::uint64_t*, std::uint64_t>> slots;
   };
 
-  KernelFunctionRegistry registry_;
+  const Model* model_;
   Ftrace ftrace_;
-  std::array<SyscallSpec, kSyscallCount> specs_;
   std::array<TraceSlots, kSyscallCount> trace_slots_;
 };
 

@@ -47,8 +47,9 @@ struct KernelFunction {
 };
 
 /// Immutable-after-construction registry of the modeled host kernel's
-/// function symbols. A single registry is shared by a HostKernel and all
-/// platforms running on it so that FunctionIds are comparable.
+/// function symbols. One registry per process is shared by every
+/// HostKernel and all platforms running on them, so FunctionIds are
+/// comparable across hosts.
 class KernelFunctionRegistry {
  public:
   /// Builds the full catalog (several hundred functions across subsystems).

@@ -3,9 +3,12 @@
 // policy rank orderings (spec path) and walk/spec equivalence, forced
 // inter-cell spills landing tenants a lone tiny cell would reject,
 // spill-sum bookkeeping, cell-outage victims re-routing through the
-// global router, and byte-identity of K-cell runs across double runs.
+// global router, byte-identity of K-cell runs across double runs, and
+// concurrent cell runs reproducing the serial digests and errors.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -258,6 +261,84 @@ TEST(FederationTest, KCellRunsAreByteIdenticalAcrossRuns) {
     const std::string baseline = run_federation(fs).to_text();
     EXPECT_EQ(run_federation(fs).to_text(), baseline)
         << fleet::routing_kind_name(kind);
+  }
+}
+
+// --- Concurrent cells against serial output --------------------------------
+
+// isobench's tiny federation-spill shape: 4 cells of 2 small hosts, so
+// every round runs several cells and ~8.5k tenants spill between them. On
+// a multi-core machine the cells of a round run concurrently; the digests
+// below were captured from the serial implementation.
+FederatedScenario tiny_spill(std::uint64_t seed) {
+  FederatedScenario fs = FederatedScenario::federation_storm(
+      4000, 4, 2, RoutingKind::kPlatformAffinity);
+  for (fleet::CellDesc& cell : fs.topology.cells) {
+    cell.spec.cluster.ram_bytes = 24ull << 30;
+  }
+  fs.traffic.seed = seed;
+  return fs;
+}
+
+/// 64-bit FNV-1a of a report's text, computed as isobench digests it.
+std::string digest(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(FederationTest, ConcurrentCellsReproduceSerialDigests) {
+  struct Case {
+    std::uint64_t seed;
+    const char* digest;
+    std::uint64_t events;
+  };
+  // Seed 1's digest is the one isobench/expected.json pins for this shape.
+  for (const Case& c : {Case{1, "e3795a1be5767d62", 9200},
+                        Case{7919, "4bc21416c03c578b", 9236}}) {
+    const FederationReport fed = run_federation(tiny_spill(c.seed));
+    EXPECT_GT(fed.spills, 8000) << "seed " << c.seed;
+    EXPECT_EQ(digest(fed.to_text()), c.digest) << "seed " << c.seed;
+    EXPECT_EQ(fed.events_processed, c.events) << "seed " << c.seed;
+  }
+}
+
+TEST(FederationTest, ConcurrentCellsReproduceSerialDigestUnderCellOutage) {
+  FederatedScenario fs = tiny_spill(1);
+  CellOutage o;
+  o.cell = 1;
+  o.time = sim::millis(40);
+  fs.outages.push_back(o);
+  const FederationReport fed = run_federation(fs);
+  EXPECT_TRUE(fed.cells[1].outage);
+  EXPECT_GT(fed.outage_victims, 0);
+  EXPECT_EQ(digest(fed.to_text()), "c785b6ef50ad9482");
+  EXPECT_EQ(fed.events_processed, 8600u);
+}
+
+TEST(FederationTest, CellRejectedByItsEngineThrowsLowestIndexError) {
+  // Cells 2 and 3 carry malformed specs that only their own engines
+  // reject, while cells 0 and 1 run to completion beside them. The
+  // lowest-index cell's error reaches the caller once every cell is done.
+  FederatedScenario fs = tiny_spill(1);
+  fleet::CellSpec& bad = fs.topology.cells[2].spec;
+  bad.autoscale.enabled = true;
+  bad.autoscale.eval_interval = 0;
+  fleet::HostEvent drain;
+  drain.kind = fleet::HostEvent::Kind::kDrain;
+  drain.host = 99;  // no such host
+  fs.topology.cells[3].spec.host_events.push_back(drain);
+  try {
+    run_federation(fs);
+    FAIL() << "a malformed cell spec must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("eval_interval"), std::string::npos)
+        << e.what();
   }
 }
 

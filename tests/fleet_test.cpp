@@ -104,6 +104,26 @@ TEST(FleetEngineTest, StormRunsEveryTenantToCompletion) {
   EXPECT_EQ(report.peak_active, 64);  // storm: everyone in flight at once
 }
 
+TEST(FleetEngineTest, ReusedEngineBuildsACompleteSecondReport) {
+  // run() hands its report over instead of copying it; a second run on the
+  // same engine must still produce a whole one. The host is warm by then,
+  // so only the report's shape is compared, not its bytes.
+  const auto s = Scenario::coldstart_storm(32);
+  core::HostSystem host;
+  FleetEngine engine(host);
+  const FleetReport first = engine.run(s);
+  const FleetReport second = engine.run(s);
+  EXPECT_EQ(second.tenants.size(), 32u);
+  EXPECT_EQ(second.admitted, first.admitted);
+  ASSERT_EQ(second.by_platform.size(), first.by_platform.size());
+  for (const auto& [name, stats] : first.by_platform) {
+    const auto it = second.by_platform.find(name);
+    ASSERT_NE(it, second.by_platform.end()) << name;
+    EXPECT_EQ(it->second.tenants, stats.tenants) << name;
+    EXPECT_EQ(it->second.boot_ms.size(), stats.boot_ms.size()) << name;
+  }
+}
+
 TEST(FleetEngineTest, FleetHapRollupCoversTheRun) {
   const auto report = run_fresh(Scenario::coldstart_storm(16));
   EXPECT_GT(report.hap.distinct_functions, 0u);

@@ -144,6 +144,25 @@ TEST(HostKernelTest, ZeroCountIsFree) {
   EXPECT_EQ(hk.invoke(Syscall::kRead, rng, 0), 0);
 }
 
+TEST(HostKernelTest, KernelsShareOneRegistryButKeepTheirOwnFtrace) {
+  HostKernel a;
+  HostKernel b;
+  EXPECT_EQ(&a.registry(), &b.registry());
+  EXPECT_EQ(&a.spec(Syscall::kRead), &b.spec(Syscall::kRead));
+
+  sim::Rng rng(1);
+  a.ftrace().start();
+  b.ftrace().start();
+  a.invoke(Syscall::kRead, rng, 3);
+  b.invoke(Syscall::kWrite, rng);
+  const auto vfs_read = a.registry().id_of("vfs_read");
+  const auto vfs_write = a.registry().id_of("vfs_write");
+  EXPECT_EQ(a.ftrace().count_of(vfs_read), 3u);
+  EXPECT_EQ(a.ftrace().count_of(vfs_write), 0u);
+  EXPECT_EQ(b.ftrace().count_of(vfs_read), 0u);
+  EXPECT_EQ(b.ftrace().count_of(vfs_write), 1u);
+}
+
 TEST(HostKernelTest, EverySyscallHasSpecAndEntryPath) {
   HostKernel hk;
   const auto entry = hk.registry().id_of("entry_SYSCALL_64");
