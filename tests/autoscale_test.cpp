@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/host_system.h"
@@ -15,6 +16,7 @@
 #include "fleet/placement.h"
 #include "fleet/report.h"
 #include "fleet/scenario.h"
+#include "report_digest.h"
 
 namespace {
 
@@ -28,6 +30,7 @@ using fleet::PlacementPolicy;
 using fleet::PlacementRequest;
 using fleet::Scenario;
 using fleet::make_placement;
+using testutil::digest;
 
 FleetReport run_cluster(const Scenario& s) {
   Cluster cluster(s.cluster);
@@ -196,6 +199,87 @@ TEST(SpillChainTest, RetryAdmitsStrictlyMoreThanSingleShotPlacement) {
   EXPECT_GT(with_retry.admitted, without_retry.admitted);
   EXPECT_GT(with_retry.spills, 0);
   EXPECT_EQ(without_retry.spills, 0);
+}
+
+// --- Pinned reports, one per ranking rule ---------------------------------
+//
+// Each run below pins a whole report (digest and event count), so a slip
+// in any rule's candidate order shows up here and not only in a bench
+// diff. The pressure storms reject 500+ tenants after full walks, so
+// per-host rejection counts depend on the whole walk order, not only on
+// the first choice. Captured with gcc 12, identical in Release and Debug.
+
+TEST(RankingPinTest, PressureStormPerPlacementRule) {
+  const struct {
+    PlacementKind kind;
+    const char* digest;
+    std::uint64_t events;
+  } cases[] = {
+      {PlacementKind::kRoundRobin, "d9c7b0fa4f2a7c8a", 948},
+      {PlacementKind::kLeastLoaded, "ca62cd9e21f40b1b", 944},
+      {PlacementKind::kKsmAffinity, "9e804ac206a24fef", 948},
+      {PlacementKind::kLeastPressure, "9c884fe8a5562386", 944},
+      {PlacementKind::kPackThenSpill, "48d0311a7fceddb9", 944},
+  };
+  for (const auto& c : cases) {
+    const auto report = run_cluster(pressure_storm(600, 4, c.kind));
+    const std::string what = fleet::placement_kind_name(c.kind);
+    EXPECT_GT(report.rejected, 500) << what;
+    EXPECT_EQ(digest(report.to_text()), c.digest) << what;
+    EXPECT_EQ(report.events_processed, c.events) << what;
+  }
+}
+
+TEST(RankingPinTest, SingleShotKsmAffinity) {
+  auto s = pressure_storm(600, 4, PlacementKind::kKsmAffinity);
+  s.platform_mix = {
+      {platforms::PlatformId::kFirecracker, 0.5},
+      {platforms::PlatformId::kQemuKvm, 0.5},
+  };
+  Cluster cluster(s.cluster);
+  std::vector<core::HostSystem*> hosts;
+  for (int i = 0; i < cluster.host_count(); ++i) {
+    hosts.push_back(&cluster.host(i));
+  }
+  fleet::SingleShotPolicy single_shot(
+      make_placement(PlacementKind::kKsmAffinity));
+  FleetEngine engine(hosts, &single_shot);
+  const auto report = engine.run(s);
+  EXPECT_EQ(report.spills, 0);
+  EXPECT_EQ(digest(report.to_text()), "afb623e1830848a4");
+  EXPECT_EQ(report.events_processed, 736u);
+}
+
+TEST(RankingPinTest, CrashRecoveryWithScaleOut) {
+  const auto report = run_cluster(Scenario::crash_recovery(600, 4, 6));
+  ASSERT_EQ(report.recovery.size(), 1u);
+  EXPECT_EQ(report.recovery[0].victims, 41);
+  EXPECT_EQ(digest(report.to_text()), "d1769e9a8cfd2087");
+  EXPECT_EQ(report.events_processed, 3238u);
+}
+
+TEST(RankingPinTest, AutoscaleStormDrainsAndGrows) {
+  const auto report = run_cluster(Scenario::autoscale_storm(8000, 4, 8));
+  EXPECT_EQ(report.drain_migrations, 276);
+  EXPECT_EQ(digest(report.to_text()), "7624083dff8c0aec");
+  EXPECT_EQ(report.events_processed, 41926u);
+}
+
+TEST(RankingPinTest, SingleHostShortcutHoldsRoundRobinCursorUntilGrowth) {
+  // While the cluster has one host the engine admits on it without
+  // walking the policy, so round-robin's cursor starts moving only once
+  // the two added hosts join.
+  auto s = Scenario::cluster_storm(400, 1, PlacementKind::kRoundRobin);
+  s.arrival = fleet::ArrivalPattern::kRamp;
+  s.arrival_window = sim::millis(500);
+  HostEvent add;
+  add.time = sim::millis(10);
+  add.kind = HostEvent::Kind::kAdd;
+  s.host_events = {add, add};
+  const auto report = run_cluster(s);
+  EXPECT_EQ(report.final_host_count, 3);
+  EXPECT_EQ(digest(report.to_text()), "16f8270ed778eccd");
+  EXPECT_EQ(report.events_processed, 2002u);
 }
 
 // --- stop_at_first_oom under retry -----------------------------------------

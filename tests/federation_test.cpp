@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -19,6 +18,7 @@
 #include "fleet/placement.h"
 #include "fleet/report.h"
 #include "fleet/scenario.h"
+#include "report_digest.h"
 #include "sim/time.h"
 
 namespace {
@@ -37,6 +37,7 @@ using fleet::RouteRequest;
 using fleet::RoutingKind;
 using fleet::RoutingPolicy;
 using fleet::Scenario;
+using testutil::digest;
 
 FederationReport run_federation(const FederatedScenario& fs) {
   Federation fed(fs.topology);
@@ -270,9 +271,10 @@ TEST(FederationTest, KCellRunsAreByteIdenticalAcrossRuns) {
 // every round runs several cells and ~8.5k tenants spill between them. On
 // a multi-core machine the cells of a round run concurrently; the digests
 // below were captured from the serial implementation.
-FederatedScenario tiny_spill(std::uint64_t seed) {
-  FederatedScenario fs = FederatedScenario::federation_storm(
-      4000, 4, 2, RoutingKind::kPlatformAffinity);
+FederatedScenario tiny_spill(
+    std::uint64_t seed, RoutingKind routing = RoutingKind::kPlatformAffinity) {
+  FederatedScenario fs =
+      FederatedScenario::federation_storm(4000, 4, 2, routing);
   for (fleet::CellDesc& cell : fs.topology.cells) {
     cell.spec.cluster.ram_bytes = 24ull << 30;
   }
@@ -280,31 +282,28 @@ FederatedScenario tiny_spill(std::uint64_t seed) {
   return fs;
 }
 
-/// 64-bit FNV-1a of a report's text, computed as isobench digests it.
-std::string digest(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
-
 TEST(FederationTest, ConcurrentCellsReproduceSerialDigests) {
   struct Case {
     std::uint64_t seed;
+    RoutingKind routing;
     const char* digest;
     std::uint64_t events;
   };
-  // Seed 1's digest is the one isobench/expected.json pins for this shape.
-  for (const Case& c : {Case{1, "e3795a1be5767d62", 9200},
-                        Case{7919, "4bc21416c03c578b", 9236}}) {
-    const FederationReport fed = run_federation(tiny_spill(c.seed));
-    EXPECT_GT(fed.spills, 8000) << "seed " << c.seed;
-    EXPECT_EQ(digest(fed.to_text()), c.digest) << "seed " << c.seed;
-    EXPECT_EQ(fed.events_processed, c.events) << "seed " << c.seed;
+  // Seed 1's platform-affinity digest is the one isobench/expected.json
+  // pins for this shape. The other rows pin each routing rule's walk order.
+  for (const Case& c :
+       {Case{1, RoutingKind::kPlatformAffinity, "e3795a1be5767d62", 9200},
+        Case{7919, RoutingKind::kPlatformAffinity, "4bc21416c03c578b", 9236},
+        Case{1, RoutingKind::kRoundRobin, "bcbc520062fd2542", 9172},
+        Case{7919, RoutingKind::kRoundRobin, "c85fa146a89f7554", 9212},
+        Case{1, RoutingKind::kLeastLoadedCell, "ad5096463a0f22e9", 9176},
+        Case{7919, RoutingKind::kLeastLoadedCell, "4d53f1ad4ebf9e3b", 9212}}) {
+    const std::string what =
+        fleet::routing_kind_name(c.routing) + " seed " + std::to_string(c.seed);
+    const FederationReport fed = run_federation(tiny_spill(c.seed, c.routing));
+    EXPECT_GT(fed.spills, 8000) << what;
+    EXPECT_EQ(digest(fed.to_text()), c.digest) << what;
+    EXPECT_EQ(fed.events_processed, c.events) << what;
   }
 }
 
