@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Retry-on-reject against single-shot placement (SingleShotPolicy ranks
+  // Retry-on-reject against single-shot placement (SingleShotPolicy walks
   // only its inner policy's first choice): two platforms under
   // ksm-affinity build two pile hosts, and only the retry walk spills onto
   // the idle rest.

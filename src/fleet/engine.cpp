@@ -265,49 +265,6 @@ bool FleetEngine::admit(Shard& sh, Tenant& t, const Scenario& s) {
   return true;
 }
 
-void FleetEngine::rank_candidates(const Tenant& t, const Scenario& s) {
-  ranked_.clear();
-  if (shards_.size() == 1) {
-    ranked_.push_back(0);
-    return;
-  }
-  views_.clear();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& sh = shards_[i];
-    if (!sh.live) {
-      continue;  // draining/retired hosts take no new placements
-    }
-    HostView v;
-    v.index = static_cast<int>(i);
-    v.ram_cap_bytes = sh.ram_cap;
-    v.resident_bytes = sh.resident_bytes();
-    v.active_tenants = sh.active;
-    const auto it = sh.tenants_by_platform.find(t.platform_id);
-    v.same_platform_tenants =
-        it == sh.tenants_by_platform.end() ? 0 : it->second;
-    v.pressure.cpu_demand = sh.cpu_demand;
-    v.pressure.cpu_threads = sh.host->spec().cpu_threads;
-    v.pressure.net_active = sh.net_active;
-    views_.push_back(v);
-  }
-  PlacementRequest req;
-  req.tenant_id = t.id;
-  req.platform_id = t.platform_id;
-  req.hypervisor_backed = is_hypervisor_backed(t.platform_id);
-  req.guest_ram_bytes = s.guest_ram_bytes;
-  policy_->rank_hosts(req, views_, ranked_);
-  if (ranked_.empty()) {
-    throw std::logic_error("PlacementPolicy::rank_hosts ranked no hosts");
-  }
-  for (const int host : ranked_) {
-    if (host < 0 || host >= static_cast<int>(shards_.size()) ||
-        !shards_[static_cast<std::size_t>(host)].live) {
-      throw std::out_of_range(
-          "PlacementPolicy::rank_hosts returned an invalid host index");
-    }
-  }
-}
-
 void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   // A tripped density-stop latch rejects before placement: no host is
   // consulted, no policy state advances, and the rejection counts only in
@@ -328,12 +285,13 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
     return;
   }
 
-  // Retry-on-reject: walk the policy's ranked candidates and admit on the
-  // first host whose RAM accepts the tenant. Only a full walk with every
-  // live host refusing is an OOM — attributed to the *last* host tried —
-  // and only then may the density-stop latch trip. Incremental policies
-  // are walked lazily (one heap pop per candidate actually tried); legacy
-  // policies get the snapshot-and-sort path.
+  // Retry-on-reject: walk the policy's candidates and admit on the first
+  // host whose RAM accepts the tenant. Only a full walk with every live
+  // host refusing is an OOM — attributed to the *last* host tried — and
+  // only then may the density-stop latch trip. The walk pulls candidates
+  // lazily, paying only for the candidates actually tried. A single-shard
+  // engine admits on its one host without asking the policy, so a cursor
+  // policy such as round-robin starts moving only once the cluster grows.
   int first_choice = -1;
   int admitted_host = -1;
   int last_tried = -1;
@@ -350,13 +308,8 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   };
   if (shards_.size() == 1) {
     try_host(0);
-  } else if (incremental_placement_) {
-    PlacementRequest req;
-    req.tenant_id = t.id;
-    req.platform_id = t.platform_id;
-    req.hypervisor_backed = is_hypervisor_backed(t.platform_id);
-    req.guest_ram_bytes = s.guest_ram_bytes;
-    policy_->walk_begin(req);
+  } else {
+    policy_->walk_begin(PlacementRequest{t.platform_id});
     for (int host = policy_->walk_next(); host >= 0;
          host = policy_->walk_next()) {
       if (host >= static_cast<int>(shards_.size()) ||
@@ -371,14 +324,6 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
     }
     if (first_choice < 0) {
       throw std::logic_error("PlacementPolicy::walk_next emitted no hosts");
-    }
-  } else {
-    rank_candidates(t, s);
-    for (const int host : ranked_) {
-      try_host(host);
-      if (admitted_host >= 0) {
-        break;
-      }
     }
   }
   if (admitted_host < 0) {
@@ -884,7 +829,7 @@ void FleetEngine::release_tenant(Shard& sh, Tenant& t) {
 }
 
 void FleetEngine::publish_host(Shard& sh) {
-  if (!incremental_placement_ || !sh.live) {
+  if (policy_ == nullptr || !sh.live) {
     return;
   }
   HostState state;
@@ -895,11 +840,11 @@ void FleetEngine::publish_host(Shard& sh) {
   state.pressure.cpu_demand = sh.cpu_demand;
   state.pressure.cpu_threads = sh.host->spec().cpu_threads;
   state.pressure.net_active = sh.net_active;
-  policy_->host_updated(state);
+  policy_->target_updated(state);
 }
 
 void FleetEngine::notify_platform_count(Shard& sh, platforms::PlatformId id) {
-  if (!incremental_placement_ || !sh.live) {
+  if (policy_ == nullptr || !sh.live) {
     return;
   }
   policy_->platform_count_changed(sh.rollup.host, id,
@@ -1006,8 +951,8 @@ void FleetEngine::drain_shard(int index, const Scenario& s, sim::Nanos now) {
   sh.live = false;
   --live_hosts_;
   sh.rollup.drained = true;
-  if (incremental_placement_) {
-    policy_->host_removed(index);
+  if (policy_ != nullptr) {
+    policy_->target_removed(index);
   }
   // Re-place every tenant this host still held, as churn-style
   // re-arrivals: resources released here and now, a fresh arrival event
@@ -1200,8 +1145,8 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
   sh.live = false;
   --live_hosts_;
   sh.rollup.crashed = true;
-  if (incremental_placement_) {
-    policy_->host_removed(index);
+  if (policy_ != nullptr) {
+    policy_->target_removed(index);
   }
   // Victims die mid-phase: unlike a graceful drain there is no per-tenant
   // release — their in-flight CPU/NIC demand vanishes with the host, and
@@ -1425,7 +1370,7 @@ void FleetEngine::process_event(const Event& e, const Scenario& s,
     case EventKind::kDegradeEnd:
       break;  // handled above
   }
-  if (incremental_placement_) {
+  if (policy_ != nullptr) {
     // One state push for the shard this event touched. A rejected
     // arrival changed nothing, so re-publishing the tenant's previous
     // shard is a harmless (and cheap) no-op upsert.
@@ -1630,7 +1575,6 @@ FleetReport FleetEngine::run(const Scenario& s) {
   if (policy_ != nullptr) {
     policy_->reset();
   }
-  incremental_placement_ = policy_ != nullptr && policy_->incremental();
 
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     init_shard(shards_[i], static_cast<int>(i), s);

@@ -147,8 +147,8 @@ class FleetEngine {
   /// charges against it. Single-host runs have exactly one shard.
   struct Shard {
     core::HostSystem* host = nullptr;
-    /// False once drained: excluded from placement snapshots and admission
-    /// walks; its rollup stays in the report.
+    /// False once drained or crashed: removed from the policy, so no walk
+    /// emits it again; its rollup stays in the report.
     bool live = true;
     mem::Ksm ksm;
     std::unordered_map<platforms::PlatformId,
@@ -159,7 +159,8 @@ class FleetEngine {
     double cpu_demand = 0.0;  // vCPUs demanded by in-flight activity
     std::uint64_t non_ksm_resident = 0;
     std::uint64_t ram_cap = 0;
-    /// Active tenants per platform, feeding HostView::same_platform_tenants.
+    /// Active tenants per platform, pushed to the policy through
+    /// platform_count_changed.
     std::unordered_map<platforms::PlatformId, int> tenants_by_platform;
     HostRollup rollup;
     std::uint64_t cache_hits0 = 0;   // host-model counters at run start
@@ -251,17 +252,11 @@ class FleetEngine {
   /// mem::Ksm::probe_runs, and only an accepted host mutates its tree.
   bool admit(Shard& sh, Tenant& t, const Scenario& s);
 
-  /// Fill ranked_ with the live-host candidate walk for an arriving
-  /// tenant: the policy's ranking in cluster mode, the single live shard
-  /// otherwise. Legacy (snapshot + sort) path — incremental policies are
-  /// walked lazily instead (see handle_arrival).
-  void rank_candidates(const Tenant& t, const Scenario& s);
-
-  /// Push one live shard's current state to an incremental policy (no-op
-  /// otherwise). Called after every event that changed the shard.
+  /// Push one live shard's current state to the policy (no-op without
+  /// one). Called after every event that changed the shard.
   void publish_host(Shard& sh);
 
-  /// Tell an incremental policy that `sh`'s tenant count for `id` moved.
+  /// Tell the policy that `sh`'s tenant count for `id` moved.
   void notify_platform_count(Shard& sh, platforms::PlatformId id);
 
   /// Release everything tenant t currently charges against shard sh
@@ -321,16 +316,9 @@ class FleetEngine {
   /// Dense tenant table: ids are assigned 0..N-1, so the event loop indexes
   /// directly instead of hashing per event.
   std::vector<Tenant> tenants_;
-  std::vector<HostView> views_;  // recycled placement snapshot storage
-  std::vector<int> ranked_;      // recycled candidate-walk storage
   std::vector<mem::PageRun> run_scratch_;  // recycled guest-run storage
   hap::EpssModel epss_;
   FleetReport report_;
-
-  /// True when policy_ maintains host orderings incrementally: the engine
-  /// pushes state deltas instead of building per-arrival snapshots, and
-  /// the admission walk pulls candidates lazily in O(log M) each.
-  bool incremental_placement_ = false;
 
   /// by_platform stats resolved once per PlatformId instead of one
   /// string-keyed map lookup per boot (ids and names are 1:1 per run).

@@ -12,7 +12,6 @@
 
 #include "core/host_system.h"
 #include "fleet/engine.h"
-#include "fleet/indexed_heap.h"
 
 namespace fleet {
 
@@ -74,312 +73,7 @@ void for_each_concurrently(std::size_t count, const Fn& fn) {
   }
 }
 
-// --- Ranking keys, shared by the sort path (rank_cells over a CellView
-// snapshot) and the heap path (incremental walk over CellState), exactly
-// like placement.cpp does for hosts. ---------------------------------------
-
-std::uint64_t free_bytes_of(std::uint64_t cap, std::uint64_t resident) {
-  return cap > resident ? cap - resident : 0;
-}
-
-std::uint64_t free_bytes(const CellView& c) {
-  return free_bytes_of(c.ram_cap_bytes, c.resident_bytes);
-}
-
-std::uint64_t free_bytes(const CellState& c) {
-  return free_bytes_of(c.ram_cap_bytes, c.resident_bytes);
-}
-
-/// Sort positions 0..n-1 by `less` and append the corresponding
-/// CellView::index values to `ranked` (placement.cpp's rank_by, one level
-/// up).
-template <typename Less>
-void rank_by(const std::vector<CellView>& cells, std::vector<int>& ranked,
-             Less less) {
-  const auto first = static_cast<std::ptrdiff_t>(ranked.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    ranked.push_back(static_cast<int>(i));
-  }
-  std::sort(ranked.begin() + first, ranked.end(), [&](int a, int b) {
-    return less(cells[static_cast<std::size_t>(a)],
-                cells[static_cast<std::size_t>(b)]);
-  });
-  for (auto it = ranked.begin() + first; it != ranked.end(); ++it) {
-    *it = cells[static_cast<std::size_t>(*it)].index;
-  }
-}
-
-// --- Built-in routing policies --------------------------------------------
-
-class RoundRobinRouting final : public RoutingPolicy {
- public:
-  std::string name() const override { return "round-robin"; }
-  bool incremental() const override { return true; }
-  void reset() override {
-    cursor_ = 0;
-    live_cells_.clear();
-    walk_start_ = 0;
-    walk_emitted_ = 0;
-  }
-  void rank_cells(const RouteRequest&, const std::vector<CellView>& cells,
-                  std::vector<int>& ranked) override {
-    const std::size_t n = cells.size();
-    const std::size_t start = static_cast<std::size_t>(cursor_++ % n);
-    for (std::size_t k = 0; k < n; ++k) {
-      ranked.push_back(cells[(start + k) % n].index);
-    }
-  }
-
-  void target_updated(const CellState& s) override {
-    const auto it =
-        std::lower_bound(live_cells_.begin(), live_cells_.end(), s.index);
-    if (it == live_cells_.end() || *it != s.index) {
-      live_cells_.insert(it, s.index);
-    }
-  }
-  void target_removed(int cell) override {
-    const auto it =
-        std::lower_bound(live_cells_.begin(), live_cells_.end(), cell);
-    if (it != live_cells_.end() && *it == cell) {
-      live_cells_.erase(it);
-    }
-  }
-  void walk_begin(const RouteRequest&) override {
-    walk_start_ = static_cast<std::size_t>(cursor_++ % live_cells_.size());
-    walk_emitted_ = 0;
-  }
-  int walk_next() override {
-    if (walk_emitted_ >= live_cells_.size()) {
-      return -1;
-    }
-    return live_cells_[(walk_start_ + walk_emitted_++) % live_cells_.size()];
-  }
-
- private:
-  std::uint64_t cursor_ = 0;
-  std::vector<int> live_cells_;  // sorted, mirrors the snapshot's order
-  std::size_t walk_start_ = 0;
-  std::size_t walk_emitted_ = 0;
-};
-
-struct CellFreeCmp {
-  const std::vector<CellState>* states;
-  bool operator()(int a, int b) const {
-    const std::uint64_t fa = free_bytes((*states)[static_cast<std::size_t>(a)]);
-    const std::uint64_t fb = free_bytes((*states)[static_cast<std::size_t>(b)]);
-    if (fa != fb) {
-      return fa > fb;
-    }
-    return a < b;
-  }
-};
-
-class LeastLoadedCellRouting final
-    : public HeapWalkRanking<RoutingPolicy, CellFreeCmp> {
- public:
-  LeastLoadedCellRouting()
-      : HeapWalkRanking<RoutingPolicy, CellFreeCmp>(CellFreeCmp{&states_}) {}
-  std::string name() const override { return "least-loaded-cell"; }
-  void rank_cells(const RouteRequest&, const std::vector<CellView>& cells,
-                  std::vector<int>& ranked) override {
-    rank_by(cells, ranked, [](const CellView& a, const CellView& b) {
-      const std::uint64_t fa = free_bytes(a);
-      const std::uint64_t fb = free_bytes(b);
-      if (fa != fb) {
-        return fa > fb;
-      }
-      return a.index < b.index;
-    });
-  }
-};
-
-class PlatformAffinityRouting;
-
-struct CellAffinityCmp {
-  const PlatformAffinityRouting* self;
-  platforms::PlatformId platform;
-  bool operator()(int a, int b) const;
-};
-
-/// Cell-level analogue of ksm-affinity placement: steer a platform's
-/// tenants into the fewest cells so each cell's KSM digest runs and boot
-/// image caches merge across as many co-tenants as possible.
-class PlatformAffinityRouting final
-    : public IncrementalRanking<RoutingPolicy> {
- public:
-  std::string name() const override { return "platform-affinity"; }
-  void rank_cells(const RouteRequest&, const std::vector<CellView>& cells,
-                  std::vector<int>& ranked) override {
-    rank_by(cells, ranked, [](const CellView& a, const CellView& b) {
-      if (a.same_platform_tenants != b.same_platform_tenants) {
-        return a.same_platform_tenants > b.same_platform_tenants;
-      }
-      const std::uint64_t fa = free_bytes(a);
-      const std::uint64_t fb = free_bytes(b);
-      if (fa != fb) {
-        return fa > fb;
-      }
-      return a.index < b.index;
-    });
-  }
-
-  void platform_count_changed(int cell, platforms::PlatformId platform,
-                              int count) override {
-    auto& per_cell = counts_[platform];
-    if (per_cell.size() <= static_cast<std::size_t>(cell)) {
-      per_cell.resize(static_cast<std::size_t>(cell) + 1, 0);
-    }
-    per_cell[static_cast<std::size_t>(cell)] = count;
-    const auto it = heaps_.find(platform);
-    if (it != heaps_.end() && it->second.contains(cell)) {
-      it->second.update(cell);
-    }
-  }
-
-  void walk_begin(const RouteRequest& req) override {
-    restore_popped();
-    walk_platform_ = req.platform_id;
-    has_walked_ = true;
-    auto it = heaps_.find(walk_platform_);
-    if (it == heaps_.end()) {
-      it = heaps_
-               .emplace(walk_platform_, IndexedHeap<CellAffinityCmp>(
-                                            CellAffinityCmp{this,
-                                                            walk_platform_}))
-               .first;
-      for (std::size_t i = 0; i < live_.size(); ++i) {
-        if (live_[i] != 0) {
-          it->second.push(static_cast<int>(i));
-        }
-      }
-    }
-  }
-
-  int walk_next() override {
-    auto& heap = heaps_.at(walk_platform_);
-    if (heap.empty()) {
-      return -1;
-    }
-    const int cell = heap.pop();
-    popped_.push_back(cell);
-    return cell;
-  }
-
-  int count_for(platforms::PlatformId platform, int cell) const {
-    const auto it = counts_.find(platform);
-    if (it == counts_.end() ||
-        it->second.size() <= static_cast<std::size_t>(cell)) {
-      return 0;
-    }
-    return it->second[static_cast<std::size_t>(cell)];
-  }
-
-  const CellState& state_of(int cell) const {
-    return states_[static_cast<std::size_t>(cell)];
-  }
-
- protected:
-  void reset_orderings() override {
-    heaps_.clear();
-    counts_.clear();
-    has_walked_ = false;
-  }
-  void target_added(int cell) override {
-    for (auto& [platform, heap] : heaps_) {
-      heap.push(cell);
-    }
-  }
-  void target_changed(int cell) override {
-    for (auto& [platform, heap] : heaps_) {
-      if (heap.contains(cell)) {
-        heap.update(cell);
-      }
-    }
-  }
-  void target_dropped(int cell) override {
-    for (auto& [platform, heap] : heaps_) {
-      if (heap.contains(cell)) {
-        heap.erase(cell);
-      }
-    }
-  }
-
-  void restore_popped() {
-    if (!has_walked_) {
-      popped_.clear();
-      return;
-    }
-    auto& heap = heaps_.at(walk_platform_);
-    for (const int cell : popped_) {
-      if (is_live(cell) && !heap.contains(cell)) {
-        heap.push(cell);
-      }
-    }
-    popped_.clear();
-  }
-
- private:
-  std::unordered_map<platforms::PlatformId, std::vector<int>> counts_;
-  std::unordered_map<platforms::PlatformId, IndexedHeap<CellAffinityCmp>>
-      heaps_;
-  platforms::PlatformId walk_platform_ = platforms::PlatformId::kNative;
-  bool has_walked_ = false;
-};
-
-bool CellAffinityCmp::operator()(int a, int b) const {
-  const int ca = self->count_for(platform, a);
-  const int cb = self->count_for(platform, b);
-  if (ca != cb) {
-    return ca > cb;
-  }
-  const std::uint64_t fa = free_bytes(self->state_of(a));
-  const std::uint64_t fb = free_bytes(self->state_of(b));
-  if (fa != fb) {
-    return fa > fb;
-  }
-  return a < b;
-}
-
 }  // namespace
-
-std::string routing_kind_name(RoutingKind k) {
-  switch (k) {
-    case RoutingKind::kRoundRobin:
-      return "round-robin";
-    case RoutingKind::kLeastLoadedCell:
-      return "least-loaded-cell";
-    case RoutingKind::kPlatformAffinity:
-      return "platform-affinity";
-  }
-  return "unknown";
-}
-
-std::vector<RoutingKind> all_routing_kinds() {
-  return {RoutingKind::kRoundRobin, RoutingKind::kLeastLoadedCell,
-          RoutingKind::kPlatformAffinity};
-}
-
-int RoutingPolicy::route(const RouteRequest& req,
-                         const std::vector<CellView>& cells) {
-  std::vector<int> ranked;
-  rank_cells(req, cells, ranked);
-  if (ranked.empty()) {
-    throw std::logic_error("RoutingPolicy: rank_cells returned no cells");
-  }
-  return ranked.front();
-}
-
-std::unique_ptr<RoutingPolicy> make_routing(RoutingKind kind) {
-  switch (kind) {
-    case RoutingKind::kRoundRobin:
-      return std::make_unique<RoundRobinRouting>();
-    case RoutingKind::kLeastLoadedCell:
-      return std::make_unique<LeastLoadedCellRouting>();
-    case RoutingKind::kPlatformAffinity:
-      return std::make_unique<PlatformAffinityRouting>();
-  }
-  throw std::invalid_argument("make_routing: unknown RoutingKind");
-}
 
 FederationTopology FederationTopology::uniform(int cells,
                                                const CellSpec& spec) {
@@ -576,7 +270,7 @@ FederationReport Federation::run(const FederatedScenario& fs) {
   std::unique_ptr<RoutingPolicy> router = make_routing(fs.routing);
   router->reset();
   for (int k = 0; k < cell_n; ++k) {
-    router->cell_updated(
+    router->target_updated(
         CellState{k, cell_cap[static_cast<std::size_t>(k)], 0, 0});
   }
 
@@ -600,15 +294,10 @@ FederationReport Federation::run(const FederatedScenario& fs) {
   std::unordered_map<int, std::vector<char>> tried;
 
   const auto route_one = [&](int gid) -> int {
-    const TenantSeed& seed = population[static_cast<std::size_t>(gid)];
-    RouteRequest req;
-    req.tenant_id = static_cast<std::uint64_t>(gid);
-    req.platform_id = seed.platform_id;
-    req.hypervisor_backed = is_hypervisor_backed(seed.platform_id);
-    req.guest_ram_bytes = fs.traffic.guest_ram_bytes;
     const auto it = tried.find(gid);
     const std::vector<char>* skip = it == tried.end() ? nullptr : &it->second;
-    router->walk_begin(req);
+    router->walk_begin(PlacementRequest{
+        population[static_cast<std::size_t>(gid)].platform_id});
     int c;
     while ((c = router->walk_next()) >= 0) {
       if (skip == nullptr || (*skip)[static_cast<std::size_t>(c)] == 0) {
@@ -632,8 +321,8 @@ FederationReport Federation::run(const FederatedScenario& fs) {
         population[static_cast<std::size_t>(gid)].platform_id;
     int& pc = p.by_platform[platform];
     pc += direction;
-    router->cell_updated(CellState{k, cell_cap[static_cast<std::size_t>(k)],
-                                   p.resident, p.count});
+    router->target_updated(CellState{k, cell_cap[static_cast<std::size_t>(k)],
+                                     p.resident, p.count});
     router->platform_count_changed(k, platform, pc);
   };
 

@@ -4,10 +4,9 @@
 // FederationTopology describes K cells (each a full CellSpec — hosts,
 // placement, autoscaler, fault schedule; heterogeneous cells are fine),
 // a single TrafficSpec describes the global tenant population, and a
-// pluggable RoutingPolicy decides which cell each arrival enters. The
-// router speaks the exact RankingPolicy protocol PlacementPolicy speaks
-// for hosts (placement.h), reusing the IncrementalRanking / HeapWalkRanking
-// indexed-heap machinery, so cell selection is O(log K) per arrival.
+// RoutingPolicy decides which cell each arrival enters. Routing is the
+// ranking layer of placement.h applied to cells: the same rules, walked
+// the same way, in O(log K) per candidate.
 //
 // Execution model: the federation routes the whole population up front on
 // *projected* cell load (the router never sees inside a cell mid-run),
@@ -54,77 +53,6 @@
 #include "stats/sample_set.h"
 
 namespace fleet {
-
-enum class RoutingKind {
-  kRoundRobin,       // cycle cells in index order, ignoring load
-  kLeastLoadedCell,  // most aggregate free RAM first (ties: lowest index)
-  kPlatformAffinity, // co-locate a platform's tenants in few cells so each
-                     // cell's KSM digests and boot image caches merge;
-                     // falls back to least-loaded while no co-tenant exists
-};
-
-std::string routing_kind_name(RoutingKind k);
-
-/// All built-in routing policies, in a stable sweep order.
-std::vector<RoutingKind> all_routing_kinds();
-
-/// One cell's load as the router tracks it: aggregate free RAM projected
-/// from routed-tenant estimates, never a peek inside the cell's engine.
-/// The request-independent half of the incremental protocol (what
-/// cell_updated pushes); per-platform routed counts travel through
-/// platform_count_changed.
-struct CellState {
-  int index = 0;
-  /// Aggregate RAM across the cell's initial hosts (admission-effective:
-  /// honors host_ram_override_bytes).
-  std::uint64_t ram_cap_bytes = 0;
-  /// Projected resident bytes of every tenant currently routed here.
-  std::uint64_t resident_bytes = 0;
-  int active_tenants = 0;
-};
-
-/// Snapshot row for the rank_cells spec path: CellState plus the one
-/// request-dependent quantity.
-struct CellView {
-  int index = 0;
-  std::uint64_t ram_cap_bytes = 0;
-  std::uint64_t resident_bytes = 0;
-  int active_tenants = 0;
-  /// Tenants of the arriving tenant's platform currently routed here.
-  int same_platform_tenants = 0;
-};
-
-/// The arriving tenant looks the same to a router as to a placement
-/// policy: the request type is shared outright.
-using RouteRequest = PlacementRequest;
-
-/// Cell selection for a federation, PlacementPolicy's counterpart one
-/// level down. Federation routes only through the built-in policies
-/// (make_routing), and serves them through the shared incremental protocol
-/// (RankingPolicy, placement.h) as O(log K) walks. rank_cells is the
-/// snapshot-sort spec that walk order is pinned against in tests. The
-/// cell_updated/cell_removed spellings alias the generic protocol names so
-/// federation call sites read naturally.
-class RoutingPolicy : public RankingPolicy<CellState, RouteRequest> {
- public:
-  /// Rank cells from most to least preferred, appending CellView::index
-  /// values to `ranked` (which arrives cleared). `cells` has one view per
-  /// live cell, in index order, and is never empty. Must append a
-  /// non-empty subset, each cell at most once; the federation tries the
-  /// arrival against cells in ranked order and spills down the list.
-  virtual void rank_cells(const RouteRequest& req,
-                          const std::vector<CellView>& cells,
-                          std::vector<int>& ranked) = 0;
-
-  /// Convenience: the most-preferred cell (front of rank_cells). Advances
-  /// any cursor state exactly like one rank_cells call.
-  int route(const RouteRequest& req, const std::vector<CellView>& cells);
-
-  void cell_updated(const CellState& state) { target_updated(state); }
-  void cell_removed(int cell) { target_removed(cell); }
-};
-
-std::unique_ptr<RoutingPolicy> make_routing(RoutingKind kind);
 
 /// One cell of the federation: a label, a region, and the full mechanism
 /// spec of the cluster behind it.

@@ -1,11 +1,12 @@
 // Indexed d-ary min-heap over small integer ids.
 //
-// The incremental placement policies (placement.cpp) keep every live host
-// in one of these, ordered by the policy's comparator over engine-pushed
-// host state. An admission walk pops candidates lazily — O(log M) per
-// candidate actually tried instead of a full O(M log M) sort per arrival —
-// and pushes the popped ones back before the next walk. update() repositions
-// one id after its key changed (the engine notifies per state delta).
+// The ranking policies (placement.h) keep every live target — a host of a
+// cluster or a cell of a federation — in one of these, ordered by the
+// rule's comparator over caller-pushed state. A candidate walk pops
+// targets lazily — O(log N) per candidate actually tried instead of a full
+// O(N log N) sort per arrival — and pushes the popped ones back before the
+// next walk. update() repositions one id after its key changed (the caller
+// pushes every state delta).
 //
 // d = 4: shallower than binary for the sift-down-heavy pop/update mix, and
 // the four children share a cache line of ids.

@@ -10,21 +10,27 @@ namespace fleet {
 
 namespace {
 
-// --- Ranking keys, shared by the sort path (rank_hosts over a HostView
-// snapshot) and the heap path (incremental walk over HostState) so the two
-// orderings cannot drift apart. ------------------------------------------
+// --- Ranking orders, each a functor over two States or two Views, so the
+// heap walk and the rank() specification share one definition. ----------
 
-std::uint64_t free_bytes_of(std::uint64_t cap, std::uint64_t resident) {
-  return cap > resident ? cap - resident : 0;
+template <typename T>
+std::uint64_t free_bytes(const T& t) {
+  return t.ram_cap_bytes > t.resident_bytes ? t.ram_cap_bytes - t.resident_bytes
+                                            : 0;
 }
 
-std::uint64_t free_bytes(const HostView& h) {
-  return free_bytes_of(h.ram_cap_bytes, h.resident_bytes);
-}
-
-std::uint64_t free_bytes(const HostState& h) {
-  return free_bytes_of(h.ram_cap_bytes, h.resident_bytes);
-}
+/// Most free RAM first (least-loaded, least-loaded-cell).
+struct MostFreeRam {
+  template <typename T>
+  bool operator()(const T& a, const T& b) const {
+    const std::uint64_t fa = free_bytes(a);
+    const std::uint64_t fb = free_bytes(b);
+    if (fa != fb) {
+      return fa > fb;
+    }
+    return a.index < b.index;
+  }
+};
 
 /// Weighted pressure score: RAM dominates (it is the hard admission
 /// limit), CPU demand stretches every in-flight duration, the NIC only
@@ -33,12 +39,14 @@ constexpr double kRamWeight = 0.5;
 constexpr double kCpuWeight = 0.35;
 constexpr double kNicWeight = 0.15;
 
-double pressure_score_of(std::uint64_t cap, std::uint64_t resident,
-                         const HostPressure& p) {
+template <typename T>
+double pressure_score(const T& h) {
   const double ram_used =
-      cap == 0 ? 1.0
-               : 1.0 - static_cast<double>(free_bytes_of(cap, resident)) /
-                           static_cast<double>(cap);
+      h.ram_cap_bytes == 0
+          ? 1.0
+          : 1.0 - static_cast<double>(free_bytes(h)) /
+                      static_cast<double>(h.ram_cap_bytes);
+  const HostPressure& p = h.pressure;
   const double threads = static_cast<double>(std::max(1, p.cpu_threads));
   // CPU and NIC saturate at 1.0: past saturation everything on the host is
   // already stretched, and RAM — the hard admission limit — must keep
@@ -48,202 +56,143 @@ double pressure_score_of(std::uint64_t cap, std::uint64_t resident,
   return kRamWeight * ram_used + kCpuWeight * cpu + kNicWeight * nic;
 }
 
-double pressure_score(const HostView& h) {
-  return pressure_score_of(h.ram_cap_bytes, h.resident_bytes, h.pressure);
-}
-
-double pressure_score(const HostState& h) {
-  return pressure_score_of(h.ram_cap_bytes, h.resident_bytes, h.pressure);
-}
+/// Lowest pressure score first (least-pressure).
+struct LeastPressure {
+  template <typename T>
+  bool operator()(const T& a, const T& b) const {
+    const double sa = pressure_score(a);
+    const double sb = pressure_score(b);
+    if (sa != sb) {
+      return sa < sb;
+    }
+    return a.index < b.index;
+  }
+};
 
 /// Fraction of a host's RAM that pack-then-spill fills before opening the
 /// next host. Below 1.0 so the pile leaves headroom for admission-time
 /// variance; the retry walk absorbs overshoot as a spill, not an OOM.
 constexpr double kPackWatermark = 0.9;
 
-bool above_watermark_of(std::uint64_t cap, std::uint64_t resident) {
-  return static_cast<double>(resident) >=
-         kPackWatermark * static_cast<double>(cap);
+template <typename T>
+bool above_watermark(const T& h) {
+  return static_cast<double>(h.resident_bytes) >=
+         kPackWatermark * static_cast<double>(h.ram_cap_bytes);
 }
 
-bool above_watermark(const HostView& h) {
-  return above_watermark_of(h.ram_cap_bytes, h.resident_bytes);
-}
-
-bool above_watermark(const HostState& h) {
-  return above_watermark_of(h.ram_cap_bytes, h.resident_bytes);
-}
-
-/// Sort positions 0..n-1 by `less` (which must totally order ties, e.g. by
-/// index) and append the corresponding HostView::index values to `ranked`.
-/// Sorts inside `ranked` itself — no scratch allocation on the per-arrival
-/// hot path (the engine recycles the ranked buffer).
-template <typename Less>
-void rank_by(const std::vector<HostView>& hosts, std::vector<int>& ranked,
-             Less less) {
-  const auto first = static_cast<std::ptrdiff_t>(ranked.size());
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    ranked.push_back(static_cast<int>(i));
+/// Hosts below the watermark in index order (so the lowest-index open
+/// host soaks up every arrival until it crosses the line), then the full
+/// hosts in index order as spill targets of last resort (pack-then-spill).
+struct OpenHostsFirst {
+  template <typename T>
+  bool operator()(const T& a, const T& b) const {
+    const bool fa = above_watermark(a);
+    const bool fb = above_watermark(b);
+    if (fa != fb) {
+      return !fa;
+    }
+    return a.index < b.index;
   }
-  std::sort(ranked.begin() + first, ranked.end(), [&](int a, int b) {
-    return less(hosts[static_cast<std::size_t>(a)],
-                hosts[static_cast<std::size_t>(b)]);
-  });
-  for (auto it = ranked.begin() + first; it != ranked.end(); ++it) {
-    *it = hosts[static_cast<std::size_t>(*it)].index;
-  }
-}
+};
 
-// --- Incremental machinery -----------------------------------------------
-// The state bookkeeping and heap walks live in placement.h as the shared
-// IncrementalRanking / HeapWalkRanking templates (fleet::RoutingPolicy
-// reuses them for cell ranking); these aliases bind them to the host
-// domain.
+// --- Rules that are more than one order over a target's own state -------
 
-using IncrementalPolicy = IncrementalRanking<PlacementPolicy>;
-
-template <typename Cmp>
-using HeapWalkPolicy = HeapWalkRanking<PlacementPolicy, Cmp>;
-
-class RoundRobinPlacement final : public PlacementPolicy {
+/// Cycle the live targets in index order, one cursor step per arrival; the
+/// retry walk continues around the cycle from wherever the cursor landed.
+template <typename Base>
+class RoundRobinRanking final : public Base {
  public:
-  std::string name() const override { return "round-robin"; }
-  bool incremental() const override { return true; }
+  using State = typename Base::State;
+  using View = typename Base::View;
+
+  explicit RoundRobinRanking(std::string name) : name_(std::move(name)) {}
+
+  std::string name() const override { return name_; }
   void reset() override {
     cursor_ = 0;
-    live_hosts_.clear();
+    live_.clear();
     walk_start_ = 0;
     walk_emitted_ = 0;
   }
-  void rank_hosts(const PlacementRequest&, const std::vector<HostView>& hosts,
-                  std::vector<int>& ranked) override {
-    // One cursor step per arrival; the retry walk continues around the
-    // cycle from wherever the cursor landed.
-    const std::size_t n = hosts.size();
-    const std::size_t start = static_cast<std::size_t>(cursor_++ % n);
-    for (std::size_t k = 0; k < n; ++k) {
-      ranked.push_back(hosts[(start + k) % n].index);
+  void target_updated(const State& s) override {
+    const auto it = std::lower_bound(live_.begin(), live_.end(), s.index);
+    if (it == live_.end() || *it != s.index) {
+      live_.insert(it, s.index);
     }
   }
-
-  void target_updated(const HostState& s) override {
-    const auto it =
-        std::lower_bound(live_hosts_.begin(), live_hosts_.end(), s.index);
-    if (it == live_hosts_.end() || *it != s.index) {
-      live_hosts_.insert(it, s.index);
-    }
-  }
-  void target_removed(int host) override {
-    const auto it =
-        std::lower_bound(live_hosts_.begin(), live_hosts_.end(), host);
-    if (it != live_hosts_.end() && *it == host) {
-      live_hosts_.erase(it);
+  void platform_count_changed(int, platforms::PlatformId, int) override {}
+  void target_removed(int target) override {
+    const auto it = std::lower_bound(live_.begin(), live_.end(), target);
+    if (it != live_.end() && *it == target) {
+      live_.erase(it);
     }
   }
   void walk_begin(const PlacementRequest&) override {
-    walk_start_ = static_cast<std::size_t>(cursor_++ % live_hosts_.size());
+    walk_start_ = static_cast<std::size_t>(cursor_++ % live_.size());
     walk_emitted_ = 0;
   }
   int walk_next() override {
-    if (walk_emitted_ >= live_hosts_.size()) {
+    if (walk_emitted_ >= live_.size()) {
       return -1;
     }
-    return live_hosts_[(walk_start_ + walk_emitted_++) % live_hosts_.size()];
+    return live_[(walk_start_ + walk_emitted_++) % live_.size()];
+  }
+  void rank(const PlacementRequest&, const std::vector<View>& views,
+            std::vector<int>& ranked) override {
+    const std::size_t n = views.size();
+    const std::size_t start = static_cast<std::size_t>(cursor_++ % n);
+    for (std::size_t k = 0; k < n; ++k) {
+      ranked.push_back(views[(start + k) % n].index);
+    }
   }
 
  private:
+  std::string name_;
   std::uint64_t cursor_ = 0;
-  std::vector<int> live_hosts_;  // sorted, mirrors the snapshot's order
+  std::vector<int> live_;  // sorted, mirrors the snapshot's order
   std::size_t walk_start_ = 0;
   std::size_t walk_emitted_ = 0;
 };
 
-struct LeastLoadedCmp {
-  const std::vector<HostState>* states;
-  bool operator()(int a, int b) const {
-    const std::uint64_t fa = free_bytes((*states)[static_cast<std::size_t>(a)]);
-    const std::uint64_t fb = free_bytes((*states)[static_cast<std::size_t>(b)]);
-    if (fa != fb) {
-      return fa > fb;
-    }
-    return a < b;
-  }
-};
-
-class LeastLoadedPlacement final : public HeapWalkPolicy<LeastLoadedCmp> {
+/// Co-tenants of the arriving platform first, then most free RAM
+/// (ksm-affinity over hosts, platform-affinity over cells): steer a
+/// platform's tenants onto the fewest targets so their KSM digest runs and
+/// boot image caches merge. With no co-tenant anywhere this degrades to
+/// most-free-RAM, which also spreads the first tenant of each platform
+/// onto the emptiest target before piles start forming. One heap per
+/// platform, built at that platform's first walk.
+template <typename Base>
+class AffinityRanking final : public IncrementalRanking<Base> {
  public:
-  LeastLoadedPlacement() : HeapWalkPolicy<LeastLoadedCmp>(LeastLoadedCmp{&states_}) {}
-  std::string name() const override { return "least-loaded"; }
-  void rank_hosts(const PlacementRequest&, const std::vector<HostView>& hosts,
-                  std::vector<int>& ranked) override {
-    rank_by(hosts, ranked, [](const HostView& a, const HostView& b) {
-      const std::uint64_t fa = free_bytes(a);
-      const std::uint64_t fb = free_bytes(b);
-      if (fa != fb) {
-        return fa > fb;
-      }
-      return a.index < b.index;
-    });
-  }
-};
+  using View = typename Base::View;
 
-class KsmAffinityPlacement;
+  using IncrementalRanking<Base>::IncrementalRanking;
 
-struct AffinityCmp {
-  const KsmAffinityPlacement* self;
-  platforms::PlatformId platform;
-  bool operator()(int a, int b) const;
-};
-
-class KsmAffinityPlacement final : public IncrementalPolicy {
- public:
-  std::string name() const override { return "ksm-affinity"; }
-  void rank_hosts(const PlacementRequest&, const std::vector<HostView>& hosts,
-                  std::vector<int>& ranked) override {
-    // Lexicographic (co-tenants, free RAM): with no co-tenant anywhere this
-    // degrades to least-loaded, which also spreads the first tenant of each
-    // platform onto the emptiest host before piles start forming.
-    rank_by(hosts, ranked, [](const HostView& a, const HostView& b) {
-      if (a.same_platform_tenants != b.same_platform_tenants) {
-        return a.same_platform_tenants > b.same_platform_tenants;
-      }
-      const std::uint64_t fa = free_bytes(a);
-      const std::uint64_t fb = free_bytes(b);
-      if (fa != fb) {
-        return fa > fb;
-      }
-      return a.index < b.index;
-    });
-  }
-
-  void platform_count_changed(int host, platforms::PlatformId platform,
+  void platform_count_changed(int target, platforms::PlatformId platform,
                               int count) override {
-    auto& per_host = counts_[platform];
-    if (per_host.size() <= static_cast<std::size_t>(host)) {
-      per_host.resize(static_cast<std::size_t>(host) + 1, 0);
+    auto& per_target = counts_[platform];
+    if (per_target.size() <= static_cast<std::size_t>(target)) {
+      per_target.resize(static_cast<std::size_t>(target) + 1, 0);
     }
-    per_host[static_cast<std::size_t>(host)] = count;
+    per_target[static_cast<std::size_t>(target)] = count;
     const auto it = heaps_.find(platform);
-    if (it != heaps_.end() && it->second.contains(host)) {
-      it->second.update(host);
+    if (it != heaps_.end() && it->second.contains(target)) {
+      it->second.update(target);
     }
   }
 
   void walk_begin(const PlacementRequest& req) override {
-    restore_popped();
+    if (!this->popped_.empty()) {  // only after a walk: its heap exists
+      this->restore_popped(heaps_.at(walk_platform_));
+    }
     walk_platform_ = req.platform_id;
-    has_walked_ = true;
     auto it = heaps_.find(walk_platform_);
     if (it == heaps_.end()) {
-      // First arrival of this platform: build its ordering lazily from the
-      // current live set (counts default to zero, so this is just a
-      // free-RAM ordering until piles form).
-      it = heaps_.emplace(walk_platform_,
-                          IndexedHeap<AffinityCmp>(
-                              AffinityCmp{this, walk_platform_}))
+      it = heaps_.emplace(walk_platform_, IndexedHeap<Cmp>(
+                                              Cmp{this, walk_platform_}))
                .first;
-      for (std::size_t i = 0; i < live_.size(); ++i) {
-        if (live_[i] != 0) {
+      for (std::size_t i = 0; i < this->live_.size(); ++i) {
+        if (this->live_[i] != 0) {
           it->second.push(static_cast<int>(i));
         }
       }
@@ -251,163 +200,72 @@ class KsmAffinityPlacement final : public IncrementalPolicy {
   }
 
   int walk_next() override {
-    auto& heap = heaps_.at(walk_platform_);
-    if (heap.empty()) {
-      return -1;
-    }
-    const int host = heap.pop();
-    popped_.push_back(host);
-    return host;
+    return this->pop_candidate(heaps_.at(walk_platform_));
   }
 
-  int count_for(platforms::PlatformId platform, int host) const {
-    const auto it = counts_.find(platform);
-    if (it == counts_.end() ||
-        it->second.size() <= static_cast<std::size_t>(host)) {
-      return 0;
-    }
-    return it->second[static_cast<std::size_t>(host)];
-  }
-
-  const HostState& state_of(int host) const {
-    return states_[static_cast<std::size_t>(host)];
-  }
-
- protected:
-  void reset_orderings() override {
-    heaps_.clear();
-    counts_.clear();
-    has_walked_ = false;
-  }
-  void target_added(int host) override {
-    for (auto& [platform, heap] : heaps_) {
-      heap.push(host);
-    }
-  }
-  void target_changed(int host) override {
-    for (auto& [platform, heap] : heaps_) {
-      if (heap.contains(host)) {
-        heap.update(host);
+  void rank(const PlacementRequest&, const std::vector<View>& views,
+            std::vector<int>& ranked) override {
+    rank_by(views, ranked, [](const View& a, const View& b) {
+      if (a.same_platform_tenants != b.same_platform_tenants) {
+        return a.same_platform_tenants > b.same_platform_tenants;
       }
-    }
-  }
-  void target_dropped(int host) override {
-    for (auto& [platform, heap] : heaps_) {
-      if (heap.contains(host)) {
-        heap.erase(host);
-      }
-    }
-  }
-
-  void restore_popped() {
-    if (!has_walked_) {
-      popped_.clear();
-      return;
-    }
-    auto& heap = heaps_.at(walk_platform_);
-    for (const int host : popped_) {
-      if (is_live(host) && !heap.contains(host)) {
-        heap.push(host);
-      }
-    }
-    popped_.clear();
+      return MostFreeRam{}(a, b);
+    });
   }
 
  private:
+  struct Cmp {
+    const AffinityRanking* self;
+    platforms::PlatformId platform;
+    bool operator()(int a, int b) const {
+      const int ca = self->count_for(platform, a);
+      const int cb = self->count_for(platform, b);
+      if (ca != cb) {
+        return ca > cb;
+      }
+      return MostFreeRam{}(self->state_of(a), self->state_of(b));
+    }
+  };
+
+  int count_for(platforms::PlatformId platform, int target) const {
+    const auto it = counts_.find(platform);
+    if (it == counts_.end() ||
+        it->second.size() <= static_cast<std::size_t>(target)) {
+      return 0;
+    }
+    return it->second[static_cast<std::size_t>(target)];
+  }
+
+  void reset_orderings() override {
+    heaps_.clear();
+    counts_.clear();
+  }
+  void target_added(int target) override {
+    for (auto& [platform, heap] : heaps_) {
+      heap.push(target);
+    }
+  }
+  void target_changed(int target) override {
+    for (auto& [platform, heap] : heaps_) {
+      if (heap.contains(target)) {
+        heap.update(target);
+      }
+    }
+  }
+  void target_dropped(int target) override {
+    for (auto& [platform, heap] : heaps_) {
+      if (heap.contains(target)) {
+        heap.erase(target);
+      }
+    }
+  }
+
   std::unordered_map<platforms::PlatformId, std::vector<int>> counts_;
-  std::unordered_map<platforms::PlatformId, IndexedHeap<AffinityCmp>> heaps_;
+  std::unordered_map<platforms::PlatformId, IndexedHeap<Cmp>> heaps_;
   platforms::PlatformId walk_platform_ = platforms::PlatformId::kNative;
-  bool has_walked_ = false;
-};
-
-bool AffinityCmp::operator()(int a, int b) const {
-  const int ca = self->count_for(platform, a);
-  const int cb = self->count_for(platform, b);
-  if (ca != cb) {
-    return ca > cb;
-  }
-  const std::uint64_t fa = free_bytes(self->state_of(a));
-  const std::uint64_t fb = free_bytes(self->state_of(b));
-  if (fa != fb) {
-    return fa > fb;
-  }
-  return a < b;
-}
-
-struct LeastPressureCmp {
-  const std::vector<HostState>* states;
-  bool operator()(int a, int b) const {
-    const double sa = pressure_score((*states)[static_cast<std::size_t>(a)]);
-    const double sb = pressure_score((*states)[static_cast<std::size_t>(b)]);
-    if (sa != sb) {
-      return sa < sb;
-    }
-    return a < b;
-  }
-};
-
-class LeastPressurePlacement final : public HeapWalkPolicy<LeastPressureCmp> {
- public:
-  LeastPressurePlacement()
-      : HeapWalkPolicy<LeastPressureCmp>(LeastPressureCmp{&states_}) {}
-  std::string name() const override { return "least-pressure"; }
-  void rank_hosts(const PlacementRequest&, const std::vector<HostView>& hosts,
-                  std::vector<int>& ranked) override {
-    rank_by(hosts, ranked, [](const HostView& a, const HostView& b) {
-      const double sa = pressure_score(a);
-      const double sb = pressure_score(b);
-      if (sa != sb) {
-        return sa < sb;
-      }
-      return a.index < b.index;
-    });
-  }
-};
-
-struct PackThenSpillCmp {
-  const std::vector<HostState>* states;
-  bool operator()(int a, int b) const {
-    const bool fa = above_watermark((*states)[static_cast<std::size_t>(a)]);
-    const bool fb = above_watermark((*states)[static_cast<std::size_t>(b)]);
-    if (fa != fb) {
-      return !fa;
-    }
-    return a < b;
-  }
-};
-
-class PackThenSpillPlacement final : public HeapWalkPolicy<PackThenSpillCmp> {
- public:
-  PackThenSpillPlacement()
-      : HeapWalkPolicy<PackThenSpillCmp>(PackThenSpillCmp{&states_}) {}
-  std::string name() const override { return "pack-then-spill"; }
-  void rank_hosts(const PlacementRequest&, const std::vector<HostView>& hosts,
-                  std::vector<int>& ranked) override {
-    // Hosts below the watermark in index order (so the lowest-index open
-    // host soaks up every arrival until it crosses the line), then the
-    // full hosts in index order as spill targets of last resort.
-    rank_by(hosts, ranked, [](const HostView& a, const HostView& b) {
-      const bool fa = above_watermark(a);
-      const bool fb = above_watermark(b);
-      if (fa != fb) {
-        return !fa;
-      }
-      return a.index < b.index;
-    });
-  }
 };
 
 }  // namespace
-
-int PlacementPolicy::place(const PlacementRequest& req,
-                           const std::vector<HostView>& hosts) {
-  std::vector<int> ranked;
-  rank_hosts(req, hosts, ranked);
-  if (ranked.empty()) {
-    throw std::logic_error("PlacementPolicy::rank_hosts ranked no hosts");
-  }
-  return ranked.front();
-}
 
 std::string placement_kind_name(PlacementKind k) {
   switch (k) {
@@ -432,19 +290,54 @@ std::vector<PlacementKind> all_placement_kinds() {
 }
 
 std::unique_ptr<PlacementPolicy> make_placement(PlacementKind kind) {
+  std::string name = placement_kind_name(kind);
   switch (kind) {
     case PlacementKind::kRoundRobin:
-      return std::make_unique<RoundRobinPlacement>();
+      return std::make_unique<RoundRobinRanking<PlacementPolicy>>(name);
     case PlacementKind::kLeastLoaded:
-      return std::make_unique<LeastLoadedPlacement>();
+      return std::make_unique<HeapWalkRanking<PlacementPolicy, MostFreeRam>>(
+          name);
     case PlacementKind::kKsmAffinity:
-      return std::make_unique<KsmAffinityPlacement>();
+      return std::make_unique<AffinityRanking<PlacementPolicy>>(name);
     case PlacementKind::kLeastPressure:
-      return std::make_unique<LeastPressurePlacement>();
+      return std::make_unique<HeapWalkRanking<PlacementPolicy, LeastPressure>>(
+          name);
     case PlacementKind::kPackThenSpill:
-      return std::make_unique<PackThenSpillPlacement>();
+      return std::make_unique<HeapWalkRanking<PlacementPolicy, OpenHostsFirst>>(
+          name);
   }
   throw std::invalid_argument("make_placement: unknown PlacementKind");
+}
+
+std::string routing_kind_name(RoutingKind k) {
+  switch (k) {
+    case RoutingKind::kRoundRobin:
+      return "round-robin";
+    case RoutingKind::kLeastLoadedCell:
+      return "least-loaded-cell";
+    case RoutingKind::kPlatformAffinity:
+      return "platform-affinity";
+  }
+  return "unknown";
+}
+
+std::vector<RoutingKind> all_routing_kinds() {
+  return {RoutingKind::kRoundRobin, RoutingKind::kLeastLoadedCell,
+          RoutingKind::kPlatformAffinity};
+}
+
+std::unique_ptr<RoutingPolicy> make_routing(RoutingKind kind) {
+  std::string name = routing_kind_name(kind);
+  switch (kind) {
+    case RoutingKind::kRoundRobin:
+      return std::make_unique<RoundRobinRanking<RoutingPolicy>>(name);
+    case RoutingKind::kLeastLoadedCell:
+      return std::make_unique<HeapWalkRanking<RoutingPolicy, MostFreeRam>>(
+          name);
+    case RoutingKind::kPlatformAffinity:
+      return std::make_unique<AffinityRanking<RoutingPolicy>>(name);
+  }
+  throw std::invalid_argument("make_routing: unknown RoutingKind");
 }
 
 }  // namespace fleet

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,17 @@ Scenario pressure_storm(int tenants, int hosts, PlacementKind placement) {
   return s;
 }
 
+/// Runs `s` on a fresh cluster's hosts through `policy` instead of the
+/// scenario's own placement.
+FleetReport run_engine(const Scenario& s, PlacementPolicy& policy) {
+  Cluster cluster(s.cluster);
+  std::vector<core::HostSystem*> hosts;
+  for (int i = 0; i < cluster.host_count(); ++i) {
+    hosts.push_back(&cluster.host(i));
+  }
+  return FleetEngine(hosts, &policy, &cluster).run(s);
+}
+
 int sum_spill_in(const FleetReport& r) {
   int total = 0;
   for (const auto& h : r.hosts) {
@@ -83,10 +95,10 @@ TEST(PlacementRankTest, RoundRobinRanksTheFullCycle) {
   PlacementRequest req;
   std::vector<int> ranked;
   policy->reset();
-  policy->rank_hosts(req, views, ranked);
+  policy->rank(req, views, ranked);
   EXPECT_EQ(ranked, (std::vector<int>{0, 1, 2}));
   ranked.clear();
-  policy->rank_hosts(req, views, ranked);
+  policy->rank(req, views, ranked);
   EXPECT_EQ(ranked, (std::vector<int>{1, 2, 0}));
 }
 
@@ -98,7 +110,7 @@ TEST(PlacementRankTest, LeastLoadedRanksByFreeRamDescending) {
   views[2].resident_bytes = 6ull << 30;
   PlacementRequest req;
   std::vector<int> ranked;
-  policy->rank_hosts(req, views, ranked);
+  policy->rank(req, views, ranked);
   EXPECT_EQ(ranked, (std::vector<int>{1, 0, 2}));
 }
 
@@ -110,15 +122,15 @@ TEST(PlacementRankTest, LeastPressureWeighsCpuAndNicNotJustRam) {
   views[0].pressure.cpu_demand = 32.0;  // 2x its 16 threads
   views[0].pressure.net_active = 8;
   PlacementRequest req;
-  EXPECT_EQ(policy->place(req, views), 1);
+  EXPECT_EQ(policy->first_choice(req, views), 1);
   // Flip it: host 1 busy, host 0 idle.
   views[0].pressure.cpu_demand = 0.0;
   views[0].pressure.net_active = 0;
   views[1].pressure.cpu_demand = 32.0;
-  EXPECT_EQ(policy->place(req, views), 0);
+  EXPECT_EQ(policy->first_choice(req, views), 0);
   // RAM still dominates: a nearly-full idle host loses to a busy empty one.
   views[0].resident_bytes = (10ull << 30) - (64ull << 20);
-  EXPECT_EQ(policy->place(req, views), 1);
+  EXPECT_EQ(policy->first_choice(req, views), 1);
 }
 
 TEST(PlacementRankTest, PackThenSpillFillsLowestIndexToWatermarkFirst) {
@@ -127,12 +139,12 @@ TEST(PlacementRankTest, PackThenSpillFillsLowestIndexToWatermarkFirst) {
   PlacementRequest req;
   std::vector<int> ranked;
   // All empty: pure index order — everything piles on host 0.
-  policy->rank_hosts(req, views, ranked);
+  policy->rank(req, views, ranked);
   EXPECT_EQ(ranked, (std::vector<int>{0, 1, 2}));
   // Host 0 above the 90% watermark: it drops to the back of the walk.
   views[0].resident_bytes = static_cast<std::uint64_t>(9.5 * (1ull << 30));
   ranked.clear();
-  policy->rank_hosts(req, views, ranked);
+  policy->rank(req, views, ranked);
   EXPECT_EQ(ranked, (std::vector<int>{1, 2, 0}));
 }
 
@@ -236,15 +248,9 @@ TEST(RankingPinTest, SingleShotKsmAffinity) {
       {platforms::PlatformId::kFirecracker, 0.5},
       {platforms::PlatformId::kQemuKvm, 0.5},
   };
-  Cluster cluster(s.cluster);
-  std::vector<core::HostSystem*> hosts;
-  for (int i = 0; i < cluster.host_count(); ++i) {
-    hosts.push_back(&cluster.host(i));
-  }
   fleet::SingleShotPolicy single_shot(
       make_placement(PlacementKind::kKsmAffinity));
-  FleetEngine engine(hosts, &single_shot);
-  const auto report = engine.run(s);
+  const auto report = run_engine(s, single_shot);
   EXPECT_EQ(report.spills, 0);
   EXPECT_EQ(digest(report.to_text()), "afb623e1830848a4");
   EXPECT_EQ(report.events_processed, 736u);
@@ -284,18 +290,16 @@ TEST(RankingPinTest, SingleHostShortcutHoldsRoundRobinCursorUntilGrowth) {
 
 // --- stop_at_first_oom under retry -----------------------------------------
 
-/// Ranks hosts in fixed index order 0..M-1, so "the last host tried" in a
-/// full walk is always the highest index.
-class IndexOrderPolicy final : public PlacementPolicy {
- public:
-  std::string name() const override { return "index-order"; }
-  void rank_hosts(const PlacementRequest&, const std::vector<HostView>& hosts,
-                  std::vector<int>& ranked) override {
-    for (const HostView& h : hosts) {
-      ranked.push_back(h.index);
-    }
+struct ByIndex {
+  template <typename T>
+  bool operator()(const T& a, const T& b) const {
+    return a.index < b.index;
   }
 };
+
+/// Ranks hosts in fixed index order 0..M-1, so "the last host tried" in a
+/// full walk is always the highest index.
+using IndexOrderPolicy = fleet::HeapWalkRanking<PlacementPolicy, ByIndex>;
 
 TEST(StopAtFirstOomTest, LatchTripsOnlyAfterFullWalkFails) {
   // Host 0 fills long before host 1. Under single-shot semantics the first
@@ -329,7 +333,7 @@ TEST(StopAtFirstOomTest, TrippingRejectionAttributedToLastHostTried) {
   for (int i = 0; i < cluster.host_count(); ++i) {
     hosts.push_back(&cluster.host(i));
   }
-  IndexOrderPolicy policy;
+  IndexOrderPolicy policy("index-order");
   FleetEngine engine(hosts, &policy);
   const auto report = engine.run(s);
 
@@ -339,6 +343,64 @@ TEST(StopAtFirstOomTest, TrippingRejectionAttributedToLastHostTried) {
   EXPECT_EQ(report.hosts[0].rejected, 0);
   EXPECT_EQ(report.hosts[1].rejected, 0);
   EXPECT_EQ(report.hosts[2].rejected, 1);
+}
+
+// --- The engine's check on what a policy emits -----------------------------
+
+/// Emits the same candidates on every walk and ignores every push, so it
+/// can emit hosts the engine must refuse.
+class FixedWalkPolicy final : public PlacementPolicy {
+ public:
+  explicit FixedWalkPolicy(std::vector<int> walk) : walk_(std::move(walk)) {}
+  std::string name() const override { return "fixed-walk"; }
+  void reset() override {}
+  void target_updated(const fleet::HostState&) override {}
+  void platform_count_changed(int, platforms::PlatformId, int) override {}
+  void target_removed(int) override {}
+  void walk_begin(const PlacementRequest&) override { next_ = 0; }
+  int walk_next() override {
+    return next_ < walk_.size() ? walk_[next_++] : -1;
+  }
+  void rank(const PlacementRequest&, const std::vector<HostView>&,
+            std::vector<int>& ranked) override {
+    ranked = walk_;
+  }
+
+ private:
+  std::vector<int> walk_;
+  std::size_t next_ = 0;
+};
+
+TEST(WalkValidationTest, OutOfRangeHostThrows) {
+  const auto s = Scenario::cluster_storm(16, 4);
+  FixedWalkPolicy policy({7});
+  EXPECT_THROW(run_engine(s, policy), std::out_of_range);
+}
+
+TEST(WalkValidationTest, DrainedHostThrows) {
+  auto s = Scenario::cluster_storm(96, 4);
+  FixedWalkPolicy policy({0, 1});
+  // Control: without the drain the same walk is valid all run long.
+  EXPECT_NO_THROW(run_engine(s, policy));
+  HostEvent drain;
+  drain.time = sim::millis(20);  // mid-storm: arrivals span 50 ms
+  drain.kind = HostEvent::Kind::kDrain;
+  drain.host = 0;
+  s.host_events.push_back(drain);
+  EXPECT_THROW(run_engine(s, policy), std::out_of_range);
+}
+
+TEST(WalkValidationTest, EmptyWalkThrows) {
+  const auto s = Scenario::cluster_storm(16, 4);
+  FixedWalkPolicy policy({});
+  EXPECT_THROW(run_engine(s, policy), std::logic_error);
+}
+
+TEST(WalkValidationTest, FirstChoiceOfAnEmptyRankingThrows) {
+  FixedWalkPolicy policy({});
+  EXPECT_THROW(
+      policy.first_choice(PlacementRequest{}, uniform_views(2, 1ull << 30)),
+      std::logic_error);
 }
 
 // --- pack-then-spill density ------------------------------------------------

@@ -60,12 +60,12 @@ TEST(PlacementTest, RoundRobinCyclesAndResets) {
   const auto views = uniform_views(3, 1ull << 30);
   PlacementRequest req;
   policy->reset();
-  EXPECT_EQ(policy->place(req, views), 0);
-  EXPECT_EQ(policy->place(req, views), 1);
-  EXPECT_EQ(policy->place(req, views), 2);
-  EXPECT_EQ(policy->place(req, views), 0);
+  EXPECT_EQ(policy->first_choice(req, views), 0);
+  EXPECT_EQ(policy->first_choice(req, views), 1);
+  EXPECT_EQ(policy->first_choice(req, views), 2);
+  EXPECT_EQ(policy->first_choice(req, views), 0);
   policy->reset();
-  EXPECT_EQ(policy->place(req, views), 0);
+  EXPECT_EQ(policy->first_choice(req, views), 0);
 }
 
 TEST(PlacementTest, LeastLoadedPicksMostFreeRamLowestIndexOnTies) {
@@ -75,9 +75,9 @@ TEST(PlacementTest, LeastLoadedPicksMostFreeRamLowestIndexOnTies) {
   views[1].resident_bytes = 1ull << 30;
   views[2].resident_bytes = 6ull << 30;
   PlacementRequest req;
-  EXPECT_EQ(policy->place(req, views), 1);
+  EXPECT_EQ(policy->first_choice(req, views), 1);
   views[1].resident_bytes = views[0].resident_bytes;  // tie 0 vs 1
-  EXPECT_EQ(policy->place(req, views), 0);
+  EXPECT_EQ(policy->first_choice(req, views), 0);
 }
 
 TEST(PlacementTest, KsmAffinityPrefersCoTenantsThenFallsBack) {
@@ -87,14 +87,14 @@ TEST(PlacementTest, KsmAffinityPrefersCoTenantsThenFallsBack) {
   views[2].resident_bytes = 8ull << 30;  // fullest, but has the co-tenants
   views[1].same_platform_tenants = 1;
   PlacementRequest req;
-  EXPECT_EQ(policy->place(req, views), 2);
+  EXPECT_EQ(policy->first_choice(req, views), 2);
   // No co-tenant anywhere: degrade to least-loaded.
   for (auto& v : views) {
     v.same_platform_tenants = 0;
   }
-  EXPECT_EQ(policy->place(req, views), 0);
+  EXPECT_EQ(policy->first_choice(req, views), 0);
   views[0].resident_bytes = 2ull << 30;
-  EXPECT_EQ(policy->place(req, views), 1);
+  EXPECT_EQ(policy->first_choice(req, views), 1);
 }
 
 // --- Topology --------------------------------------------------------------

@@ -2,10 +2,10 @@
 //
 // The built-in policies serve the engine's admission walk from
 // incrementally maintained host orderings (indexed heaps updated by
-// host_updated / platform_count_changed / host_removed deltas) instead of
-// sorting a fresh snapshot per arrival. This sweep drives both faces of
-// every built-in policy — the incremental walk and rank_hosts() over an
-// equivalent HostView snapshot — through randomized state churn, partial
+// target_updated / platform_count_changed / target_removed deltas) instead
+// of sorting a fresh snapshot per arrival. This sweep drives both faces of
+// every built-in policy — the heap walk and rank() over an equivalent
+// HostView snapshot — through randomized state churn, partial
 // walks, and topology changes, and requires the emitted orders to be
 // identical. Any divergence means the engine's lazy walk would place
 // tenants differently than the specification, breaking byte-identical
@@ -82,7 +82,7 @@ void randomize_host(FleetModel::Host& h, sim::Rng& rng) {
 }
 
 void publish(fleet::PlacementPolicy& policy, const FleetModel::Host& h) {
-  policy.host_updated(h.state);
+  policy.target_updated(h.state);
   for (std::size_t p = 0; p < 3; ++p) {
     policy.platform_count_changed(h.state.index, kPlatforms[p], h.counts[p]);
   }
@@ -91,12 +91,11 @@ void publish(fleet::PlacementPolicy& policy, const FleetModel::Host& h) {
 void run_equivalence_sweep(PlacementKind kind, std::uint64_t seed) {
   sim::Rng rng(seed);
   // Two faces of the same policy kind. The sorter is only ever driven
-  // through rank_hosts (the specification); the walker only through the
-  // incremental protocol. Separate instances keep cursor state (round
+  // through rank (the specification); the walker only through the walk
+  // protocol. Separate instances keep cursor state (round
   // robin) advancing once per arrival on each side.
   const auto sorter = fleet::make_placement(kind);
   const auto walker = fleet::make_placement(kind);
-  ASSERT_TRUE(walker->incremental());
   sorter->reset();
   walker->reset();
 
@@ -125,7 +124,7 @@ void run_equivalence_sweep(PlacementKind kind, std::uint64_t seed) {
       for (auto& h : model.hosts) {
         if (h.live) {
           h.live = false;
-          walker->host_removed(h.state.index);
+          walker->target_removed(h.state.index);
           break;
         }
       }
@@ -141,11 +140,10 @@ void run_equivalence_sweep(PlacementKind kind, std::uint64_t seed) {
 
     const PlatformId platform = kPlatforms[rng.next_u64() % 3];
     PlacementRequest req;
-    req.tenant_id = static_cast<std::uint64_t>(arrival);
     req.platform_id = platform;
 
     std::vector<int> expected;
-    sorter->rank_hosts(req, model.snapshot(platform), expected);
+    sorter->rank(req, model.snapshot(platform), expected);
 
     walker->walk_begin(req);
     // Most walks stop early, like an admission that lands on the first or
