@@ -18,6 +18,7 @@
 #include "fleet/placement.h"
 #include "fleet/report.h"
 #include "fleet/scenario.h"
+#include "report_digest.h"
 
 namespace {
 
@@ -35,6 +36,7 @@ using fleet::ResolvedFault;
 using fleet::Scenario;
 using fleet::stalled_completion;
 using fleet::validate_host_events;
+using testutil::digest;
 
 FleetReport run_cluster(const Scenario& s) {
   Cluster cluster(s.cluster);
@@ -418,6 +420,44 @@ TEST(ChaosTest, CrashThenDrainOfDeadHostIsANoOp) {
     EXPECT_NE(a.action, "drain");
   }
   EXPECT_EQ(run_cluster(s).to_text(), r.to_text());
+}
+
+// --- Pinned reports, one per host-wide fault shape ---------------------------
+//
+// Each run pins a whole report (digest and event count), so a change in
+// how a partition window or a rack crash lands shows up here and not only
+// as a difference between two runs of the same build. Captured with gcc 12,
+// identical in Release and Debug.
+
+TEST(ChaosPinTest, PartitionStorm) {
+  const FleetReport r = run_cluster(Scenario::partition_storm(240, 4));
+  EXPECT_GT(r.nic_stalls, 0);
+  EXPECT_EQ(digest(r.to_text()), "e8376d45b53864e8");
+  EXPECT_EQ(r.events_processed, 1442u);
+}
+
+TEST(ChaosPinTest, OverlappingPartitionsOnOneHost) {
+  // Two more partitions on host 1 overlap the rack window [30, 70) and
+  // each other, so its windows must merge into one freeze.
+  Scenario s = Scenario::partition_storm(240, 4);
+  for (const sim::Nanos at : {sim::millis(50), sim::millis(80)}) {
+    Fault part;
+    part.kind = Fault::Kind::kPartition;
+    part.time = at;
+    part.host = 1;
+    part.duration = sim::millis(40);
+    s.faults.timed.push_back(part);
+  }
+  const FleetReport r = run_cluster(s);
+  EXPECT_EQ(digest(r.to_text()), "9d67bcd5431df434");
+  EXPECT_EQ(r.events_processed, 1446u);
+}
+
+TEST(ChaosPinTest, RackOutage) {
+  const FleetReport r = run_cluster(Scenario::rack_outage(240, 6));
+  EXPECT_GT(r.crash_victims, 0);
+  EXPECT_EQ(digest(r.to_text()), "3ec550ee7390fefe");
+  EXPECT_EQ(r.events_processed, 1326u);
 }
 
 // --- Determinism -------------------------------------------------------------

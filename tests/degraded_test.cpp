@@ -20,6 +20,7 @@
 #include "fleet/placement.h"
 #include "fleet/report.h"
 #include "fleet/scenario.h"
+#include "report_digest.h"
 #include "sim/time.h"
 
 namespace {
@@ -41,6 +42,7 @@ using fleet::PairWindow;
 using fleet::resolve_faults;
 using fleet::ResolvedFault;
 using fleet::Scenario;
+using testutil::digest;
 
 FleetReport run_cluster(const Scenario& s) {
   Cluster cluster(s.cluster);
@@ -392,6 +394,8 @@ TEST(DegradedTest, RandomDegradeScheduleIsSeedDeterministic) {
   // Three explicit degrade draws, plus up to two mixed draws.
   EXPECT_GE(r.degraded.size(), 3u);
   EXPECT_LE(r.degraded.size(), 5u);
+  EXPECT_EQ(digest(r.to_text()), "615b645393fd414a");
+  EXPECT_EQ(r.events_processed, 8339u);
   EXPECT_EQ(run_cluster(s).to_text(), r.to_text());
   // A different seed draws a different schedule.
   Scenario other = s;
@@ -419,8 +423,90 @@ TEST(DegradedTest, FederationComposesDegradeStormsWithCellOutage) {
   const std::string text = r.to_text();
   EXPECT_NE(text.find("degraded:"), std::string::npos);
   EXPECT_NE(text.find("cell-outage"), std::string::npos);
+  EXPECT_EQ(digest(text), "8ee7f9f9e219da1d");
+  EXPECT_EQ(r.events_processed, 7614u);
   Federation fed2(fs.topology);
   EXPECT_EQ(fed2.run(fs).to_text(), text);
+}
+
+// --- Pinned reports, one per degrade shape -----------------------------------
+//
+// Each run pins a whole report (digest and event count), so a change in
+// how a disk-degrade, pair-cut or partition window stretches an op shows
+// up here and not only as a difference between two runs of the same build.
+// Captured with gcc 12, identical in Release and Debug.
+
+TEST(DegradePinTest, DegradeStormAndItsVerdictIndices) {
+  const FleetReport r = run_cluster(Scenario::degrade_storm(180, 3));
+  EXPECT_EQ(digest(r.to_text()), "78ee0380b0ebe5b3");
+  EXPECT_EQ(r.events_processed, 11269u);
+  // Fault ids follow time order: disk 0 and pair 1 (both at 150 ms), mem
+  // pressure 2, crash 3. Degrade faults own DegradeVerdicts in id order;
+  // the crash owns the only RecoveryVerdict, so recovery[0] is fault 3.
+  ASSERT_EQ(r.degraded.size(), 3u);
+  for (std::size_t i = 0; i < r.degraded.size(); ++i) {
+    EXPECT_EQ(r.degraded[i].fault, static_cast<int>(i));
+  }
+  EXPECT_EQ(r.degraded[0].kind, "disk-degrade");
+  EXPECT_EQ(r.degraded[1].kind, "partial-partition");
+  EXPECT_EQ(r.degraded[2].kind, "mem-pressure");
+  ASSERT_EQ(r.recovery.size(), 1u);
+  EXPECT_EQ(r.recovery[0].fault, 3);
+  // lost_to_fault is a verdict index, not a fault id.
+  int lost = 0;
+  for (const fleet::TenantOutcome& t : r.tenants) {
+    if (t.lost_to_fault >= 0) {
+      EXPECT_EQ(t.lost_to_fault, 0) << "tenant " << t.id;
+      ++lost;
+    }
+  }
+  EXPECT_EQ(lost, 6);
+  EXPECT_EQ(r.crash_lost, 6);
+}
+
+TEST(DegradePinTest, DegradeStormWithoutRetries) {
+  Scenario s = Scenario::degrade_storm(180, 3);
+  s.op_max_retries = 0;
+  s.op_backoff_base_ms = 0;
+  const FleetReport r = run_cluster(s);
+  EXPECT_EQ(digest(r.to_text()), "6e541045ee0f81aa");
+  EXPECT_EQ(r.events_processed, 11138u);
+}
+
+TEST(DegradePinTest, OverlappingDiskDegradesOnOneHost) {
+  // [40, 190) x3 and [100, 300) x7 overlap on host 0: the x7 window must
+  // win where both are open.
+  Scenario s = Scenario::program_storm(120, 3);
+  s.faults.timed = {
+      disk_degrade_at(sim::millis(40), 0, 3.0, sim::millis(150)),
+      disk_degrade_at(sim::millis(100), 0, 7.0, sim::millis(200)),
+  };
+  const FleetReport r = run_cluster(s);
+  EXPECT_EQ(digest(r.to_text()), "77351570ed7b1563");
+  EXPECT_EQ(r.events_processed, 8337u);
+}
+
+TEST(DegradePinTest, EveryWindowKindOnOneHostWithRetries) {
+  // Host 0 carries a partition, two overlapping cuts to peer 1 and a disk
+  // degrade, all open around 140 ms, while retries re-draw peers.
+  Scenario s = Scenario::program_storm(160, 4);
+  s.op_max_retries = 2;
+  s.op_backoff_base_ms = sim::millis(1);
+  Fault part;
+  part.kind = Fault::Kind::kPartition;
+  part.time = sim::millis(120);
+  part.host = 0;
+  part.duration = sim::millis(60);
+  s.faults.timed = {
+      part,
+      partial_partition_at(sim::millis(100), 0, 1, sim::millis(150)),
+      partial_partition_at(sim::millis(140), 0, 1, sim::millis(150)),
+      disk_degrade_at(sim::millis(110), 0, 5.0, sim::millis(90)),
+  };
+  const FleetReport r = run_cluster(s);
+  EXPECT_GT(r.nic_stalls, 0);
+  EXPECT_EQ(digest(r.to_text()), "6859f6333c531828");
+  EXPECT_EQ(r.events_processed, 10530u);
 }
 
 // --- Determinism -------------------------------------------------------------

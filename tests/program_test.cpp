@@ -21,6 +21,7 @@
 #include "fleet/report.h"
 #include "fleet/scenario.h"
 #include "hostk/host_kernel.h"
+#include "report_digest.h"
 
 namespace {
 
@@ -41,6 +42,7 @@ using fleet::ProgramOp;
 using fleet::Scenario;
 using fleet::SyscallProgram;
 using hostk::Syscall;
+using testutil::digest;
 
 FleetReport run_cluster(const Scenario& s) {
   Cluster cluster(s.cluster);
@@ -229,6 +231,8 @@ TEST(ProgramTest, PartitionStallsInFlightProgramNetworkOps) {
   const FleetReport faulted = run_cluster(s);
   const FleetReport control = run_cluster(ctrl);
   EXPECT_GT(faulted.nic_stalls, 0);
+  EXPECT_EQ(digest(faulted.to_text()), "d343722a458c5c97");
+  EXPECT_EQ(faulted.events_processed, 18602u);
   const auto& fp = faulted.by_program.at("kv-server");
   const auto& cp = control.by_program.at("kv-server");
   const std::size_t net = cls_index(OpClass::kNetwork);
