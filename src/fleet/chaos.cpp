@@ -273,84 +273,49 @@ void validate_host_events(const Scenario& s, int initial_hosts) {
   }
 }
 
-std::vector<std::vector<PartitionWindow>> build_partition_windows(
-    const std::vector<ResolvedFault>& faults, int initial_hosts) {
-  std::vector<std::vector<PartitionWindow>> windows;
-  bool any = false;
-  for (const ResolvedFault& f : faults) {
-    any = any || f.kind == Fault::Kind::kPartition;
+std::vector<std::vector<FaultWindow>> build_windows(
+    const std::vector<ResolvedFault>& faults, int initial_hosts,
+    Fault::Kind kind) {
+  std::vector<std::vector<FaultWindow>> windows;
+  if (std::none_of(faults.begin(), faults.end(),
+                   [kind](const ResolvedFault& f) { return f.kind == kind; })) {
+    return windows;  // empty: fault-free paths stay zero-cost
   }
-  if (!any) {
-    return windows;  // empty: fault-free NIC paths stay zero-cost
-  }
+  const bool pair = kind == Fault::Kind::kPartialPartition;
   windows.resize(static_cast<std::size_t>(initial_hosts));
   for (const ResolvedFault& f : faults) {
-    if (f.kind != Fault::Kind::kPartition) {
+    if (f.kind != kind) {
       continue;
     }
-    for (const int h : f.hosts) {
-      windows[static_cast<std::size_t>(h)].push_back(
-          PartitionWindow{f.time, f.time + f.duration});
+    FaultWindow w{f.time, f.time + f.duration};
+    w.fault = f.id;
+    if (kind == Fault::Kind::kDiskDegrade) {
+      w.multiplier = f.degrade;
     }
-  }
-  for (auto& w : windows) {
-    std::sort(w.begin(), w.end(),
-              [](const PartitionWindow& a, const PartitionWindow& b) {
-                return a.start < b.start;
-              });
-    // Coalesce overlaps so stalled_completion walks disjoint windows.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      if (kept > 0 && w[i].start <= w[kept - 1].end) {
-        w[kept - 1].end = std::max(w[kept - 1].end, w[i].end);
-      } else {
-        w[kept++] = w[i];
+    for (const int h : f.hosts) {
+      if (!pair) {
+        windows[static_cast<std::size_t>(h)].push_back(w);
+        continue;
       }
-    }
-    w.resize(kept);
-  }
-  return windows;
-}
-
-sim::Nanos stalled_completion(const std::vector<PartitionWindow>& windows,
-                              sim::Nanos start, sim::Nanos work) {
-  sim::Nanos at = start;
-  sim::Nanos left = work;
-  for (const PartitionWindow& w : windows) {
-    if (w.end <= at) {
-      continue;  // already past this window
-    }
-    const sim::Nanos gap = w.start > at ? w.start - at : 0;
-    if (gap >= left) {
-      break;  // finishes before the next stall begins
-    }
-    left -= gap;
-    at = w.end;  // frozen for the rest of the window
-  }
-  return at + left;
-}
-
-std::vector<std::vector<DegradeWindow>> build_degrade_windows(
-    const std::vector<ResolvedFault>& faults, int initial_hosts) {
-  std::vector<std::vector<DegradeWindow>> windows;
-  bool any = false;
-  for (const ResolvedFault& f : faults) {
-    any = any || f.kind == Fault::Kind::kDiskDegrade;
-  }
-  if (!any) {
-    return windows;  // empty: fault-free disk paths stay zero-cost
-  }
-  windows.resize(static_cast<std::size_t>(initial_hosts));
-  for (const ResolvedFault& f : faults) {
-    if (f.kind != Fault::Kind::kDiskDegrade) {
-      continue;
-    }
-    for (const int h : f.hosts) {
-      windows[static_cast<std::size_t>(h)].push_back(
-          DegradeWindow{f.time, f.time + f.duration, f.degrade, f.id});
+      // Both directions: the cut is symmetric, so an op on either side
+      // stalls when its drawn far end is across the cut.
+      w.peer = f.peer;
+      windows[static_cast<std::size_t>(h)].push_back(w);
+      w.peer = h;
+      windows[static_cast<std::size_t>(f.peer)].push_back(w);
     }
   }
   for (auto& w : windows) {
+    if (pair) {
+      // Cuts of different pairs may overlap; stretched_completion filters
+      // by peer, so they stay one window per fault.
+      std::sort(w.begin(), w.end(),
+                [](const FaultWindow& a, const FaultWindow& b) {
+                  return a.start != b.start ? a.start < b.start
+                                            : a.peer < b.peer;
+                });
+      continue;
+    }
     if (w.size() <= 1) {
       continue;
     }
@@ -358,16 +323,16 @@ std::vector<std::vector<DegradeWindow>> build_degrade_windows(
     // worst multiplier wins inside each piece, earliest fault id keeps the
     // attribution so verdicts stay stable under reordering.
     std::vector<sim::Nanos> cuts;
-    for (const DegradeWindow& d : w) {
+    for (const FaultWindow& d : w) {
       cuts.push_back(d.start);
       cuts.push_back(d.end);
     }
     std::sort(cuts.begin(), cuts.end());
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-    std::vector<DegradeWindow> flat;
+    std::vector<FaultWindow> flat;
     for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-      DegradeWindow piece{cuts[i], cuts[i + 1], 1.0, -1};
-      for (const DegradeWindow& d : w) {
+      FaultWindow piece{cuts[i], cuts[i + 1]};
+      for (const FaultWindow& d : w) {
         if (d.start <= piece.start && d.end >= piece.end &&
             (piece.fault < 0 || d.multiplier > piece.multiplier)) {
           piece.multiplier = d.multiplier;
@@ -390,98 +355,38 @@ std::vector<std::vector<DegradeWindow>> build_degrade_windows(
   return windows;
 }
 
-sim::Nanos degraded_completion(const std::vector<DegradeWindow>& windows,
-                               sim::Nanos start, sim::Nanos work,
-                               int* fault) {
+sim::Nanos stretched_completion(const std::vector<FaultWindow>& windows,
+                                sim::Nanos start, sim::Nanos work, int peer,
+                                int* fault) {
   if (fault != nullptr) {
     *fault = -1;
   }
   sim::Nanos at = start;
   sim::Nanos left = work;
-  for (const DegradeWindow& w : windows) {
-    if (left <= 0) {
-      break;
-    }
-    if (w.end <= at) {
-      continue;  // already past this window
+  for (const FaultWindow& w : windows) {
+    if (w.peer != peer || w.end <= at) {
+      continue;  // another pair's cut, or already past this window
     }
     const sim::Nanos gap = w.start > at ? w.start - at : 0;
     if (gap >= left) {
-      break;  // finishes before the next degraded stretch begins
+      break;  // finishes before the next window opens
     }
     left -= gap;
     at += gap;
-    // Inside the window disk work progresses at 1/multiplier: the span
-    // until w.end completes span/multiplier worth of work.
-    const sim::Nanos span = w.end - at;
-    const sim::Nanos can = static_cast<sim::Nanos>(
-        static_cast<double>(span) / w.multiplier);
     if (fault != nullptr && *fault < 0 && w.multiplier > 1.0) {
       *fault = w.fault;
     }
+    // The span until w.end completes span/multiplier worth of work: none
+    // at all in a frozen window, which can therefore never finish inside.
+    const sim::Nanos span = w.end - at;
+    const sim::Nanos can = static_cast<sim::Nanos>(
+        static_cast<double>(span) / w.multiplier);
     if (left <= can) {
       return at + static_cast<sim::Nanos>(static_cast<double>(left) *
                                           w.multiplier);
     }
     left -= can;
     at = w.end;
-  }
-  return at + left;
-}
-
-std::vector<std::vector<PairWindow>> build_pair_windows(
-    const std::vector<ResolvedFault>& faults, int initial_hosts) {
-  std::vector<std::vector<PairWindow>> windows;
-  bool any = false;
-  for (const ResolvedFault& f : faults) {
-    any = any || f.kind == Fault::Kind::kPartialPartition;
-  }
-  if (!any) {
-    return windows;  // empty: fault-free peer paths stay zero-cost
-  }
-  windows.resize(static_cast<std::size_t>(initial_hosts));
-  for (const ResolvedFault& f : faults) {
-    if (f.kind != Fault::Kind::kPartialPartition) {
-      continue;
-    }
-    // Both directions: the cut is symmetric, so an op on either side
-    // stalls when its drawn far end is across the cut.
-    for (const int h : f.hosts) {
-      windows[static_cast<std::size_t>(h)].push_back(
-          PairWindow{f.time, f.time + f.duration, f.peer, f.id});
-      windows[static_cast<std::size_t>(f.peer)].push_back(
-          PairWindow{f.time, f.time + f.duration, h, f.id});
-    }
-  }
-  for (auto& w : windows) {
-    std::sort(w.begin(), w.end(), [](const PairWindow& a, const PairWindow& b) {
-      return a.start != b.start ? a.start < b.start : a.peer < b.peer;
-    });
-  }
-  return windows;
-}
-
-sim::Nanos pair_stalled_completion(const std::vector<PairWindow>& windows,
-                                   int peer, sim::Nanos start,
-                                   sim::Nanos work, int* fault) {
-  if (fault != nullptr) {
-    *fault = -1;
-  }
-  sim::Nanos at = start;
-  sim::Nanos left = work;
-  for (const PairWindow& w : windows) {
-    if (w.peer != peer || w.end <= at) {
-      continue;  // a different pair, or already past this window
-    }
-    const sim::Nanos gap = w.start > at ? w.start - at : 0;
-    if (gap >= left) {
-      break;  // finishes before the cut opens (windows sorted by start)
-    }
-    if (fault != nullptr && *fault < 0) {
-      *fault = w.fault;
-    }
-    left -= gap;
-    at = w.end;  // frozen while the pair is cut
   }
   return at + left;
 }

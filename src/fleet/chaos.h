@@ -46,6 +46,7 @@
 // `degraded:` section (DegradeVerdict), not the crash-recovery section.
 #pragma once
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -168,77 +169,42 @@ std::vector<ResolvedFault> resolve_faults(const Scenario& s,
 /// with a clear error. Throws std::invalid_argument.
 void validate_host_events(const Scenario& s, int initial_hosts);
 
-/// Half-open window [start, end) during which a host's NIC makes no
-/// progress.
-struct PartitionWindow {
+/// Half-open window [start, end) during which one host's work progresses
+/// at 1/multiplier speed. An infinite multiplier (the default) freezes
+/// progress outright. `peer` >= 0 limits the window to traffic whose drawn
+/// far end is that host; -1 covers all of the host's work. `fault` is the
+/// ResolvedFault id that opened the window, for DegradeVerdict attribution.
+struct FaultWindow {
   sim::Nanos start = 0;
   sim::Nanos end = 0;
-};
-
-/// Per-host partition windows (indexed by initial-topology host index),
-/// sorted and coalesced. Empty when the schedule has no partitions, so
-/// fault-free runs pay nothing. Immutable for the whole run.
-std::vector<std::vector<PartitionWindow>> build_partition_windows(
-    const std::vector<ResolvedFault>& faults, int initial_hosts);
-
-/// Completion instant of `work` nanoseconds of NIC-bound progress starting
-/// at `start`, with progress frozen inside every window: the completion
-/// stretches by exactly the partition overlap. Windows must be sorted and
-/// non-overlapping (build_partition_windows guarantees both).
-sim::Nanos stalled_completion(const std::vector<PartitionWindow>& windows,
-                              sim::Nanos start, sim::Nanos work);
-
-/// Half-open window [start, end) during which a host's NVMe runs at
-/// 1/multiplier throughput. `fault` is the ResolvedFault id that opened
-/// the window, for DegradeVerdict attribution.
-struct DegradeWindow {
-  sim::Nanos start = 0;
-  sim::Nanos end = 0;
-  double multiplier = 1.0;
+  double multiplier = std::numeric_limits<double>::infinity();
   int fault = -1;
-};
-
-/// Per-host disk-degrade windows (indexed by initial-topology host index),
-/// sorted and split into disjoint pieces; where windows overlap the worst
-/// (largest) multiplier wins and the earliest fault id keeps attribution.
-/// Empty when the schedule has no disk degrades. Immutable for the whole
-/// run.
-std::vector<std::vector<DegradeWindow>> build_degrade_windows(
-    const std::vector<ResolvedFault>& faults, int initial_hosts);
-
-/// Completion instant of `work` nanoseconds of disk-bound progress starting
-/// at `start`, with progress slowed to 1/multiplier inside every window:
-/// the completion stretches by (multiplier - 1) x the degraded share of the
-/// work. Windows must be sorted and disjoint (build_degrade_windows
-/// guarantees both). If `fault` is non-null it receives the id of the first
-/// window that actually slowed this span, or -1.
-sim::Nanos degraded_completion(const std::vector<DegradeWindow>& windows,
-                               sim::Nanos start, sim::Nanos work,
-                               int* fault = nullptr);
-
-/// Half-open window [start, end) during which the pair {host, peer} is
-/// unreachable. Stored per host (both directions), so a network op on
-/// `host` whose drawn far end is `peer` stalls until the window closes.
-struct PairWindow {
-  sim::Nanos start = 0;
-  sim::Nanos end = 0;
   int peer = -1;
-  int fault = -1;
 };
 
-/// Per-host partial-partition windows (indexed by initial-topology host
-/// index), each listing the {peer, window} cuts affecting that host,
-/// sorted by start. Empty when the schedule has no partial partitions.
-/// Immutable for the whole run.
-std::vector<std::vector<PairWindow>> build_pair_windows(
-    const std::vector<ResolvedFault>& faults, int initial_hosts);
+/// Per-host windows (indexed by initial-topology host index) for every
+/// fault of `kind`: kPartition (frozen), kDiskDegrade (the fault's
+/// multiplier) or kPartialPartition (frozen, one window per fault on each
+/// end of the pair, peer set to the other end, sorted by start then peer).
+/// A host's partition and disk-degrade windows are split into disjoint
+/// pieces, sorted by start: where windows overlap the worst multiplier
+/// wins and the earliest fault keeps attribution. Empty when the schedule
+/// has no fault of `kind`, so fault-free runs pay nothing. Immutable for
+/// the whole run.
+std::vector<std::vector<FaultWindow>> build_windows(
+    const std::vector<ResolvedFault>& faults, int initial_hosts,
+    Fault::Kind kind);
 
-/// Completion instant of `work` nanoseconds of NIC-bound progress from
-/// `start` on a host whose drawn far end is `peer`: progress freezes while
-/// any window cutting {host, peer} is open. If `fault` is non-null it
-/// receives the id of the first window that stalled this span, or -1.
-sim::Nanos pair_stalled_completion(const std::vector<PairWindow>& windows,
-                                   int peer, sim::Nanos start,
-                                   sim::Nanos work, int* fault = nullptr);
+/// Completion instant of `work` nanoseconds of progress starting at
+/// `start`, where progress inside each window matching `peer` runs at
+/// 1/multiplier: a degraded window stretches the completion by
+/// (multiplier - 1) x the work done inside it, and a frozen one by the
+/// whole overlap. Matching windows must be sorted by start; overlapping
+/// ones must be frozen (build_windows guarantees both). If `fault` is
+/// non-null it receives the id of the first window with multiplier > 1
+/// that the work reached, or -1.
+sim::Nanos stretched_completion(const std::vector<FaultWindow>& windows,
+                                sim::Nanos start, sim::Nanos work,
+                                int peer = -1, int* fault = nullptr);
 
 }  // namespace fleet

@@ -396,13 +396,9 @@ sim::Nanos FleetEngine::boot_physics(Shard& sh, Tenant& t, const Scenario& s,
   // on this host; a fully cache-resident boot touches neither the device
   // nor the wire.
   if (misses > 0) {
-    if (sh.rollup.host < static_cast<int>(degrades_.size())) {
-      total = degraded_completion(
-                  degrades_[static_cast<std::size_t>(sh.rollup.host)],
-                  arrival, total) -
-              arrival;
-    }
-    const sim::Nanos stalled = partition_stall(sh.rollup.host, arrival, total);
+    total = stretch(degrades_, sh.rollup.host, arrival, total);
+    const sim::Nanos stalled = stretch(partitions_, sh.rollup.host, arrival,
+                                       total);
     if (stalled != total) {
       ++sh.rollup.nic_stalls;
       total = stalled;
@@ -693,30 +689,17 @@ sim::Nanos FleetEngine::program_op_cost(Tenant& t, const ProgramOp& op,
   }
   auto total =
       static_cast<sim::Nanos>(static_cast<double>(cost) * sh.cpu_factor());
-  if (touched_disk &&
-      sh.rollup.host < static_cast<int>(degrades_.size())) {
+  const sim::Nanos begin = t.clock.now();
+  if (touched_disk) {
     // Disk work progresses at 1/multiplier inside a degrade window: the
     // completion stretches by exactly the degraded share of the overlap.
-    const sim::Nanos begin = t.clock.now();
-    int dfault = -1;
-    const sim::Nanos done = degraded_completion(
-        degrades_[static_cast<std::size_t>(sh.rollup.host)], begin, total,
-        &dfault);
-    if (done != begin + total) {
-      if (impact) {
-        if (impact->fault < 0) {
-          impact->fault = dfault;
-        }
-        impact->added += done - (begin + total);
-      }
-      total = done - begin;
-    }
+    total = stretch(degrades_, sh.rollup.host, begin, total, -1, impact);
   }
   if (cls == OpClass::kNetwork && payload > 0) {
     // Same rule as statistical network phases: a partition freezes NIC
     // progress and the op stretches by exactly the window overlap.
     const sim::Nanos stalled =
-        partition_stall(sh.rollup.host, t.clock.now(), total);
+        stretch(partitions_, sh.rollup.host, begin, total);
     if (stalled != total) {
       ++sh.rollup.nic_stalls;
       total = stalled;
@@ -724,30 +707,18 @@ sim::Nanos FleetEngine::program_op_cost(Tenant& t, const ProgramOp& op,
     if (!pairs_.empty()) {
       // Partial partitions cut host *pairs*: draw the far end uniformly
       // over the initial topology, self included (self = host-local
-      // traffic that never crosses the cut). The op stalls only when the
-      // drawn peer sits across an open cut — so a later re-issue's fresh
-      // draw can route around it.
+      // traffic, which no cut matches). The op stalls only when the drawn
+      // peer sits across an open cut — so a later re-issue's fresh draw
+      // can route around it.
       const int n = static_cast<int>(pairs_.size());
       const int peer = std::min(
           n - 1, static_cast<int>(t.rng.next_double() *
                                   static_cast<double>(n)));
-      const int host = sh.rollup.host;
-      if (host < n && peer != host) {
-        const sim::Nanos begin = t.clock.now();
-        int pfault = -1;
-        const sim::Nanos done = pair_stalled_completion(
-            pairs_[static_cast<std::size_t>(host)], peer, begin, total,
-            &pfault);
-        if (done != begin + total) {
-          ++sh.rollup.nic_stalls;
-          if (impact) {
-            if (impact->fault < 0) {
-              impact->fault = pfault;
-            }
-            impact->added += done - (begin + total);
-          }
-          total = done - begin;
-        }
+      const sim::Nanos cut =
+          stretch(pairs_, sh.rollup.host, begin, total, peer, impact);
+      if (cut != total) {
+        ++sh.rollup.nic_stalls;
+        total = cut;
       }
     }
   }
@@ -1200,18 +1171,26 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
   }
 }
 
-sim::Nanos FleetEngine::partition_stall(int host, sim::Nanos start,
-                                        sim::Nanos duration) const {
-  // Hosts added mid-run sit past the initial topology and are never
-  // partition targets, so indexing can simply bounds-check.
-  if (partitions_.empty() || host >= static_cast<int>(partitions_.size())) {
-    return duration;
+sim::Nanos FleetEngine::stretch(
+    const std::vector<std::vector<FaultWindow>>& windows, int host,
+    sim::Nanos begin, sim::Nanos total, int peer, OpImpact* impact) {
+  // Hosts added mid-run sit past the initial topology and are never fault
+  // targets, so indexing can simply bounds-check.
+  if (host >= static_cast<int>(windows.size())) {
+    return total;
   }
-  const auto& windows = partitions_[static_cast<std::size_t>(host)];
-  if (windows.empty()) {
-    return duration;
+  int fault = -1;
+  const sim::Nanos stretched =
+      stretched_completion(windows[static_cast<std::size_t>(host)], begin,
+                           total, peer, impact != nullptr ? &fault : nullptr) -
+      begin;
+  if (impact != nullptr && stretched != total) {
+    if (impact->fault < 0) {
+      impact->fault = fault;
+    }
+    impact->added += stretched - total;
   }
-  return stalled_completion(windows, start, duration) - start;
+  return stretched;
 }
 
 void FleetEngine::note_crash_loss(Tenant& t) {
@@ -1286,7 +1265,7 @@ sim::Nanos FleetEngine::phase_cost(Tenant& t, WorkloadClass w,
     // start here — start_phase advances the clock by this function's
     // return value.
     const sim::Nanos stalled =
-        partition_stall(sh.rollup.host, t.clock.now(), total);
+        stretch(partitions_, sh.rollup.host, t.clock.now(), total);
     if (stalled != total) {
       ++sh.rollup.nic_stalls;
       total = stalled;
@@ -1482,7 +1461,8 @@ FleetReport FleetEngine::run(const Scenario& s) {
   // Up-front validation and fault resolution (chaos.h): out-of-range host
   // indices, negative times and malformed racks throw here with a clear
   // message instead of corrupting state deep in the event loop.
-  validate_host_events(s, static_cast<int>(shards_.size()));
+  const int initial_hosts = static_cast<int>(shards_.size());
+  validate_host_events(s, initial_hosts);
   for (std::size_t i = 1; i < s.population.size(); ++i) {
     // The lazy arrival seeding below assumes arrival order; a router hands
     // cells populations it keeps sorted, so a violation is a caller bug.
@@ -1491,11 +1471,11 @@ FleetReport FleetEngine::run(const Scenario& s) {
           "FleetEngine::run: explicit population must be sorted by arrival");
     }
   }
-  faults_ = resolve_faults(s, static_cast<int>(shards_.size()));
-  partitions_ =
-      build_partition_windows(faults_, static_cast<int>(shards_.size()));
-  degrades_ = build_degrade_windows(faults_, static_cast<int>(shards_.size()));
-  pairs_ = build_pair_windows(faults_, static_cast<int>(shards_.size()));
+  faults_ = resolve_faults(s, initial_hosts);
+  partitions_ = build_windows(faults_, initial_hosts, Fault::Kind::kPartition);
+  degrades_ = build_windows(faults_, initial_hosts, Fault::Kind::kDiskDegrade);
+  pairs_ =
+      build_windows(faults_, initial_hosts, Fault::Kind::kPartialPartition);
   queue_ = EventQueue{};
   report_ = FleetReport{};
   report_.scenario = s.name;

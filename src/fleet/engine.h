@@ -284,10 +284,15 @@ class FleetEngine {
   /// host from placement, and re-inject the victims as jittered arrivals.
   void crash_shard(int index, const ResolvedFault& f, sim::Nanos now,
                    sim::Rng& frng, FleetReport::RecoveryVerdict& v);
-  /// Stretch of a NIC-bound completion by the host's partition windows;
-  /// `duration` unchanged when none overlap.
-  sim::Nanos partition_stall(int host, sim::Nanos start,
-                             sim::Nanos duration) const;
+  /// Duration of `total` ns of work begun at `begin` on `host`, stretched
+  /// by that host's windows in `windows` (partitions_, degrades_ or pairs_)
+  /// that match `peer`; `total` unchanged when none overlap. If `impact` is
+  /// non-null and the work was stretched, the first slowing fault and the
+  /// added delay are folded into it.
+  static sim::Nanos stretch(
+      const std::vector<std::vector<FaultWindow>>& windows, int host,
+      sim::Nanos begin, sim::Nanos total, int peer = -1,
+      OpImpact* impact = nullptr);
   /// Recovery bookkeeping when a crash victim's re-arrival is rejected:
   /// the tenant is permanently lost. (Re-admission is counted where the
   /// re-boot completes — handle_boot_done — so a victim drain-migrated
@@ -351,14 +356,15 @@ class FleetEngine {
   /// scenario injects none. Written once before the loop starts, immutable
   /// after.
   std::vector<ResolvedFault> faults_;
-  /// Per-host partition windows (initial-topology indices only; hosts
-  /// added mid-run are never partition targets).
-  std::vector<std::vector<PartitionWindow>> partitions_;
-  /// Per-host disk-degrade and partial-partition windows (chaos.h), built
-  /// next to partitions_ and equally immutable. Both empty when no fault
-  /// of that kind is scheduled, so fault-free runs pay (and draw) nothing.
-  std::vector<std::vector<DegradeWindow>> degrades_;
-  std::vector<std::vector<PairWindow>> pairs_;
+  /// Per-host fault windows (chaos.h build_windows), one list per kind and
+  /// immutable for the run: partitions freeze the host's NIC work,
+  /// degrades slow its NVMe work, and pairs freeze network work whose drawn
+  /// far end is the window's peer. Indexed by initial-topology host; hosts
+  /// added mid-run are never fault targets. Each is empty when no fault of
+  /// its kind is scheduled, so fault-free runs pay (and draw) nothing.
+  std::vector<std::vector<FaultWindow>> partitions_;
+  std::vector<std::vector<FaultWindow>> degrades_;
+  std::vector<std::vector<FaultWindow>> pairs_;
   /// Fault id -> index into report_.recovery (crash kinds) or
   /// report_.degraded (degrade kinds); -1 for the other family. Neither
   /// verdict vector is indexable by fault id once the families interleave

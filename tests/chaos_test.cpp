@@ -22,19 +22,19 @@
 
 namespace {
 
-using fleet::build_partition_windows;
+using fleet::build_windows;
 using fleet::Cluster;
 using fleet::Fault;
 using fleet::FaultSpec;
+using fleet::FaultWindow;
 using fleet::FleetEngine;
 using fleet::FleetReport;
 using fleet::HostEvent;
-using fleet::PartitionWindow;
 using fleet::PlacementKind;
 using fleet::resolve_faults;
 using fleet::ResolvedFault;
 using fleet::Scenario;
-using fleet::stalled_completion;
+using fleet::stretched_completion;
 using fleet::validate_host_events;
 using testutil::digest;
 
@@ -63,57 +63,75 @@ Fault crash_at(sim::Nanos time, int host) {
   return f;
 }
 
-// --- stalled_completion math -------------------------------------------------
+// --- Frozen-window math (partitions) ----------------------------------------
 
 TEST(ChaosTest, StalledCompletionStretchesByExactOverlap) {
-  const std::vector<PartitionWindow> w = {{10, 20}};
+  const std::vector<FaultWindow> w = {{10, 20}};
   // Starts at 5, runs 5 of its 10 units, freezes for [10,20), finishes the
   // remaining 5 at 25.
-  EXPECT_EQ(stalled_completion(w, 5, 10), 25);
+  EXPECT_EQ(stretched_completion(w, 5, 10), 25);
   // Starting inside the window: all progress waits for the heal.
-  EXPECT_EQ(stalled_completion(w, 12, 3), 23);
+  EXPECT_EQ(stretched_completion(w, 12, 3), 23);
   // Finished before the window opens: untouched.
-  EXPECT_EQ(stalled_completion(w, 0, 10), 10);
+  EXPECT_EQ(stretched_completion(w, 0, 10), 10);
   // Starting after the window closed: untouched.
-  EXPECT_EQ(stalled_completion(w, 25, 10), 35);
+  EXPECT_EQ(stretched_completion(w, 25, 10), 35);
   // No windows at all: degenerate identity.
-  EXPECT_EQ(stalled_completion({}, 7, 10), 17);
+  EXPECT_EQ(stretched_completion({}, 7, 10), 17);
 }
 
 TEST(ChaosTest, StalledCompletionWalksMultipleWindows) {
-  const std::vector<PartitionWindow> w = {{10, 20}, {30, 40}};
+  const std::vector<FaultWindow> w = {{10, 20}, {30, 40}};
   // 5 units to the first window, frozen to 20, 10 more units to 30, frozen
   // to 40, the last 5 end at 45.
-  EXPECT_EQ(stalled_completion(w, 5, 20), 45);
+  EXPECT_EQ(stretched_completion(w, 5, 20), 45);
   // Ends exactly when the second window opens: not stalled by it.
-  EXPECT_EQ(stalled_completion(w, 5, 15), 30);
+  EXPECT_EQ(stretched_completion(w, 5, 15), 30);
 }
 
 TEST(ChaosTest, BuildPartitionWindowsSortsAndCoalesces) {
   ResolvedFault a;
+  a.id = 1;
   a.kind = Fault::Kind::kPartition;
   a.time = 30;
   a.duration = 20;
   a.hosts = {0};
   ResolvedFault b;
+  b.id = 0;
   b.kind = Fault::Kind::kPartition;
   b.time = 10;
   b.duration = 25;  // [10, 35) overlaps [30, 50): one window [10, 50)
   b.hosts = {0};
-  const auto windows = build_partition_windows({a, b}, 2);
+  const auto windows = build_windows({a, b}, 2, Fault::Kind::kPartition);
   ASSERT_EQ(windows.size(), 2u);
-  ASSERT_EQ(windows[0].size(), 1u);
-  EXPECT_EQ(windows[0][0].start, 10);
-  EXPECT_EQ(windows[0][0].end, 50);
   EXPECT_TRUE(windows[1].empty());
+  // Two faults stay two disjoint frozen pieces, sorted by start, that
+  // complete every span exactly like the coalesced window [10, 50).
+  ASSERT_FALSE(windows[0].empty());
+  EXPECT_EQ(windows[0].front().start, 10);
+  EXPECT_EQ(windows[0].back().end, 50);
+  const std::vector<FaultWindow> coalesced = {{10, 50}};
+  for (sim::Nanos start = 0; start <= 60; start += 5) {
+    for (sim::Nanos work = 0; work <= 40; work += 5) {
+      EXPECT_EQ(stretched_completion(windows[0], start, work),
+                stretched_completion(coalesced, start, work))
+          << "start " << start << " work " << work;
+    }
+  }
+  // Pieces of one fault merge back into a single window.
+  a.id = 0;
+  const auto merged = build_windows({a, b}, 2, Fault::Kind::kPartition);
+  ASSERT_EQ(merged[0].size(), 1u);
+  EXPECT_EQ(merged[0][0].start, 10);
+  EXPECT_EQ(merged[0][0].end, 50);
 }
 
 TEST(ChaosTest, BuildPartitionWindowsEmptyWithoutPartitions) {
   ResolvedFault crash;
   crash.kind = Fault::Kind::kCrash;
   crash.hosts = {0};
-  EXPECT_TRUE(build_partition_windows({crash}, 4).empty());
-  EXPECT_TRUE(build_partition_windows({}, 4).empty());
+  EXPECT_TRUE(build_windows({crash}, 4, Fault::Kind::kPartition).empty());
+  EXPECT_TRUE(build_windows({}, 4, Fault::Kind::kPartition).empty());
 }
 
 // --- Up-front validation -----------------------------------------------------

@@ -8,6 +8,7 @@
 // runs.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,23 +26,20 @@
 
 namespace {
 
-using fleet::build_degrade_windows;
-using fleet::build_pair_windows;
+using fleet::build_windows;
 using fleet::Cluster;
-using fleet::degraded_completion;
-using fleet::DegradeWindow;
 using fleet::FaultSpec;
 using fleet::Fault;
+using fleet::FaultWindow;
 using fleet::FederatedScenario;
 using fleet::Federation;
 using fleet::FederationReport;
 using fleet::FleetEngine;
 using fleet::FleetReport;
-using fleet::pair_stalled_completion;
-using fleet::PairWindow;
 using fleet::resolve_faults;
 using fleet::ResolvedFault;
 using fleet::Scenario;
+using fleet::stretched_completion;
 using testutil::digest;
 
 FleetReport run_cluster(const Scenario& s) {
@@ -80,26 +78,26 @@ Fault partial_partition_at(sim::Nanos time, int host, int peer,
   return f;
 }
 
-// --- degraded_completion math ------------------------------------------------
+// --- Degraded and per-pair window math --------------------------------------
 
 TEST(DegradedTest, DegradedCompletionStretchesByDegradedShare) {
-  const std::vector<DegradeWindow> w = {{100, 200, 4.0, 7}};
+  const std::vector<FaultWindow> w = {{100, 200, 4.0, 7}};
   int fault = -1;
   // 100 units undegraded to t=100; the window [100,200) completes only
   // 100/4 = 25 units, the remaining 25 finish after the heal at 225.
-  EXPECT_EQ(degraded_completion(w, 0, 150, &fault), 225);
+  EXPECT_EQ(stretched_completion(w, 0, 150, -1, &fault), 225);
   EXPECT_EQ(fault, 7);
   // Finishing inside the window: the last 10 units run at 4x.
-  EXPECT_EQ(degraded_completion(w, 0, 110, &fault), 140);
+  EXPECT_EQ(stretched_completion(w, 0, 110, -1, &fault), 140);
   EXPECT_EQ(fault, 7);
   // Entirely before the window: untouched, no attribution.
-  EXPECT_EQ(degraded_completion(w, 0, 100, &fault), 100);
+  EXPECT_EQ(stretched_completion(w, 0, 100, -1, &fault), 100);
   EXPECT_EQ(fault, -1);
   // Entirely after the window: untouched.
-  EXPECT_EQ(degraded_completion(w, 250, 40, &fault), 290);
+  EXPECT_EQ(stretched_completion(w, 250, 40, -1, &fault), 290);
   EXPECT_EQ(fault, -1);
   // No windows: degenerate identity.
-  EXPECT_EQ(degraded_completion({}, 5, 10), 15);
+  EXPECT_EQ(stretched_completion({}, 5, 10), 15);
 }
 
 TEST(DegradedTest, BuildDegradeWindowsSplitsOverlapsWorstWins) {
@@ -117,7 +115,7 @@ TEST(DegradedTest, BuildDegradeWindowsSplitsOverlapsWorstWins) {
   b.duration = 100;  // [50, 150) x6 overlaps [0, 100) x2
   b.degrade = 6.0;
   b.hosts = {0};
-  const auto windows = build_degrade_windows({a, b}, 2);
+  const auto windows = build_windows({a, b}, 2, Fault::Kind::kDiskDegrade);
   ASSERT_EQ(windows.size(), 2u);
   ASSERT_EQ(windows[0].size(), 2u);
   EXPECT_EQ(windows[0][0].start, 0);
@@ -136,21 +134,23 @@ TEST(DegradedTest, BuildDegradeWindowsEmptyWithoutDiskDegrades) {
   ResolvedFault crash;
   crash.kind = Fault::Kind::kCrash;
   crash.hosts = {0};
-  EXPECT_TRUE(build_degrade_windows({crash}, 4).empty());
-  EXPECT_TRUE(build_degrade_windows({}, 4).empty());
+  EXPECT_TRUE(build_windows({crash}, 4, Fault::Kind::kDiskDegrade).empty());
+  EXPECT_TRUE(build_windows({}, 4, Fault::Kind::kDiskDegrade).empty());
 }
 
 TEST(DegradedTest, PairStalledCompletionFreezesMatchingPairOnly) {
-  const std::vector<PairWindow> w = {{100, 200, /*peer=*/1, /*fault=*/3}};
+  const std::vector<FaultWindow> w = {
+      {100, 200, std::numeric_limits<double>::infinity(), /*fault=*/3,
+       /*peer=*/1}};
   int fault = -1;
   // Drawn peer 1: 50 units to the cut, frozen to 200, the rest end at 250.
-  EXPECT_EQ(pair_stalled_completion(w, 1, 50, 100, &fault), 250);
+  EXPECT_EQ(stretched_completion(w, 50, 100, 1, &fault), 250);
   EXPECT_EQ(fault, 3);
   // A different far end never notices the cut.
-  EXPECT_EQ(pair_stalled_completion(w, 2, 50, 100, &fault), 150);
+  EXPECT_EQ(stretched_completion(w, 50, 100, 2, &fault), 150);
   EXPECT_EQ(fault, -1);
   // Finishes exactly when the cut opens: not stalled.
-  EXPECT_EQ(pair_stalled_completion(w, 1, 50, 50, &fault), 100);
+  EXPECT_EQ(stretched_completion(w, 50, 50, 1, &fault), 100);
   EXPECT_EQ(fault, -1);
 }
 
@@ -162,7 +162,7 @@ TEST(DegradedTest, PairWindowsAreSymmetric) {
   f.duration = 20;
   f.hosts = {0};
   f.peer = 2;
-  const auto windows = build_pair_windows({f}, 3);
+  const auto windows = build_windows({f}, 3, Fault::Kind::kPartialPartition);
   ASSERT_EQ(windows.size(), 3u);
   ASSERT_EQ(windows[0].size(), 1u);
   EXPECT_EQ(windows[0][0].peer, 2);
