@@ -74,8 +74,8 @@ std::uint64_t image_file_id(PlatformId id) {
 constexpr std::uint64_t kProgramFileBase = 0x509A'0000'0000ull;
 constexpr std::uint64_t kProgramSharedBase = 0xA119'0000'0000ull;
 
-std::uint64_t program_file_id(const FleetEngine&, std::uint64_t tenant,
-                              int program, bool shared) {
+std::uint64_t program_file_id(std::uint64_t tenant, int program,
+                              bool shared) {
   return shared ? kProgramSharedBase + static_cast<std::uint64_t>(program)
                 : kProgramFileBase + tenant;
 }
@@ -550,20 +550,18 @@ FleetEngine::OpIssue FleetEngine::issue_program_op(Tenant& t,
                                                    const Scenario& s) {
   OpIssue issue;
   const sim::Nanos slo = s.op_slo_ms;
-  const int max_retries = op.max_retries > 0 ? op.max_retries
-                                             : s.op_max_retries;
-  const sim::Nanos backoff_base =
-      op.backoff_base_ms > 0 ? op.backoff_base_ms : s.op_backoff_base_ms;
-  const bool can_retry = degraded_accounting_ && max_retries > 0 && slo > 0;
+  const sim::Nanos backoff_base = s.op_backoff_base_ms;
+  const bool can_retry =
+      degraded_accounting_ && s.op_max_retries > 0 && slo > 0;
 
   OpImpact first{};
-  sim::Nanos cost = program_op_cost(t, op, s, &first);
+  sim::Nanos cost = program_op_cost(t, op, &first);
   issue.fault = first.fault;
   // Undisturbed first-attempt cost: the baseline the issue's added-latency
   // sample is judged against.
   const sim::Nanos base0 = cost - first.added;
   sim::Nanos elapsed = 0;
-  while (can_retry && cost > slo && issue.retries < max_retries) {
+  while (can_retry && cost > slo && issue.retries < s.op_max_retries) {
     // The attempt blew its budget: abandon it at the deadline, back off
     // exponentially (jitter from the tenant's own stream so replays are
     // exact), and re-issue. The re-issue recomputes the full cost — fresh
@@ -577,7 +575,7 @@ FleetEngine::OpIssue FleetEngine::issue_program_op(Tenant& t,
     elapsed += slo + backoff;
     ++issue.retries;
     OpImpact again{};
-    cost = program_op_cost(t, op, s, &again);
+    cost = program_op_cost(t, op, &again);
     if (issue.fault < 0) {
       issue.fault = again.fault;
     }
@@ -624,9 +622,7 @@ void FleetEngine::note_op_outcome(std::uint64_t tenant_id,
 }
 
 sim::Nanos FleetEngine::program_op_cost(Tenant& t, const ProgramOp& op,
-                                        const Scenario& s,
                                         OpImpact* impact) {
-  (void)s;
   Shard& sh = shards_[static_cast<std::size_t>(t.host)];
   // The kernel charge is the first-class part: every op dispatches through
   // HostKernel::invoke, so programs light up the same ftrace/HAP machinery
@@ -645,8 +641,7 @@ sim::Nanos FleetEngine::program_op_cost(Tenant& t, const ProgramOp& op,
         // Reads walk the host page cache; only misses touch the NVMe.
         auto& cache = sh.host->page_cache();
         const std::uint64_t misses = cache.access_range(
-            program_file_id(*this, t.id, t.program, op.shared_file), 0,
-            payload);
+            program_file_id(t.id, t.program, op.shared_file), 0, payload);
         if (misses > 0) {
           cost += sh.host->nvme().read(misses * hostk::PageCache::kPageSize,
                                        t.rng);
@@ -667,8 +662,7 @@ sim::Nanos FleetEngine::program_op_cost(Tenant& t, const ProgramOp& op,
         // mmap-backed data faults through the same cache/device path.
         auto& cache = sh.host->page_cache();
         const std::uint64_t misses = cache.access_range(
-            program_file_id(*this, t.id, t.program, op.shared_file), 0,
-            payload);
+            program_file_id(t.id, t.program, op.shared_file), 0, payload);
         if (misses > 0) {
           cost += sh.host->nvme().read(misses * hostk::PageCache::kPageSize,
                                        t.rng);
@@ -911,7 +905,7 @@ int FleetEngine::add_shard(const Scenario& s) {
   return index;
 }
 
-void FleetEngine::drain_shard(int index, const Scenario& s, sim::Nanos now) {
+void FleetEngine::drain_shard(int index, sim::Nanos now) {
   Shard& sh = shards_[static_cast<std::size_t>(index)];
   if (!sh.live) {
     // Already drained or crashed — possibly earlier in this very timestamp
@@ -947,7 +941,6 @@ void FleetEngine::drain_shard(int index, const Scenario& s, sim::Nanos now) {
   if (provisioner_ != nullptr) {
     provisioner_->retire_host(index);
   }
-  (void)s;
 }
 
 void FleetEngine::handle_host_event(const Event& e, const Scenario& s) {
@@ -971,7 +964,7 @@ void FleetEngine::handle_host_event(const Event& e, const Scenario& s) {
     return;  // never drain the last live host or a dead index
   }
   const double fraction = resident_fraction();
-  drain_shard(target, s, e.time);
+  drain_shard(target, e.time);
   record_autoscale(e.time, "drain", target, fraction);
 }
 
@@ -990,7 +983,7 @@ void FleetEngine::handle_autoscale_eval(sim::Nanos now, const Scenario& s) {
     } else if (fraction < a.scale_in_watermark && live > a.min_hosts) {
       const int target = pick_drain_host();
       if (target >= 0) {
-        drain_shard(target, s, now);
+        drain_shard(target, now);
         record_autoscale(now, "scale-in", target, fraction);
         has_scaled_ = true;
         last_scale_ = now;
@@ -1424,29 +1417,6 @@ FleetReport FleetEngine::run(const Scenario& s) {
           "FleetEngine::run: program_mix references an unknown program (use "
           "-1 for the statistical share)");
     }
-    if (share.program >= 0) {
-      // Per-op retry knobs are validated only for reachable programs: the
-      // builtin table is static, but the knobs compose with scenario-wide
-      // defaults, so what is malformed depends on this scenario.
-      for (const ProgramOp& op : builtin_program(share.program).ops) {
-        if (op.max_retries < 0) {
-          throw std::invalid_argument(
-              "FleetEngine::run: program op max_retries must be "
-              "non-negative");
-        }
-        if (op.max_retries > 0 && op.backoff_base_ms <= 0 &&
-            s.op_backoff_base_ms <= 0) {
-          throw std::invalid_argument(
-              "FleetEngine::run: program op max_retries needs a positive "
-              "backoff_base_ms (op-level or scenario-wide)");
-        }
-        if (op.max_retries > 0 && s.op_slo_ms <= 0) {
-          throw std::invalid_argument(
-              "FleetEngine::run: program op max_retries needs a positive "
-              "op_slo_ms");
-        }
-      }
-    }
   }
   if (shards_.size() > 1 && policy_ == nullptr) {
     throw std::invalid_argument(
@@ -1501,16 +1471,6 @@ FleetReport FleetEngine::run(const Scenario& s) {
   degraded_slot_.assign(faults_.size(), -1);
   degrade_affected_.clear();
   degraded_accounting_ = s.op_max_retries > 0;
-  for (const ProgramShare& share : s.program_mix) {
-    if (share.program < 0) {
-      continue;
-    }
-    for (const ProgramOp& op : builtin_program(share.program).ops) {
-      if (op.max_retries > 0) {
-        degraded_accounting_ = true;
-      }
-    }
-  }
   for (const ResolvedFault& f : faults_) {
     if (!is_degrade_kind(f.kind)) {
       continue;

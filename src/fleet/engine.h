@@ -223,7 +223,7 @@ class FleetEngine {
   /// windows, and network ops draw a peer that may sit across a partial
   /// partition. `impact` (optional) receives the degrade attribution.
   sim::Nanos program_op_cost(Tenant& t, const ProgramOp& op,
-                             const Scenario& s, OpImpact* impact = nullptr);
+                             OpImpact* impact = nullptr);
 
   /// Outcome of one op *issue* (the retry loop around program_op_cost):
   /// how many re-issues it took, whether it still blew the SLO with
@@ -268,7 +268,7 @@ class FleetEngine {
 
   // Mid-run topology changes.
   int add_shard(const Scenario& s);
-  void drain_shard(int index, const Scenario& s, sim::Nanos now);
+  void drain_shard(int index, sim::Nanos now);
   int pick_drain_host() const;  // fewest active tenants, ties: highest index
   int live_host_count() const;
   void record_autoscale(sim::Nanos time, const std::string& action, int host,
@@ -372,9 +372,9 @@ class FleetEngine {
   std::vector<int> recovery_slot_;
   std::vector<int> degraded_slot_;
   /// Degraded accounting is live for this run: a degrade-family fault is
-  /// scheduled, or retries are enabled scenario-wide or on any reachable
-  /// program op. Gates every retry/give-up counter and the extra RNG draws
-  /// behind them, so pre-existing scenarios stay byte-identical.
+  /// scheduled, or op retries are enabled. Gates every retry/give-up
+  /// counter and the extra RNG draws behind them, so pre-existing
+  /// scenarios stay byte-identical.
   bool degraded_accounting_ = false;
   /// Distinct tenants disturbed per degraded verdict. Finalized into
   /// DegradeVerdict::affected at run end.

@@ -65,18 +65,6 @@ struct ProgramOp {
   /// cache-shared across its tenants — an image or common dataset) instead
   /// of the tenant-private stream.
   bool shared_file = false;
-  /// Per-op retry budget: when > 0 an issue of this op whose service would
-  /// blow the op SLO (stalled by a partition/degrade window, or just slow)
-  /// times out at the SLO, backs off, and re-issues instead of completing
-  /// late — up to this many times, then the late completion counts as a
-  /// give-up. 0 defers to the scenario-wide TrafficSpec::op_max_retries.
-  int max_retries = 0;
-  /// Base backoff before re-issue number n: backoff_base_ms * 2^(n-1),
-  /// plus a uniform jitter in [0, backoff_base_ms) drawn from the tenant
-  /// RNG. 0 defers to TrafficSpec::op_backoff_base_ms. Must be positive
-  /// whenever max_retries > 0. (sim::Nanos, like op_slo_ms: the _ms name
-  /// states the rendering unit, not the storage unit.)
-  sim::Nanos backoff_base_ms = 0;
 };
 
 /// A named op list run `loops` times end-to-end, then the tenant tears

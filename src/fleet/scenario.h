@@ -210,9 +210,9 @@ struct TrafficKnobs {
   /// service would blow op_slo_ms times out at the budget, backs off
   /// exponentially (op_backoff_base_ms * 2^(n-1) plus uniform jitter from
   /// the tenant RNG) and re-issues, up to this many times; a late
-  /// completion with retries exhausted counts as a give-up. Per-op
-  /// ProgramOp::max_retries overrides this when set. 0 = complete late
-  /// (binary-failure behavior, byte-identical to the historical engine).
+  /// completion with retries exhausted counts as a give-up. 0 = complete
+  /// late (binary-failure behavior, byte-identical to the historical
+  /// engine).
   int op_max_retries = 0;
   /// Base backoff between re-issues (sim::Nanos; see op_slo_ms note). Must
   /// be positive whenever op_max_retries > 0.
