@@ -30,6 +30,42 @@ void validate_racks(const ClusterTopology& topo, int initial_hosts) {
   }
 }
 
+/// One host's windows split into disjoint pieces sorted by start: a
+/// boundary sweep where the worst multiplier wins inside each piece and
+/// the earliest fault keeps the attribution, so verdicts stay stable under
+/// reordering.
+std::vector<FaultWindow> split_overlaps(const std::vector<FaultWindow>& w) {
+  std::vector<sim::Nanos> cuts;
+  for (const FaultWindow& d : w) {
+    cuts.push_back(d.start);
+    cuts.push_back(d.end);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  std::vector<FaultWindow> flat;
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    FaultWindow piece{cuts[i], cuts[i + 1]};
+    for (const FaultWindow& d : w) {
+      if (d.start <= piece.start && d.end >= piece.end &&
+          (piece.fault < 0 || d.multiplier > piece.multiplier)) {
+        piece.multiplier = d.multiplier;
+        piece.fault = d.fault;
+      }
+    }
+    if (piece.fault < 0) {
+      continue;  // gap between windows
+    }
+    if (!flat.empty() && flat.back().end == piece.start &&
+        flat.back().multiplier == piece.multiplier &&
+        flat.back().fault == piece.fault) {
+      flat.back().end = piece.end;
+    } else {
+      flat.push_back(piece);
+    }
+  }
+  return flat;
+}
+
 }  // namespace
 
 std::vector<ResolvedFault> resolve_faults(const Scenario& s,
@@ -231,7 +267,7 @@ std::vector<ResolvedFault> resolve_faults(const Scenario& s,
 
   // Injection order = time order, stable so same-instant faults keep their
   // authoring order. Ids follow, so the event stream pops faults in id
-  // order and FleetReport::recovery[id] is fault id's verdict.
+  // order and each report section lists its verdicts in id order.
   std::stable_sort(out.begin(), out.end(),
                    [](const ResolvedFault& a, const ResolvedFault& b) {
                      return a.time < b.time;
@@ -306,51 +342,18 @@ std::vector<std::vector<FaultWindow>> build_windows(
     }
   }
   for (auto& w : windows) {
-    if (pair) {
-      // Cuts of different pairs may overlap; stretched_completion filters
-      // by peer, so they stay one window per fault.
-      std::sort(w.begin(), w.end(),
-                [](const FaultWindow& a, const FaultWindow& b) {
-                  return a.start != b.start ? a.start < b.start
-                                            : a.peer < b.peer;
-                });
+    if (!pair) {
+      w = split_overlaps(w);
       continue;
     }
-    if (w.size() <= 1) {
-      continue;
-    }
-    // Split overlapping windows into disjoint pieces: boundary sweep, the
-    // worst multiplier wins inside each piece, earliest fault id keeps the
-    // attribution so verdicts stay stable under reordering.
-    std::vector<sim::Nanos> cuts;
-    for (const FaultWindow& d : w) {
-      cuts.push_back(d.start);
-      cuts.push_back(d.end);
-    }
-    std::sort(cuts.begin(), cuts.end());
-    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-    std::vector<FaultWindow> flat;
-    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-      FaultWindow piece{cuts[i], cuts[i + 1]};
-      for (const FaultWindow& d : w) {
-        if (d.start <= piece.start && d.end >= piece.end &&
-            (piece.fault < 0 || d.multiplier > piece.multiplier)) {
-          piece.multiplier = d.multiplier;
-          piece.fault = d.fault;
-        }
-      }
-      if (piece.fault < 0) {
-        continue;  // gap between windows
-      }
-      if (!flat.empty() && flat.back().end == piece.start &&
-          flat.back().multiplier == piece.multiplier &&
-          flat.back().fault == piece.fault) {
-        flat.back().end = piece.end;
-      } else {
-        flat.push_back(piece);
-      }
-    }
-    w = std::move(flat);
+    // Pair cuts stay one window per fault: cuts to different peers may
+    // overlap because the completion filters by peer, and overlapping cuts
+    // of one pair are all frozen, which the completion walks as they are.
+    std::sort(w.begin(), w.end(),
+              [](const FaultWindow& a, const FaultWindow& b) {
+                return a.start != b.start ? a.start < b.start
+                                          : a.peer < b.peer;
+              });
   }
   return windows;
 }

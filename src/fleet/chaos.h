@@ -44,6 +44,15 @@
 //    peer draw can route around the cut.
 // Degrade-family faults are judged in the report's render-gated
 // `degraded:` section (DegradeVerdict), not the crash-recovery section.
+//
+// Partitions, disk degrades and partial partitions are one rule with
+// different parameters: inside a FaultWindow, work progresses at
+// 1/multiplier. A partition is a host-wide window with an infinite
+// multiplier (the NIC freezes), a disk degrade a host-wide window with the
+// fault's finite multiplier (the NVMe slows), and a partial partition an
+// infinite window filtered to one peer (only traffic whose drawn far end
+// is that peer freezes). build_windows resolves one kind into per-host
+// lists before the run; stretched_completion applies the rule.
 #pragma once
 
 #include <limits>
@@ -142,8 +151,9 @@ inline bool is_degrade_kind(Fault::Kind k) {
 /// One fault resolved against a concrete topology: rack names expanded to
 /// host lists, random faults drawn, the whole schedule sorted by time with
 /// ids assigned in that order. The id doubles as the event payload
-/// (Event::tenant) and as the index of the fault's RecoveryVerdict in
-/// FleetReport::recovery.
+/// (Event::tenant) and is stamped on the fault's verdict
+/// (RecoveryVerdict::fault or DegradeVerdict::fault). It is not an index
+/// into FleetReport::recovery, which holds crash-family verdicts only.
 struct ResolvedFault {
   int id = 0;
   Fault::Kind kind = Fault::Kind::kCrash;

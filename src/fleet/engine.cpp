@@ -1588,7 +1588,8 @@ FleetReport FleetEngine::run(const Scenario& s) {
     queue_.push(s.autoscale.eval_interval, 0, EventKind::kAutoscaleEval);
   }
   // Fault events ride the same global queue. Pushed in id (= time) order,
-  // so fault start events pop in id order and each pushes recovery[id].
+  // so fault start events pop in id order and each crash-family start
+  // appends its verdict to recovery (recovery_slot_ maps the id).
   for (const ResolvedFault& f : faults_) {
     const auto id = static_cast<std::uint64_t>(f.id);
     if (f.kind == Fault::Kind::kPartition) {

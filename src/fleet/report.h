@@ -118,7 +118,8 @@ struct HostRollup {
   /// True once the host crashed (chaos.h kHostCrash): its tenants died
   /// mid-phase and its page cache and KSM stable tree were lost.
   bool crashed = false;
-  /// NIC-bound completions on this host stretched by a partition window.
+  /// NIC-bound completions on this host stretched by a partition window
+  /// or a pair cut.
   int nic_stalls = 0;
   int peak_active = 0;
   std::uint64_t peak_resident_bytes = 0;
@@ -198,17 +199,20 @@ class FleetReport {
   };
   std::vector<AutoscaleAction> autoscale_timeline;
 
-  /// Outcome of one injected fault (chaos.h), indexed by fault id. Crash
-  /// verdicts carry the recovery SLO numbers: how many tenants died, how
-  /// many made it back through placement + admission, how many were
-  /// permanently lost, and the time-to-re-place distribution (crash
-  /// instant to the victim's re-boot completing on a survivor). Partition
-  /// verdicts record the window for the timeline. Empty for fault-free
-  /// runs, which keeps their to_text() byte-identical to the pinned
-  /// goldens.
+  /// Outcome of one crash-family fault (chaos.h kCrash / kPartition /
+  /// kCellOutage), in fault-id order. Degrade-family faults take ids but
+  /// push no verdict here, so once both families run the index is not the
+  /// fault id: `fault` holds the id, and TenantOutcome::lost_to_fault
+  /// holds the index. Crash verdicts carry the recovery SLO numbers: how
+  /// many tenants died, how many made it back through placement +
+  /// admission, how many were permanently lost, and the time-to-re-place
+  /// distribution (crash instant to the victim's re-boot completing on a
+  /// survivor). Partition verdicts record the window for the timeline.
+  /// Empty for fault-free runs, which keeps their to_text() byte-identical
+  /// to the pinned goldens.
   struct RecoveryVerdict {
     int fault = 0;
-    std::string kind;  // "crash" / "partition"
+    std::string kind;  // "crash" / "cell-outage" / "partition"
     std::string rack;  // correlated-fault label; empty for single-host
     sim::Nanos time = 0;
     sim::Nanos duration = 0;    // partitions only
@@ -247,20 +251,23 @@ class FleetReport {
   int boots_lost = 0;
   /// Time-to-re-place over every crash victim that booted again.
   stats::SampleSet replace_ms;
-  /// NIC-bound completions stretched by a partition, fleet-wide.
+  /// NIC-bound completions stretched by a partition or a pair cut,
+  /// fleet-wide.
   int nic_stalls = 0;
 
   /// Outcome of one degrade-family fault (chaos.h kDiskDegrade /
-  /// kMemPressure / kPartialPartition): the graceful-degradation ledger.
-  /// Empty for runs without degrade faults, which keeps every pinned
-  /// golden byte-identical.
+  /// kMemPressure / kPartialPartition), in fault-id order: the
+  /// graceful-degradation ledger. Empty for runs without degrade faults,
+  /// which keeps every pinned golden byte-identical.
   struct DegradeVerdict {
     int fault = 0;
     std::string kind;  // "disk-degrade" / "mem-pressure" / "partial-partition"
     std::string rack;  // correlated-fault label; empty for single-host
     sim::Nanos time = 0;
     sim::Nanos duration = 0;
-    std::vector<int> hosts;  // live hosts the fault actually hit
+    /// The fault's resolved targets, fixed before the run starts: a host
+    /// that crashed before the fault still appears.
+    std::vector<int> hosts;
     int peer = -1;           // partial-partition far end
     double multiplier = 0.0; // disk-degrade NVMe throughput divisor
     /// Memory pressure: bytes the KSM unmerge storm re-expanded at the
