@@ -1175,7 +1175,7 @@ sim::Nanos FleetEngine::stretch(
   int fault = -1;
   const sim::Nanos stretched =
       stretched_completion(windows[static_cast<std::size_t>(host)], begin,
-                           total, peer, impact != nullptr ? &fault : nullptr) -
+                           total, peer, &fault) -
       begin;
   if (impact != nullptr && stretched != total) {
     if (impact->fault < 0) {
