@@ -118,7 +118,7 @@ TEST(ChaosTest, BuildPartitionWindowsSortsAndCoalesces) {
           << "start " << start << " work " << work;
     }
   }
-  // Pieces of one fault merge back into a single window.
+  // Pieces that share a fault id merge back into a single window.
   a.id = 0;
   const auto merged = build_windows({a, b}, 2, Fault::Kind::kPartition);
   ASSERT_EQ(merged[0].size(), 1u);
@@ -456,7 +456,7 @@ TEST(ChaosPinTest, PartitionStorm) {
 
 TEST(ChaosPinTest, OverlappingPartitionsOnOneHost) {
   // Two more partitions on host 1 overlap the rack window [30, 70) and
-  // each other, so its windows must merge into one freeze.
+  // each other, so its windows must complete as one freeze.
   Scenario s = Scenario::partition_storm(240, 4);
   for (const sim::Nanos at : {sim::millis(50), sim::millis(80)}) {
     Fault part;
