@@ -5,7 +5,9 @@
 // drained batches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <queue>
 #include <random>
 #include <vector>
@@ -97,6 +99,114 @@ TEST(EventQueueStressTest, InterleavedPushPopMatchesReferenceHeap) {
     ASSERT_EQ(got.tenant, expected.tenant);
   }
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueStressTest, LazilySeededReservedSeqsMatchReferenceHeap) {
+  // The engine's lazy arrival seeding: one block of seqs is reserved for
+  // every arrival up front, and each arrival is pushed with its reserved
+  // seq only when the previous one pops. Ordinary follow-ups pushed in the
+  // meantime carry larger seqs, and some of them land on an upcoming
+  // arrival's instant, so that arrival is later pushed *below* seqs
+  // already queued at its timestamp. The pop order must still be the
+  // smallest (time, seq) first, exactly as if every arrival had been
+  // pushed eagerly.
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) {
+        return a.time > b.time;
+      }
+      return a.seq > b.seq;
+    }
+  };
+  constexpr int kArrivals = 4'000;
+  constexpr EventKind kFollowUpKinds[] = {
+      EventKind::kBootDone, EventKind::kPhaseDone, EventKind::kProgramStep,
+      EventKind::kTeardown};
+  std::mt19937 rng(19);
+  std::vector<sim::Nanos> arrivals(kArrivals);
+  for (sim::Nanos& a : arrivals) {
+    a = static_cast<sim::Nanos>(rng() % 20'000);
+  }
+  std::sort(arrivals.begin(), arrivals.end());
+
+  EventQueue q;
+  std::priority_queue<Event, std::vector<Event>, Later> ref;
+  const std::uint64_t base = q.reserve_seqs(kArrivals);
+  ASSERT_EQ(base, 0u);
+  std::uint64_t ref_seq = kArrivals;  // the next seq push() will stamp
+  // Follow-ups still queued per timestamp; all of their seqs lie above the
+  // reserved block.
+  std::map<sim::Nanos, int> queued_follow_ups;
+  int cursor = 0;     // next arrival to push
+  int below = 0;      // reserved pushes landing under a queued larger seq
+  int follow_ups = 0;
+  const auto push_arrival = [&] {
+    const auto i = static_cast<std::size_t>(cursor);
+    const std::uint64_t seq = base + i;
+    const auto it = queued_follow_ups.find(arrivals[i]);
+    if (it != queued_follow_ups.end() && it->second > 0) {
+      ++below;
+    }
+    q.push_at_seq(arrivals[i], seq, i, EventKind::kArrival);
+    ref.push(Event{arrivals[i], seq, i, EventKind::kArrival, 0});
+    ++cursor;
+  };
+  const auto push_follow_up = [&](sim::Nanos t) {
+    const std::uint64_t tenant = rng() % kArrivals;
+    const EventKind kind = kFollowUpKinds[rng() % 4];
+    const auto epoch = static_cast<std::uint32_t>(rng() % 3);
+    q.push(t, tenant, kind, epoch);
+    ref.push(Event{t, ref_seq++, tenant, kind, epoch});
+    ++queued_follow_ups[t];
+    ++follow_ups;
+  };
+  push_arrival();
+
+  int pops = 0;
+  while (!ref.empty()) {
+    ASSERT_EQ(q.size(), ref.size());
+    const Event expected = ref.top();
+    ref.pop();
+    const Event got = q.pop();
+    ASSERT_EQ(got.time, expected.time) << "pop " << pops;
+    ASSERT_EQ(got.seq, expected.seq) << "pop " << pops;
+    ASSERT_EQ(got.tenant, expected.tenant) << "pop " << pops;
+    ASSERT_EQ(got.kind, expected.kind) << "pop " << pops;
+    ASSERT_EQ(got.epoch, expected.epoch) << "pop " << pops;
+    ++pops;
+    const bool is_arrival = got.kind == EventKind::kArrival;
+    if (!is_arrival) {
+      --queued_follow_ups[got.time];
+    }
+
+    // An arrival mostly schedules work on the instant of the arrival about
+    // to be seeded. Every pop may add one more follow-up: on the instant
+    // just popped, on one of the next few arrival instants, or a short gap
+    // later.
+    if (is_arrival && cursor < kArrivals && rng() % 4 != 0) {
+      push_follow_up(arrivals[static_cast<std::size_t>(cursor)]);
+    }
+    if (rng() % 2 == 0) {
+      sim::Nanos t = got.time + static_cast<sim::Nanos>(rng() % 200);
+      const unsigned pick = rng() % 3;
+      if (pick == 0) {
+        t = got.time;
+      } else if (pick == 1 && cursor < kArrivals) {
+        t = arrivals[static_cast<std::size_t>(
+            std::min(kArrivals - 1, cursor + static_cast<int>(rng() % 4)))];
+      }
+      push_follow_up(t);
+    }
+    if (is_arrival && cursor < kArrivals) {
+      push_arrival();
+    }
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(cursor, kArrivals);
+  EXPECT_EQ(pops, kArrivals + follow_ups);
+  // The case under test must actually occur, and often.
+  EXPECT_GT(below, kArrivals / 2);
 }
 
 }  // namespace
