@@ -6,16 +6,18 @@
 // deterministic (FIFO among simultaneous events), which the fleet report's
 // byte-identical-output guarantee depends on.
 //
-// Events sharing a timestamp are batched: the binary heap orders *batches*
-// (one per distinct timestamp currently queued), and each batch drains its
-// events in push order. A 10k-tenant storm where admissions, boot
-// completions and teardowns pile up on the same instants then pays one heap
-// operation per timestamp instead of one per event, and batch storage is
-// recycled so steady-state churn does not allocate.
+// The queue is one flat 4-ary min-heap of 32-byte events keyed on
+// (time, seq). Events rarely share an instant while both are queued: on the
+// benchmark's 100k-tenant storm only 221 of 500,000 pushes land on a
+// timestamp that is already queued. Grouping events per timestamp would
+// cost a hash lookup on nearly every push and pop and save nothing. Four
+// children per node halve a binary heap's depth, and a pop's sift-down
+// compares siblings that sit next to each other in memory.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.h"
@@ -79,138 +81,71 @@ class EventQueue {
   /// ascending arrival order guarantees this).
   void push_at_seq(sim::Nanos time, std::uint64_t seq, std::uint64_t tenant,
                    EventKind kind, std::uint32_t epoch = 0) {
-    const auto [it, inserted] = open_.try_emplace(time, 0u);
-    if (inserted) {
-      it->second = alloc_batch(time, seq);
-      heap_.push_back(it->second);
-      sift_up(heap_.size() - 1);
-    }
-    Batch& b = batches_[it->second];
-    // Reserved seqs can be smaller than ones already queued at this
-    // timestamp: keep the pending tail of the batch sorted by seq.
-    if (b.items.empty() || b.items.back().seq < seq) {
-      b.items.push_back(Item{seq, tenant, kind, epoch});
-    } else {
-      auto pos = b.items.begin() + static_cast<std::ptrdiff_t>(b.cursor);
-      while (pos != b.items.end() && pos->seq < seq) {
-        ++pos;
+    const Event e{time, seq, tenant, kind, epoch};
+    // Move a hole up from the new leaf until e is not before its parent.
+    std::size_t i = heap_.size();
+    heap_.push_back(e);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!before(e, heap_[parent])) {
+        break;
       }
-      b.items.insert(pos, Item{seq, tenant, kind, epoch});
+      heap_[i] = heap_[parent];
+      i = parent;
     }
-    ++size_;
+    heap_[i] = e;
   }
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
   /// Earliest event without removing it. Requires !empty().
-  Event top() const {
-    const Batch& b = batches_[heap_.front()];
-    const Item& item = b.items[b.cursor];
-    return Event{b.time, item.seq, item.tenant, item.kind, item.epoch};
-  }
+  Event top() const { return heap_.front(); }
 
   Event pop() {
-    const std::uint32_t id = heap_.front();
-    Batch& b = batches_[id];
-    const Item item = b.items[b.cursor++];
-    const Event e{b.time, item.seq, item.tenant, item.kind, item.epoch};
-    --size_;
-    if (b.cursor == b.items.size()) {
-      // Batch drained: retire it. A later push at the same timestamp simply
-      // opens a fresh batch, which still pops in seq order.
-      open_.erase(b.time);
-      pop_root();
-      free_.push_back(id);
+    const Event e = heap_.front();
+    const Event last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) {
+      return e;
     }
+    // Sink a hole from the root, pulling the earliest child up, until the
+    // last event fits in it.
+    std::size_t i = 0;
+    while (true) {
+      const std::size_t first = i * kArity + 1;
+      if (first >= n) {
+        break;
+      }
+      std::size_t best = first;
+      const std::size_t end = std::min(first + kArity, n);
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (before(heap_[c], heap_[best])) {
+          best = c;
+        }
+      }
+      if (!before(heap_[best], last)) {
+        break;
+      }
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = last;
     return e;
   }
 
  private:
-  struct Item {
-    std::uint64_t seq;
-    std::uint64_t tenant;
-    EventKind kind;
-    std::uint32_t epoch;
-  };
+  static constexpr std::size_t kArity = 4;
 
-  /// All events queued for one exact timestamp, in push (= seq) order.
-  /// cursor marks how far the front batch has drained.
-  struct Batch {
-    sim::Nanos time = 0;
-    std::uint64_t first_seq = 0;
-    std::size_t cursor = 0;
-    std::vector<Item> items;
-  };
-
-  std::uint32_t alloc_batch(sim::Nanos time, std::uint64_t first_seq) {
-    std::uint32_t id;
-    if (!free_.empty()) {
-      id = free_.back();
-      free_.pop_back();
-      batches_[id].items.clear();  // keeps capacity: no steady-state allocs
-    } else {
-      id = static_cast<std::uint32_t>(batches_.size());
-      batches_.emplace_back();
-    }
-    batches_[id].time = time;
-    batches_[id].first_seq = first_seq;
-    batches_[id].cursor = 0;
-    return id;
+  /// Lexicographic (time, seq): seqs are unique, so this is a total order
+  /// and the pop sequence is fully determined.
+  static bool before(const Event& a, const Event& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   }
 
-  /// Min-heap order over batches: (time, first_seq). A timestamp maps to at
-  /// most one open batch, so first_seq ties only occur between a drained
-  /// batch's successor and unrelated timestamps — never ambiguously.
-  bool before(std::uint32_t a, std::uint32_t b) const {
-    const Batch& x = batches_[a];
-    const Batch& y = batches_[b];
-    if (x.time != y.time) {
-      return x.time < y.time;
-    }
-    return x.first_seq < y.first_seq;
-  }
-
-  void sift_up(std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!before(heap_[i], heap_[parent])) {
-        break;
-      }
-      std::swap(heap_[i], heap_[parent]);
-      i = parent;
-    }
-  }
-
-  void pop_root() {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    std::size_t i = 0;
-    const std::size_t n = heap_.size();
-    while (true) {
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = l + 1;
-      std::size_t best = i;
-      if (l < n && before(heap_[l], heap_[best])) {
-        best = l;
-      }
-      if (r < n && before(heap_[r], heap_[best])) {
-        best = r;
-      }
-      if (best == i) {
-        break;
-      }
-      std::swap(heap_[i], heap_[best]);
-      i = best;
-    }
-  }
-
-  std::vector<Batch> batches_;          // indexed by batch id
-  std::vector<std::uint32_t> free_;     // retired batch ids for reuse
-  std::vector<std::uint32_t> heap_;     // batch ids, min-heap by before()
-  std::unordered_map<sim::Nanos, std::uint32_t> open_;  // time -> open batch
+  std::vector<Event> heap_;  // min-heap by before()
   std::uint64_t next_seq_ = 0;
-  std::size_t size_ = 0;
 };
 
 }  // namespace fleet
