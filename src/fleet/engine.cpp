@@ -1407,10 +1407,29 @@ FleetReport FleetEngine::run(const Scenario& s) {
     throw std::invalid_argument(
         "FleetEngine::run: op_max_retries needs a positive op_slo_ms");
   }
-  for (const ProgramShare& share : s.program_mix) {
-    if (share.weight <= 0.0) {
+  // The weighted picks in draw_population() silently drop a share whose
+  // weight is zero, negative or NaN, and an infinite weight swamps the rest.
+  const auto malformed = [](double w) {
+    return !(w > 0.0 && std::isfinite(w));
+  };
+  for (const PlatformShare& share : s.platform_mix) {
+    if (malformed(share.weight)) {
       throw std::invalid_argument(
-          "FleetEngine::run: program_mix weights must be positive");
+          "FleetEngine::run: platform_mix weights must be positive and "
+          "finite");
+    }
+  }
+  for (const WorkloadShare& share : s.workload_mix) {
+    if (malformed(share.weight)) {
+      throw std::invalid_argument(
+          "FleetEngine::run: workload_mix weights must be positive and "
+          "finite");
+    }
+  }
+  for (const ProgramShare& share : s.program_mix) {
+    if (malformed(share.weight)) {
+      throw std::invalid_argument(
+          "FleetEngine::run: program_mix weights must be positive and finite");
     }
     if (share.program < -1 || share.program >= builtin_program_count()) {
       throw std::invalid_argument(

@@ -4,8 +4,11 @@
 // guarantee across hosts.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "core/host_system.h"
@@ -126,6 +129,31 @@ TEST(ClusterTest, EngineRequiresPolicyForMultipleHosts) {
   FleetEngine engine({&a, &b}, nullptr);
   EXPECT_THROW(engine.run(Scenario::coldstart_storm(8)),
                std::invalid_argument);
+}
+
+TEST(ClusterTest, RunRejectsMalformedMixWeights) {
+  // A share weighted zero, negative or NaN never wins a weighted pick, and
+  // an infinite weight swamps the rest, so each used to run to completion
+  // with the share silently dropped or inflated.
+  const double malformed[] = {0.0, -1.0, std::nan(""),
+                              std::numeric_limits<double>::infinity()};
+  for (const double w : malformed) {
+    Scenario s = Scenario::cluster_storm(200, 2, PlacementKind::kLeastLoaded);
+    s.platform_mix = {{platforms::PlatformId::kDocker, w},
+                      {platforms::PlatformId::kFirecracker, 1.0}};
+    EXPECT_THROW(run_cluster(s), std::invalid_argument) << "platform " << w;
+
+    s = Scenario::cluster_storm(200, 2, PlacementKind::kLeastLoaded);
+    s.workload_mix = {{platforms::WorkloadClass::kCpu, w},
+                      {platforms::WorkloadClass::kMemory, 1.0}};
+    EXPECT_THROW(run_cluster(s), std::invalid_argument) << "workload " << w;
+  }
+  // The same two-platform mix with a positive weight runs both platforms.
+  Scenario s = Scenario::cluster_storm(200, 2, PlacementKind::kLeastLoaded);
+  s.platform_mix = {{platforms::PlatformId::kDocker, 1.0},
+                    {platforms::PlatformId::kFirecracker, 1.0}};
+  const FleetReport r = run_cluster(s);
+  EXPECT_EQ(r.by_platform.size(), 2u);
 }
 
 // --- Single-host equivalence ----------------------------------------------

@@ -7,6 +7,7 @@
 // concurrent cell runs reproducing the serial digests and errors.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -356,6 +357,19 @@ TEST(FederationTest, MalformedScenariosAreRejectedUpFront) {
   fs.outages.push_back(o);
   Federation fed(fs.topology);
   EXPECT_THROW(fed.run(fs), std::invalid_argument);
+}
+
+TEST(FederationTest, MalformedPlatformWeightIsRejected) {
+  // The cells' engines reject the weight; before they did, the share was
+  // silently dropped from every cell.
+  for (const double w : {-1.0, std::nan("")}) {
+    Scenario s = Scenario::cluster_storm(64, 2);
+    s.platform_mix = {{platforms::PlatformId::kDocker, w},
+                      {platforms::PlatformId::kFirecracker, 1.0}};
+    EXPECT_THROW(run_federation(FederatedScenario::from_scenario(s, 2)),
+                 std::invalid_argument)
+        << w;
+  }
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 // repeats.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -111,6 +113,10 @@ TEST(ProgramTest, RunRejectsMalformedProgramMix) {
   s.program_mix = {{-2, 1.0}};  // below the -1 statistical sentinel
   EXPECT_THROW(run_cluster(s), std::invalid_argument);
   s.program_mix = {{kProgKvServer, 0.0}};  // weightless share
+  EXPECT_THROW(run_cluster(s), std::invalid_argument);
+  s.program_mix = {{kProgKvServer, std::nan("")}};
+  EXPECT_THROW(run_cluster(s), std::invalid_argument);
+  s.program_mix = {{kProgKvServer, std::numeric_limits<double>::infinity()}};
   EXPECT_THROW(run_cluster(s), std::invalid_argument);
   s.program_mix = {{-1, 1.0}};  // all-statistical sentinel mix is legal
   EXPECT_NO_THROW(run_cluster(s));
