@@ -7,6 +7,7 @@
 #include "apps/btree.h"
 #include "apps/kv_store.h"
 #include "apps/ycsb.h"
+#include "fleet/event_queue.h"
 #include "fleet/placement.h"
 #include "hostk/host_kernel.h"
 #include "hostk/page_cache.h"
@@ -213,6 +214,33 @@ void BM_RankHostsHeapWalk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RankHostsHeapWalk)->Arg(4)->Arg(64)->Arg(1024);
+
+/// The engine's event queue held at a fixed depth: each iteration pops the
+/// earliest event and pushes it back an exponential gap later. 30,000 and
+/// 100,000 are the peak queue depths of isobench's program-storm and
+/// storm-ksm workloads.
+void BM_EventQueueHold(benchmark::State& state) {
+  constexpr std::size_t kGaps = 4096;
+  sim::Rng rng(29);
+  const double rate = 1.0 / static_cast<double>(sim::millis(250));
+  std::vector<sim::Nanos> gaps(kGaps);
+  for (sim::Nanos& g : gaps) {
+    g = 1 + static_cast<sim::Nanos>(rng.exponential(rate));
+  }
+  fleet::EventQueue q;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    q.push(static_cast<sim::Nanos>(rng.exponential(rate)),
+           static_cast<std::uint64_t>(i), fleet::EventKind::kPhaseDone);
+  }
+  std::size_t g = 0;
+  for (auto _ : state) {
+    const fleet::Event e = q.pop();
+    benchmark::DoNotOptimize(e.tenant);
+    q.push(e.time + gaps[g], e.tenant, e.kind);
+    g = (g + 1) % kGaps;
+  }
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1'000)->Arg(30'000)->Arg(100'000);
 
 void BM_KvStoreGet(benchmark::State& state) {
   apps::KvStore store(64ull << 20);
