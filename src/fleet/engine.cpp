@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace fleet {
 
@@ -1409,28 +1410,18 @@ FleetReport FleetEngine::run(const Scenario& s) {
   }
   // The weighted picks in draw_population() silently drop a share whose
   // weight is zero, negative or NaN, and an infinite weight swamps the rest.
-  const auto malformed = [](double w) {
-    return !(w > 0.0 && std::isfinite(w));
+  const auto check_weights = [](const auto& mix, const std::string& name) {
+    for (const auto& share : mix) {
+      if (!(share.weight > 0.0 && std::isfinite(share.weight))) {
+        throw std::invalid_argument("FleetEngine::run: " + name +
+                                    " weights must be positive and finite");
+      }
+    }
   };
-  for (const PlatformShare& share : s.platform_mix) {
-    if (malformed(share.weight)) {
-      throw std::invalid_argument(
-          "FleetEngine::run: platform_mix weights must be positive and "
-          "finite");
-    }
-  }
-  for (const WorkloadShare& share : s.workload_mix) {
-    if (malformed(share.weight)) {
-      throw std::invalid_argument(
-          "FleetEngine::run: workload_mix weights must be positive and "
-          "finite");
-    }
-  }
+  check_weights(s.platform_mix, "platform_mix");
+  check_weights(s.workload_mix, "workload_mix");
+  check_weights(s.program_mix, "program_mix");
   for (const ProgramShare& share : s.program_mix) {
-    if (malformed(share.weight)) {
-      throw std::invalid_argument(
-          "FleetEngine::run: program_mix weights must be positive and finite");
-    }
     if (share.program < -1 || share.program >= builtin_program_count()) {
       throw std::invalid_argument(
           "FleetEngine::run: program_mix references an unknown program (use "

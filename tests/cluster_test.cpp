@@ -133,8 +133,8 @@ TEST(ClusterTest, EngineRequiresPolicyForMultipleHosts) {
 
 TEST(ClusterTest, RunRejectsMalformedMixWeights) {
   // A share weighted zero, negative or NaN never wins a weighted pick, and
-  // an infinite weight swamps the rest, so each used to run to completion
-  // with the share silently dropped or inflated.
+  // an infinite weight swamps the rest: the run must refuse the mix rather
+  // than drop or inflate the share.
   const double malformed[] = {0.0, -1.0, std::nan(""),
                               std::numeric_limits<double>::infinity()};
   for (const double w : malformed) {

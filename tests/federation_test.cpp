@@ -360,8 +360,8 @@ TEST(FederationTest, MalformedScenariosAreRejectedUpFront) {
 }
 
 TEST(FederationTest, MalformedPlatformWeightIsRejected) {
-  // The cells' engines reject the weight; before they did, the share was
-  // silently dropped from every cell.
+  // Every cell run reaches the engine's weight check, so the federation
+  // refuses the mix rather than drop the share from every cell.
   for (const double w : {-1.0, std::nan("")}) {
     Scenario s = Scenario::cluster_storm(64, 2);
     s.platform_mix = {{platforms::PlatformId::kDocker, w},
