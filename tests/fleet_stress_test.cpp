@@ -1,8 +1,9 @@
-// Stress tests for the batched EventQueue: 100k-event storms with heavy
-// timestamp collisions must preserve the (time, seq) contract — global time
-// order with FIFO tie-breaking inside every same-timestamp batch — and the
-// batch machinery must survive interleaved push/pop around partially
-// drained batches.
+// Stress tests for EventQueue's (time, seq) contract: events pop in global
+// time order, and events sharing a timestamp pop in seq order (FIFO for
+// push(); reserved seqs from push_at_seq() slot in by seq). 100k-event
+// storms with heavy timestamp collisions, interleaved push/pop around
+// partly drained instants, and the engine's lazy arrival seeding are each
+// checked against that contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,7 @@ using fleet::EventKind;
 using fleet::EventQueue;
 
 TEST(EventQueueStressTest, HundredThousandEventsPopInTimeThenFifoOrder) {
-  // Draw times from a small set so batches grow to thousands of events.
+  // Draw times from a small set so thousands of events share each instant.
   constexpr int kEvents = 100'000;
   constexpr int kDistinctTimes = 64;
   EventQueue q;
@@ -39,8 +40,8 @@ TEST(EventQueueStressTest, HundredThousandEventsPopInTimeThenFifoOrder) {
     const Event e = q.pop();
     ASSERT_GE(e.time, last_time);
     if (e.time == last_time) {
-      // FIFO among simultaneous events: seq strictly increases inside a
-      // same-timestamp batch (seq == push order == tenant id here).
+      // FIFO among simultaneous events: seq strictly increases among events
+      // sharing a timestamp (seq == push order == tenant id here).
       ASSERT_GT(e.seq, last_seq_in_batch);
       ASSERT_GT(e.tenant, last_seq_in_batch);
     }
@@ -53,8 +54,9 @@ TEST(EventQueueStressTest, HundredThousandEventsPopInTimeThenFifoOrder) {
 
 TEST(EventQueueStressTest, InterleavedPushPopMatchesReferenceHeap) {
   // Differential check against a plain (time, seq) priority queue, with
-  // pushes landing on partially drained batches (same time as the event
-  // just popped) — the regression case for batch retirement/reopen.
+  // pushes landing on an instant that is partly drained (the time of the
+  // event just popped): they must pop after every event already popped or
+  // queued at that time, in push order.
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) {
