@@ -500,6 +500,8 @@ TEST(ChaosTest, RandomFaultScheduleIsSeedDeterministic) {
   s.faults.random_horizon = sim::millis(150);
   const FleetReport r = run_cluster(s);
   EXPECT_EQ(r.recovery.size(), 2u);
+  EXPECT_EQ(digest(r.to_text()), "56ad1159840db4bb");
+  EXPECT_EQ(r.events_processed, 1023u);
   EXPECT_EQ(run_cluster(s).to_text(), r.to_text());
   // A different seed draws a different schedule (times differ with
   // overwhelming probability; equality here would mean the stream ignored
