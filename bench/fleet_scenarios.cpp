@@ -138,7 +138,7 @@ int main(int argc, char** /*argv*/) {
   const auto crash_report = crash_cluster.run(crash);
   std::printf("--- %s: %d tenants, host 0 crashes at %.0f ms ---\n",
               crash.name.c_str(), crash.tenant_count,
-              sim::to_millis(crash.faults.timed[0].time));
+              sim::to_millis(crash.faults[0].time));
   std::printf("crash victims %d, re-admitted %d (%.0f%%), lost %d\n\n",
               crash_report.crash_victims, crash_report.crash_readmitted,
               100.0 * crash_report.readmission_fraction(),

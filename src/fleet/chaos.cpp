@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "fleet/scenario.h"
-#include "sim/rng.h"
 
 namespace fleet {
 
@@ -70,26 +69,18 @@ std::vector<FaultWindow> split_overlaps(const std::vector<FaultWindow>& w) {
 
 std::vector<ResolvedFault> resolve_faults(const Scenario& s,
                                           int initial_hosts) {
-  const FaultSpec& spec = s.faults;
   std::vector<ResolvedFault> out;
-  if (!spec.enabled()) {
+  if (s.faults.empty()) {
     return out;
   }
   validate_racks(s.cluster, initial_hosts);
-  if (spec.random_crashes < 0 || spec.random_partitions < 0 ||
-      spec.random_disk_degrades < 0 || spec.random_mem_pressures < 0 ||
-      spec.random_partial_partitions < 0 || spec.random_mixed < 0) {
-    throw std::invalid_argument(
-        "FaultSpec: random fault counts must be non-negative");
-  }
-
-  const auto resolve_one = [&](const Fault& f) {
+  for (const Fault& f : s.faults) {
     if (f.time < 0) {
-      throw std::invalid_argument("FaultSpec: fault time must be non-negative");
+      throw std::invalid_argument("Fault: fault time must be non-negative");
     }
     if (f.restart_delay < 0 || f.restart_jitter < 0) {
       throw std::invalid_argument(
-          "FaultSpec: restart delay and jitter must be non-negative");
+          "Fault: restart delay and jitter must be non-negative");
     }
     ResolvedFault r;
     r.kind = f.kind;
@@ -100,15 +91,15 @@ std::vector<ResolvedFault> resolve_faults(const Scenario& s,
       if (f.duration <= 0) {
         throw std::invalid_argument(
             f.kind == Fault::Kind::kPartition
-                ? "FaultSpec: partition duration must be positive"
-                : "FaultSpec: degrade-family fault duration must be positive");
+                ? "Fault: partition duration must be positive"
+                : "Fault: degrade-family fault duration must be positive");
       }
       r.duration = f.duration;
     }
     if (f.kind == Fault::Kind::kDiskDegrade) {
       if (!(f.degrade >= 1.0)) {
         throw std::invalid_argument(
-            "FaultSpec: disk degrade multiplier must be >= 1 (got " +
+            "Fault: disk degrade multiplier must be >= 1 (got " +
             std::to_string(f.degrade) + ")");
       }
       r.degrade = f.degrade;
@@ -116,7 +107,7 @@ std::vector<ResolvedFault> resolve_faults(const Scenario& s,
     if (f.kind == Fault::Kind::kPartialPartition) {
       if (f.peer < 0 || f.peer >= initial_hosts) {
         throw std::invalid_argument(
-            "FaultSpec: partial partition peer " + std::to_string(f.peer) +
+            "Fault: partial partition peer " + std::to_string(f.peer) +
             " outside the initial topology of " +
             std::to_string(initial_hosts) + " hosts");
       }
@@ -131,7 +122,7 @@ std::vector<ResolvedFault> resolve_faults(const Scenario& s,
         r.hosts[static_cast<std::size_t>(h)] = h;
       }
       out.push_back(std::move(r));
-      return;
+      continue;
     }
     if (!f.rack.empty()) {
       const ClusterTopology::Rack* rack = nullptr;
@@ -142,15 +133,14 @@ std::vector<ResolvedFault> resolve_faults(const Scenario& s,
         }
       }
       if (rack == nullptr) {
-        throw std::invalid_argument("FaultSpec: unknown rack '" + f.rack +
-                                    "'");
+        throw std::invalid_argument("Fault: unknown rack '" + f.rack + "'");
       }
       r.rack = f.rack;
       r.hosts = rack->hosts;
     } else {
       if (f.host < 0 || f.host >= initial_hosts) {
         throw std::invalid_argument(
-            "FaultSpec: fault targets host " + std::to_string(f.host) +
+            "Fault: fault targets host " + std::to_string(f.host) +
             " outside the initial topology of " +
             std::to_string(initial_hosts) + " hosts");
       }
@@ -160,109 +150,12 @@ std::vector<ResolvedFault> resolve_faults(const Scenario& s,
       for (const int h : r.hosts) {
         if (h == r.peer) {
           throw std::invalid_argument(
-              "FaultSpec: partial partition pairs host " + std::to_string(h) +
+              "Fault: partial partition pairs host " + std::to_string(h) +
               " with itself");
         }
       }
     }
     out.push_back(std::move(r));
-  };
-
-  for (const Fault& f : spec.timed) {
-    resolve_one(f);
-  }
-  const bool any_random =
-      spec.random_crashes > 0 || spec.random_partitions > 0 ||
-      spec.random_disk_degrades > 0 || spec.random_mem_pressures > 0 ||
-      spec.random_partial_partitions > 0 || spec.random_mixed > 0;
-  if (any_random) {
-    if (spec.random_horizon <= 0) {
-      throw std::invalid_argument(
-          "FaultSpec: random faults need a positive random_horizon");
-    }
-    const double weights[] = {
-        spec.weight_crash, spec.weight_partition, spec.weight_disk_degrade,
-        spec.weight_mem_pressure, spec.weight_partial_partition};
-    const Fault::Kind weighted_kinds[] = {
-        Fault::Kind::kCrash, Fault::Kind::kPartition,
-        Fault::Kind::kDiskDegrade, Fault::Kind::kMemPressure,
-        Fault::Kind::kPartialPartition};
-    double weight_total = 0.0;
-    for (const double w : weights) {
-      if (w < 0.0) {
-        throw std::invalid_argument(
-            "FaultSpec: random fault kind weights must be non-negative");
-      }
-      weight_total += w;
-    }
-    if (spec.random_mixed > 0 && weight_total <= 0.0) {
-      throw std::invalid_argument(
-          "FaultSpec: random_mixed needs at least one positive kind weight");
-    }
-    if ((spec.random_partial_partitions > 0 ||
-         (spec.random_mixed > 0 && spec.weight_partial_partition > 0.0)) &&
-        initial_hosts < 2) {
-      throw std::invalid_argument(
-          "FaultSpec: random partial partitions need at least 2 hosts");
-    }
-    // One stream for the whole random schedule, derived from the scenario
-    // seed: same seed, same chaos. The per-kind loops draw in a fixed kind
-    // order (crash, partition, disk degrade, mem pressure, partial
-    // partition, then the weighted pool), so a schedule that only enables
-    // crashes and partitions replays the historical stream byte for byte.
-    sim::Rng rng(s.seed ^ 0xFA01'7C4A'0500'0001ull);
-    const auto draw = [&](Fault::Kind kind) {
-      Fault f;
-      f.kind = kind;
-      f.time = static_cast<sim::Nanos>(
-          rng.next_double() * static_cast<double>(spec.random_horizon));
-      f.host = std::min(initial_hosts - 1,
-                        static_cast<int>(rng.next_double() *
-                                         static_cast<double>(initial_hosts)));
-      if (kind == Fault::Kind::kPartialPartition) {
-        // Draw the far end among the other hosts: an extra draw only this
-        // kind consumes, so other kinds' streams are unaffected.
-        const int other = std::min(
-            initial_hosts - 2,
-            static_cast<int>(rng.next_double() *
-                             static_cast<double>(initial_hosts - 1)));
-        f.peer = other >= f.host ? other + 1 : other;
-      }
-      f.duration = is_degrade_kind(kind) ? spec.random_degrade_duration
-                                         : spec.random_partition_duration;
-      f.degrade = spec.random_degrade_multiplier;
-      f.restart_delay = spec.random_restart_delay;
-      f.restart_jitter = spec.random_restart_jitter;
-      resolve_one(f);
-    };
-    for (int i = 0; i < spec.random_crashes; ++i) {
-      draw(Fault::Kind::kCrash);
-    }
-    for (int i = 0; i < spec.random_partitions; ++i) {
-      draw(Fault::Kind::kPartition);
-    }
-    for (int i = 0; i < spec.random_disk_degrades; ++i) {
-      draw(Fault::Kind::kDiskDegrade);
-    }
-    for (int i = 0; i < spec.random_mem_pressures; ++i) {
-      draw(Fault::Kind::kMemPressure);
-    }
-    for (int i = 0; i < spec.random_partial_partitions; ++i) {
-      draw(Fault::Kind::kPartialPartition);
-    }
-    for (int i = 0; i < spec.random_mixed; ++i) {
-      // Kind first, then the regular shape draws for that kind.
-      double pick = rng.next_double() * weight_total;
-      Fault::Kind kind = Fault::Kind::kCrash;
-      for (std::size_t k = 0; k < 5; ++k) {
-        kind = weighted_kinds[k];
-        if (pick < weights[k]) {
-          break;
-        }
-        pick -= weights[k];
-      }
-      draw(kind);
-    }
   }
 
   // Injection order = time order, stable so same-instant faults keep their

@@ -1,13 +1,13 @@
 // Fault injection for the fleet engine: the chaos half of the
 // policy/mechanism split.
 //
-// A FaultSpec is pure policy — *what* fails and when: timed host crashes,
-// timed network partitions, rack-correlated faults, and seeded-random
-// schedules drawn deterministically from the scenario seed. The engine is
-// the mechanism: resolved faults become first-class events on the one
-// global deterministic queue (kHostCrash / kPartitionStart / kPartitionEnd
-// in event_queue.h), so every failure scenario is byte-reproducible and
-// can be pinned as a golden like any other run.
+// A scenario's fault list (CellSpec::faults, a vector of Fault) is pure
+// policy — *what* fails and when: timed host crashes, network partitions,
+// degrade-family faults, rack-correlated faults and cell outages. The
+// engine is the mechanism: resolved faults become first-class events on
+// the one global deterministic queue (kHostCrash / kPartitionStart /
+// kPartitionEnd in event_queue.h), so every failure scenario is
+// byte-reproducible and can be pinned as a golden like any other run.
 //
 // Fault semantics (engine.cpp):
 //  * Crash: every tenant on the host dies mid-phase with its in-flight
@@ -102,45 +102,6 @@ struct Fault {
   sim::Nanos restart_jitter = sim::millis(20);
 };
 
-/// The fault schedule: an explicit timed list plus optional seeded-random
-/// faults. Random faults draw injection times uniformly over
-/// [0, random_horizon) and target hosts uniformly over the initial
-/// topology, from an RNG derived from the scenario seed — same seed, same
-/// chaos, byte for byte.
-struct FaultSpec {
-  std::vector<Fault> timed;
-  int random_crashes = 0;
-  int random_partitions = 0;
-  int random_disk_degrades = 0;
-  int random_mem_pressures = 0;
-  int random_partial_partitions = 0;
-  /// Additional random faults whose *kind* is drawn too, from the per-kind
-  /// weights below (any weight left at 0 removes that kind from the pool).
-  /// Validated up front: random_mixed > 0 needs at least one positive
-  /// weight, and weights must be non-negative.
-  int random_mixed = 0;
-  double weight_crash = 0.0;
-  double weight_partition = 0.0;
-  double weight_disk_degrade = 0.0;
-  double weight_mem_pressure = 0.0;
-  double weight_partial_partition = 0.0;
-  sim::Nanos random_horizon = 0;
-  /// Shape of the random faults.
-  sim::Nanos random_partition_duration = sim::millis(50);
-  sim::Nanos random_restart_delay = sim::millis(20);
-  sim::Nanos random_restart_jitter = sim::millis(20);
-  sim::Nanos random_degrade_duration = sim::millis(50);
-  double random_degrade_multiplier = 4.0;
-
-  bool enabled() const {
-    // != 0, not > 0: a negative count must reach resolve_faults so it is
-    // rejected up front rather than silently disabling chaos.
-    return !timed.empty() || random_crashes != 0 || random_partitions != 0 ||
-           random_disk_degrades != 0 || random_mem_pressures != 0 ||
-           random_partial_partitions != 0 || random_mixed != 0;
-  }
-};
-
 /// True for the fault kinds judged by DegradeVerdicts (the `degraded:`
 /// report section) instead of crash-recovery verdicts.
 inline bool is_degrade_kind(Fault::Kind k) {
@@ -149,8 +110,8 @@ inline bool is_degrade_kind(Fault::Kind k) {
 }
 
 /// One fault resolved against a concrete topology: rack names expanded to
-/// host lists, random faults drawn, the whole schedule sorted by time with
-/// ids assigned in that order. The id doubles as the event payload
+/// host lists, the whole schedule sorted by time with ids assigned in that
+/// order. The id doubles as the event payload
 /// (Event::tenant) and is stamped on the fault's verdict
 /// (RecoveryVerdict::fault or DegradeVerdict::fault). It is not an index
 /// into FleetReport::recovery, which holds crash-family verdicts only.

@@ -1518,7 +1518,7 @@ FleetReport FleetEngine::run(const Scenario& s) {
   // events; plain single-host runs keep the inline flow the pinned goldens
   // expect. The flag is fixed per run.
   deferred_boot_ = shards_.size() > 1 || s.autoscale.enabled ||
-                   !s.host_events.empty() || s.faults.enabled();
+                   !s.host_events.empty() || !s.faults.empty();
   live_hosts_ = static_cast<int>(shards_.size());
   stats_by_id_.fill(nullptr);
   pstats_by_id_.fill(nullptr);

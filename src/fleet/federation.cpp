@@ -239,7 +239,7 @@ FederationReport Federation::run(const FederatedScenario& fs) {
     f.time = o.time;
     f.restart_delay = o.restart_delay;
     f.restart_jitter = o.restart_jitter;
-    cs[static_cast<std::size_t>(o.cell)].faults.timed.push_back(f);
+    cs[static_cast<std::size_t>(o.cell)].faults.push_back(f);
   }
 
   // Admission-effective aggregate RAM per cell, for the router's

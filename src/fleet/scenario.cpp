@@ -232,7 +232,7 @@ Scenario Scenario::crash_recovery(int tenants, int hosts, int max_hosts) {
   crash.host = 0;
   crash.restart_delay = sim::millis(25);
   crash.restart_jitter = sim::millis(50);
-  s.faults.timed.push_back(crash);
+  s.faults.push_back(crash);
   // Declared recovery budget: every victim re-placed, p99 within 10 s.
   // The committed bench config lands around 8.7 s, so the verdict passes
   // with headroom but would trip on a recovery-path regression.
@@ -258,7 +258,7 @@ Scenario Scenario::rack_outage(int tenants, int hosts) {
   crash.rack = "r0";
   crash.restart_delay = sim::millis(25);
   crash.restart_jitter = sim::millis(50);
-  s.faults.timed.push_back(crash);
+  s.faults.push_back(crash);
   return s;
 }
 
@@ -283,7 +283,7 @@ Scenario Scenario::partition_storm(int tenants, int hosts) {
   part.time = sim::millis(30);
   part.rack = "r0";
   part.duration = sim::millis(40);
-  s.faults.timed.push_back(part);
+  s.faults.push_back(part);
   return s;
 }
 
@@ -325,20 +325,20 @@ Scenario Scenario::degrade_storm(int tenants, int hosts) {
   disk.host = 0;
   disk.duration = sim::millis(200);
   disk.degrade = 6.0;
-  s.faults.timed.push_back(disk);
+  s.faults.push_back(disk);
   Fault mem;
   mem.kind = Fault::Kind::kMemPressure;
   mem.time = sim::millis(200);
   mem.host = 1;
   mem.duration = sim::millis(100);
-  s.faults.timed.push_back(mem);
+  s.faults.push_back(mem);
   Fault pair;
   pair.kind = Fault::Kind::kPartialPartition;
   pair.time = sim::millis(150);
   pair.host = 0;
   pair.peer = 1;
   pair.duration = sim::millis(200);
-  s.faults.timed.push_back(pair);
+  s.faults.push_back(pair);
   // A mid-pressure crash on top, on the host the degrades spared: its
   // victims must re-admit onto hosts 0/1, and whether they fit depends on
   // how much RAM the degraded ops there have already released — the retry
@@ -349,7 +349,7 @@ Scenario Scenario::degrade_storm(int tenants, int hosts) {
   crash.host = 2;
   crash.restart_delay = sim::millis(25);
   crash.restart_jitter = sim::millis(50);
-  s.faults.timed.push_back(crash);
+  s.faults.push_back(crash);
   // Retry/backoff on: ops that would blow the 12 ms budget time out and
   // re-issue (network ops redraw their peer, routing around the partial
   // partition) instead of completing late.

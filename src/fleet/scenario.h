@@ -263,11 +263,12 @@ struct CellSpec {
   AutoscaleSpec autoscale;
   /// Explicit timed add/drain hooks, evaluated alongside the autoscaler.
   std::vector<HostEvent> host_events;
-  /// Fault injection (chaos.h): timed and seeded-random host crashes,
-  /// network partitions, rack-correlated faults, and whole-cell outages.
-  /// Resolved and validated at run start, then injected as first-class
-  /// events on the same global deterministic queue as everything else.
-  FaultSpec faults;
+  /// Fault injection (chaos.h): timed host crashes, network partitions,
+  /// degrade-family faults, rack-correlated faults, and whole-cell
+  /// outages. Resolved and validated at run start, then injected as
+  /// first-class events on the same global deterministic queue as
+  /// everything else.
+  std::vector<Fault> faults;
 
   // --- Memory mechanism ----------------------------------------------------
   /// Deduplicate identical VM pages across tenants (Section 3.2's KSM).

@@ -25,7 +25,6 @@ namespace {
 using fleet::build_windows;
 using fleet::Cluster;
 using fleet::Fault;
-using fleet::FaultSpec;
 using fleet::FaultWindow;
 using fleet::FleetEngine;
 using fleet::FleetReport;
@@ -139,38 +138,31 @@ TEST(ChaosTest, BuildPartitionWindowsEmptyWithoutPartitions) {
 TEST(ChaosTest, ResolveFaultsRejectsMalformedSpecs) {
   Scenario s = chaos_storm(8, 2);
   // Negative fault time.
-  s.faults.timed = {crash_at(-1, 0)};
+  s.faults = {crash_at(-1, 0)};
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
   // Host outside the initial topology.
-  s.faults.timed = {crash_at(sim::millis(10), 2)};
+  s.faults = {crash_at(sim::millis(10), 2)};
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
-  s.faults.timed = {crash_at(sim::millis(10), -1)};
+  s.faults = {crash_at(sim::millis(10), -1)};
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
   // Unknown rack name.
-  s.faults.timed = {crash_at(sim::millis(10), 0)};
-  s.faults.timed[0].rack = "nope";
+  s.faults = {crash_at(sim::millis(10), 0)};
+  s.faults[0].rack = "nope";
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
   // Non-positive partition duration.
-  s.faults.timed = {crash_at(sim::millis(10), 0)};
-  s.faults.timed[0].kind = Fault::Kind::kPartition;
-  s.faults.timed[0].duration = 0;
+  s.faults = {crash_at(sim::millis(10), 0)};
+  s.faults[0].kind = Fault::Kind::kPartition;
+  s.faults[0].duration = 0;
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
   // Negative restart shape.
-  s.faults.timed = {crash_at(sim::millis(10), 0)};
-  s.faults.timed[0].restart_delay = -1;
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
-  // Negative random counts / missing horizon.
-  s.faults.timed.clear();
-  s.faults.random_crashes = -1;
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
-  s.faults.random_crashes = 1;
-  s.faults.random_horizon = 0;
+  s.faults = {crash_at(sim::millis(10), 0)};
+  s.faults[0].restart_delay = -1;
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
 }
 
 TEST(ChaosTest, ResolveFaultsRejectsMalformedRacks) {
   Scenario s = chaos_storm(8, 2);
-  s.faults.timed = {crash_at(sim::millis(10), 0)};
+  s.faults = {crash_at(sim::millis(10), 0)};
   s.cluster.racks = {{"", {0}}};
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
   s.cluster.racks = {{"r0", {}}};
@@ -181,7 +173,7 @@ TEST(ChaosTest, ResolveFaultsRejectsMalformedRacks) {
 
 TEST(ChaosTest, ResolveFaultsSortsByTimeAndAssignsIds) {
   Scenario s = chaos_storm(8, 4);
-  s.faults.timed = {crash_at(sim::millis(50), 1), crash_at(sim::millis(10), 2)};
+  s.faults = {crash_at(sim::millis(50), 1), crash_at(sim::millis(10), 2)};
   const auto resolved = resolve_faults(s, 4);
   ASSERT_EQ(resolved.size(), 2u);
   EXPECT_EQ(resolved[0].id, 0);
@@ -217,7 +209,7 @@ TEST(ChaosTest, ValidateHostEventsRejectsBadHooks) {
 
 TEST(ChaosTest, RunRejectsOutOfRangeFaultHost) {
   Scenario s = chaos_storm(8, 2);
-  s.faults.timed = {crash_at(sim::millis(10), 5)};
+  s.faults = {crash_at(sim::millis(10), 5)};
   EXPECT_THROW(run_cluster(s), std::invalid_argument);
 }
 
@@ -228,7 +220,7 @@ TEST(ChaosTest, CrashLosesPageCacheAndKsmDrainDoesNot) {
   // the other drains it gracefully. The drained host keeps its warm page
   // cache; the crashed host's cache and KSM stable tree die with it.
   Scenario crash = chaos_storm(160, 3);
-  crash.faults.timed = {crash_at(sim::millis(60), 0)};
+  crash.faults = {crash_at(sim::millis(60), 0)};
 
   Scenario drain = chaos_storm(160, 3);
   HostEvent he;
@@ -267,7 +259,7 @@ TEST(ChaosTest, CrashLosesPageCacheAndKsmDrainDoesNot) {
   // re-placed once their re-boot completes — every sample sits past it.
   ASSERT_FALSE(cr.replace_ms.empty());
   EXPECT_EQ(cr.replace_ms.fraction_below(
-                sim::to_millis(crash.faults.timed[0].restart_delay)),
+                sim::to_millis(crash.faults[0].restart_delay)),
             0.0);
 }
 
@@ -276,7 +268,7 @@ TEST(ChaosTest, IncrementalFleetCountersSurviveACrash) {
   // the incremental fleet counters must track that exactly (set_peak_audit
   // latches any drift from the re-summed reference).
   Scenario s = chaos_storm(200, 3);
-  s.faults.timed = {crash_at(sim::millis(60), 1)};
+  s.faults = {crash_at(sim::millis(60), 1)};
   Cluster cluster(s.cluster);
   const auto policy = fleet::make_placement(s.placement);
   std::vector<core::HostSystem*> hosts;
@@ -299,7 +291,7 @@ TEST(ChaosTest, CrashingTheOnlyHostLosesUnplacedTenants) {
   s.arrival_window = sim::millis(100);
   s.phases_per_tenant = 2;
   s.mean_phase_duration = sim::millis(200);
-  s.faults.timed = {crash_at(sim::millis(50), 0)};
+  s.faults = {crash_at(sim::millis(50), 0)};
   const FleetReport r = run_cluster(s);
   ASSERT_EQ(r.recovery.size(), 1u);
   EXPECT_GT(r.crash_victims, 0);
@@ -336,7 +328,7 @@ TEST(ChaosTest, RackCrashHitsEveryMemberAtOneInstant) {
 TEST(ChaosTest, PartitionStallsNicPhases) {
   const Scenario s = Scenario::partition_storm(240, 4);
   Scenario control = s;
-  control.faults = FaultSpec{};
+  control.faults.clear();
   const FleetReport r = run_cluster(s);
   const FleetReport c = run_cluster(control);
 
@@ -389,7 +381,7 @@ TEST(ChaosTest, RecoveryVerdictTotalsAreConsistent) {
   }
   EXPECT_TRUE(scaled_out);
   Scenario control = s;
-  control.faults = FaultSpec{};
+  control.faults.clear();
   const FleetReport c = run_cluster(control);
   for (const auto& a : c.autoscale_timeline) {
     EXPECT_NE(a.action, "scale-out");
@@ -409,7 +401,7 @@ TEST(ChaosTest, DrainThenCrashSameInstantIsSafe) {
   he.time = sim::millis(60);
   he.host = 1;
   s.host_events = {he};
-  s.faults.timed = {crash_at(sim::millis(60), 1)};
+  s.faults = {crash_at(sim::millis(60), 1)};
   const FleetReport r = run_cluster(s);
   EXPECT_TRUE(r.hosts[1].drained);
   EXPECT_FALSE(r.hosts[1].crashed);
@@ -424,7 +416,7 @@ TEST(ChaosTest, CrashThenDrainOfDeadHostIsANoOp) {
   // The reverse race: the crash lands first, then a timed drain targets
   // the corpse. drain_shard must refuse; only the crash shows up.
   Scenario s = chaos_storm(160, 3);
-  s.faults.timed = {crash_at(sim::millis(60), 1)};
+  s.faults = {crash_at(sim::millis(60), 1)};
   HostEvent he;
   he.kind = HostEvent::Kind::kDrain;
   he.time = sim::millis(60) + 1;
@@ -464,7 +456,7 @@ TEST(ChaosPinTest, OverlappingPartitionsOnOneHost) {
     part.time = at;
     part.host = 1;
     part.duration = sim::millis(40);
-    s.faults.timed.push_back(part);
+    s.faults.push_back(part);
   }
   const FleetReport r = run_cluster(s);
   EXPECT_EQ(digest(r.to_text()), "9d67bcd5431df434");
@@ -476,6 +468,21 @@ TEST(ChaosPinTest, RackOutage) {
   EXPECT_GT(r.crash_victims, 0);
   EXPECT_EQ(digest(r.to_text()), "3ec550ee7390fefe");
   EXPECT_EQ(r.events_processed, 1326u);
+}
+
+TEST(ChaosPinTest, PartitionThenCrashOnOneHost) {
+  // Host 1 is partitioned within the first millisecond and crashes at
+  // 103 ms, after the window healed. Both faults keep their default
+  // shapes: a 50 ms window, 20 ms restart delay and 20 ms jitter.
+  Scenario s = chaos_storm(160, 4);
+  Fault part = crash_at(338'318, 1);
+  part.kind = Fault::Kind::kPartition;
+  s.faults = {part, crash_at(103'022'581, 1)};
+  const FleetReport r = run_cluster(s);
+  EXPECT_EQ(r.recovery.size(), 2u);
+  EXPECT_EQ(digest(r.to_text()), "56ad1159840db4bb");
+  EXPECT_EQ(r.events_processed, 1023u);
+  EXPECT_EQ(run_cluster(s).to_text(), r.to_text());
 }
 
 // --- Determinism -------------------------------------------------------------
@@ -493,24 +500,5 @@ TEST(ChaosTest, ChaosBuiltinsAreByteIdenticalAcrossRuns) {
   }
 }
 
-TEST(ChaosTest, RandomFaultScheduleIsSeedDeterministic) {
-  Scenario s = chaos_storm(160, 4);
-  s.faults.random_crashes = 1;
-  s.faults.random_partitions = 1;
-  s.faults.random_horizon = sim::millis(150);
-  const FleetReport r = run_cluster(s);
-  EXPECT_EQ(r.recovery.size(), 2u);
-  EXPECT_EQ(digest(r.to_text()), "56ad1159840db4bb");
-  EXPECT_EQ(r.events_processed, 1023u);
-  EXPECT_EQ(run_cluster(s).to_text(), r.to_text());
-  // A different seed draws a different schedule (times differ with
-  // overwhelming probability; equality here would mean the stream ignored
-  // the seed).
-  Scenario other = s;
-  other.seed ^= 0x5EED;
-  const FleetReport ro = run_cluster(other);
-  ASSERT_EQ(ro.recovery.size(), 2u);
-  EXPECT_NE(ro.recovery[0].time, r.recovery[0].time);
-}
 
 }  // namespace

@@ -28,7 +28,6 @@ namespace {
 
 using fleet::build_windows;
 using fleet::Cluster;
-using fleet::FaultSpec;
 using fleet::Fault;
 using fleet::FaultWindow;
 using fleet::FederatedScenario;
@@ -176,53 +175,23 @@ TEST(DegradedTest, PairWindowsAreSymmetric) {
 TEST(DegradedTest, ResolveFaultsRejectsMalformedDegradeShapes) {
   Scenario s = Scenario::program_storm(16, 2);
   // Disk degrade multiplier below 1 would *speed the disk up*.
-  s.faults.timed = {disk_degrade_at(sim::millis(10), 0, 0.5, sim::millis(20))};
+  s.faults = {disk_degrade_at(sim::millis(10), 0, 0.5, sim::millis(20))};
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
   // Non-positive degrade window.
-  s.faults.timed = {disk_degrade_at(sim::millis(10), 0, 4.0, 0)};
+  s.faults = {disk_degrade_at(sim::millis(10), 0, 4.0, 0)};
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
-  s.faults.timed = {mem_pressure_at(sim::millis(10), 0, -1)};
+  s.faults = {mem_pressure_at(sim::millis(10), 0, -1)};
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
   // A partial partition pairing a host with itself cuts nothing.
-  s.faults.timed = {
+  s.faults = {
       partial_partition_at(sim::millis(10), 1, 1, sim::millis(20))};
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
   // Peer outside the initial topology.
-  s.faults.timed = {
+  s.faults = {
       partial_partition_at(sim::millis(10), 0, 5, sim::millis(20))};
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
-  s.faults.timed = {
+  s.faults = {
       partial_partition_at(sim::millis(10), 0, -1, sim::millis(20))};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
-}
-
-TEST(DegradedTest, ResolveFaultsRejectsMalformedRandomDegrades) {
-  Scenario s = Scenario::program_storm(16, 2);
-  s.faults.random_disk_degrades = -1;
-  s.faults.random_horizon = sim::millis(100);
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
-  // Mixed pool with every weight zero has nothing to draw.
-  s.faults = FaultSpec{};
-  s.faults.random_mixed = 2;
-  s.faults.random_horizon = sim::millis(100);
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
-  // Negative weights are rejected even when another weight is positive.
-  s.faults.weight_crash = 1.0;
-  s.faults.weight_disk_degrade = -0.5;
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
-  // Partial partitions need a pair to cut.
-  s.faults = FaultSpec{};
-  s.faults.random_partial_partitions = 1;
-  s.faults.random_horizon = sim::millis(100);
-  EXPECT_THROW(resolve_faults(s, 1), std::invalid_argument);
-  // Non-positive random degrade shape.
-  s.faults = FaultSpec{};
-  s.faults.random_disk_degrades = 1;
-  s.faults.random_horizon = sim::millis(100);
-  s.faults.random_degrade_multiplier = 0.5;
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
-  s.faults.random_degrade_multiplier = 4.0;
-  s.faults.random_degrade_duration = 0;
   EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
 }
 
@@ -245,7 +214,7 @@ TEST(DegradedTest, DiskDegradeStretchesOpsWithoutKillingAnyone) {
   // The window spans the whole run so host 0's disk-bound critical path
   // (log-writer fsyncs, cache-missing reads) is stretched end to end.
   Scenario s = Scenario::program_storm(96, 3);
-  s.faults.timed = {
+  s.faults = {
       disk_degrade_at(sim::millis(5), 0, 8.0, sim::millis(2000))};
   Scenario control = Scenario::program_storm(96, 3);
   const FleetReport r = run_cluster(s);
@@ -278,7 +247,7 @@ TEST(DegradedTest, MemPressureSpikesResidentAndAuditsExactly) {
   // fleet counters must track the spike (and the window-end re-merge)
   // exactly — set_peak_audit latches any drift.
   Scenario s = Scenario::program_storm(160, 3);
-  s.faults.timed = {mem_pressure_at(sim::millis(60), 1, sim::millis(50))};
+  s.faults = {mem_pressure_at(sim::millis(60), 1, sim::millis(50))};
   Cluster cluster(s.cluster);
   const auto policy = fleet::make_placement(s.placement);
   std::vector<core::HostSystem*> hosts;
@@ -300,7 +269,7 @@ TEST(DegradedTest, MemPressureSpikesResidentAndAuditsExactly) {
 
 TEST(DegradedTest, PartialPartitionStallsOnlyTheCutPair) {
   Scenario s = Scenario::program_storm(120, 4);
-  s.faults.timed = {
+  s.faults = {
       partial_partition_at(sim::millis(10), 0, 1, sim::millis(150))};
   const FleetReport r = run_cluster(s);
   ASSERT_EQ(r.degraded.size(), 1u);
@@ -367,7 +336,7 @@ TEST(DegradedTest, CrashDuringBootLosesPartialBoots) {
   crash.kind = Fault::Kind::kCrash;
   crash.time = sim::millis(8);
   crash.host = 0;
-  s.faults.timed = {crash};
+  s.faults = {crash};
   const FleetReport r = run_cluster(s);
   ASSERT_EQ(r.recovery.size(), 1u);
   const auto& v = r.recovery[0];
@@ -376,33 +345,6 @@ TEST(DegradedTest, CrashDuringBootLosesPartialBoots) {
   EXPECT_LE(v.boots_lost, v.victims);
   EXPECT_EQ(r.boots_lost, v.boots_lost);
   EXPECT_NE(r.to_text().find("partial boots lost"), std::string::npos);
-}
-
-// --- Random degrade schedules ------------------------------------------------
-
-TEST(DegradedTest, RandomDegradeScheduleIsSeedDeterministic) {
-  Scenario s = Scenario::program_storm(120, 4);
-  s.faults.random_disk_degrades = 1;
-  s.faults.random_mem_pressures = 1;
-  s.faults.random_partial_partitions = 1;
-  s.faults.random_mixed = 2;
-  s.faults.weight_crash = 1.0;
-  s.faults.weight_disk_degrade = 2.0;
-  s.faults.weight_partial_partition = 2.0;
-  s.faults.random_horizon = sim::millis(150);
-  const FleetReport r = run_cluster(s);
-  // Three explicit degrade draws, plus up to two mixed draws.
-  EXPECT_GE(r.degraded.size(), 3u);
-  EXPECT_LE(r.degraded.size(), 5u);
-  EXPECT_EQ(digest(r.to_text()), "615b645393fd414a");
-  EXPECT_EQ(r.events_processed, 8339u);
-  EXPECT_EQ(run_cluster(s).to_text(), r.to_text());
-  // A different seed draws a different schedule.
-  Scenario other = s;
-  other.seed ^= 0x5EED;
-  const FleetReport ro = run_cluster(other);
-  ASSERT_GE(ro.degraded.size(), 3u);
-  EXPECT_NE(ro.degraded[0].time, r.degraded[0].time);
 }
 
 // --- Federation composition --------------------------------------------------
@@ -477,7 +419,7 @@ TEST(DegradePinTest, OverlappingDiskDegradesOnOneHost) {
   // [40, 190) x3 and [100, 300) x7 overlap on host 0: the x7 window must
   // win where both are open.
   Scenario s = Scenario::program_storm(120, 3);
-  s.faults.timed = {
+  s.faults = {
       disk_degrade_at(sim::millis(40), 0, 3.0, sim::millis(150)),
       disk_degrade_at(sim::millis(100), 0, 7.0, sim::millis(200)),
   };
@@ -497,7 +439,7 @@ TEST(DegradePinTest, EveryWindowKindOnOneHostWithRetries) {
   part.time = sim::millis(120);
   part.host = 0;
   part.duration = sim::millis(60);
-  s.faults.timed = {
+  s.faults = {
       part,
       partial_partition_at(sim::millis(100), 0, 1, sim::millis(150)),
       partial_partition_at(sim::millis(140), 0, 1, sim::millis(150)),
@@ -510,6 +452,25 @@ TEST(DegradePinTest, EveryWindowKindOnOneHostWithRetries) {
 }
 
 // --- Determinism -------------------------------------------------------------
+
+TEST(DegradePinTest, MemPressurePairCutAndThreeDiskDegrades) {
+  // Every degrade-family kind across four hosts, each window the default
+  // 50 ms and each disk degrade the default 4x: a mem-pressure spike on
+  // host 1, a cut between hosts 0 and 1, then disk degrades on hosts 1, 3
+  // and 2.
+  Scenario s = Scenario::program_storm(120, 4);
+  const sim::Nanos window = sim::millis(50);
+  s.faults = {mem_pressure_at(338'318, 1, window),
+              partial_partition_at(56'342'588, 0, 1, window),
+              disk_degrade_at(103'022'581, 1, 4.0, window),
+              disk_degrade_at(107'378'086, 3, 4.0, window),
+              disk_degrade_at(146'646'902, 2, 4.0, window)};
+  const FleetReport r = run_cluster(s);
+  EXPECT_EQ(r.degraded.size(), 5u);
+  EXPECT_EQ(digest(r.to_text()), "615b645393fd414a");
+  EXPECT_EQ(r.events_processed, 8339u);
+  EXPECT_EQ(run_cluster(s).to_text(), r.to_text());
+}
 
 TEST(DegradedTest, DegradeStormIsByteIdenticalAcrossRuns) {
   for (const bool retries_on : {true, false}) {

@@ -229,7 +229,7 @@ TEST(ProgramTest, PartitionStallsInFlightProgramNetworkOps) {
   part.time = sim::millis(120);
   part.rack = "r0";
   part.duration = sim::millis(30);
-  s.faults.timed.push_back(part);
+  s.faults.push_back(part);
 
   Scenario ctrl = one_program(150, 2, kProgKvServer);
   ctrl.cluster.racks = {r0};
@@ -258,7 +258,7 @@ TEST(ProgramTest, CrashRestartsVictimProgramsFromTheTop) {
   crash.time = sim::millis(150);
   crash.host = 0;
   crash.restart_delay = sim::millis(25);
-  s.faults.timed.push_back(crash);
+  s.faults.push_back(crash);
 
   const FleetReport r = run_cluster(s);
   EXPECT_GT(r.crash_victims, 0);
