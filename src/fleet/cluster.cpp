@@ -38,29 +38,10 @@ core::HostSystemSpec Cluster::spec_for(int index) const {
 core::HostSystem& Cluster::add_host() {
   const int index = static_cast<int>(hosts_.size());
   hosts_.push_back(std::make_unique<core::HostSystem>(spec_for(index)));
-  retired_.push_back(false);
   return *hosts_.back();
 }
 
-void Cluster::drain_host(int index) {
-  retired_.at(static_cast<std::size_t>(index)) = true;
-}
-
-int Cluster::live_host_count() const {
-  int live = 0;
-  for (const bool retired : retired_) {
-    live += retired ? 0 : 1;
-  }
-  return live;
-}
-
 FleetReport Cluster::run(const Scenario& scenario) {
-  // A run starts with every host live: the engine rebuilds all shard state
-  // from scratch, so hosts retired by a previous run's drains are revived
-  // here to keep is_retired()/live_host_count() agreeing with what the
-  // engine actually places on. (Reproducible runs use a fresh Cluster
-  // anyway — reuse also carries warmed caches and advanced RNG streams.)
-  retired_.assign(retired_.size(), false);
   const auto policy = make_placement(scenario.placement);
   std::vector<core::HostSystem*> hosts;
   hosts.reserve(hosts_.size());

@@ -46,28 +46,17 @@ class Cluster : public HostProvisioner {
   /// yields the same host, whether at build time or mid-run.
   core::HostSystem& add_host();
 
-  /// Mark a host retired. During a run the engine re-places its tenants
-  /// first; a retired host takes no new placements for the rest of that
-  /// run. A subsequent run() revives every host.
-  void drain_host(int index);
-
   int host_count() const { return static_cast<int>(hosts_.size()); }
-  int live_host_count() const;
-  bool is_retired(int index) const {
-    return retired_.at(static_cast<std::size_t>(index));
-  }
   core::HostSystem& host(int i) { return *hosts_.at(static_cast<std::size_t>(i)); }
 
   // HostProvisioner (the engine's view of the cluster):
   core::HostSystem* provision_host() override { return &add_host(); }
-  void retire_host(int index) override { drain_host(index); }
 
  private:
   core::HostSystemSpec spec_for(int index) const;
 
   ClusterTopology topo_;
   std::vector<std::unique_ptr<core::HostSystem>> hosts_;
-  std::vector<bool> retired_;
 };
 
 }  // namespace fleet

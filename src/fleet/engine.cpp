@@ -939,9 +939,6 @@ void FleetEngine::drain_shard(int index, sim::Nanos now) {
     ++report_.drain_migrations;
     queue_.push(now, t.id, EventKind::kArrival, t.epoch);
   }
-  if (provisioner_ != nullptr) {
-    provisioner_->retire_host(index);
-  }
 }
 
 void FleetEngine::handle_host_event(const Event& e, const Scenario& s) {
@@ -1160,9 +1157,6 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
   sh.cpu_demand = 0.0;
   sh.tenants_by_platform.clear();
   fleet_apply(sh, before);
-  if (provisioner_ != nullptr) {
-    provisioner_->retire_host(index);
-  }
 }
 
 sim::Nanos FleetEngine::stretch(

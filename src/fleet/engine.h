@@ -45,9 +45,9 @@ namespace fleet {
 /// their process RSS.
 bool is_hypervisor_backed(platforms::PlatformId id);
 
-/// Supplies fresh hosts for mid-run scale-out and observes drains.
-/// fleet::Cluster implements this; a bare FleetEngine without one simply
-/// cannot grow (scale-out requests are ignored).
+/// Supplies fresh hosts for mid-run scale-out. fleet::Cluster implements
+/// this; a bare FleetEngine without one simply cannot grow (scale-out
+/// requests are ignored).
 class HostProvisioner {
  public:
   virtual ~HostProvisioner() = default;
@@ -55,8 +55,6 @@ class HostProvisioner {
   /// its index) and return it; the engine builds a shard around it. The
   /// host must stay alive for the rest of the run.
   virtual core::HostSystem* provision_host() = 0;
-  /// The engine drained this host index (its tenants were re-placed).
-  virtual void retire_host(int index) { (void)index; }
 };
 
 class FleetEngine {

@@ -551,7 +551,6 @@ TEST(AutoscaleTest, ClusterAddAndDrainHostApi) {
   topo.ram_bytes = 32ull << 30;
   Cluster cluster(topo);
   EXPECT_EQ(cluster.host_count(), 2);
-  EXPECT_EQ(cluster.live_host_count(), 2);
   auto& added = cluster.add_host();
   EXPECT_EQ(cluster.host_count(), 3);
   EXPECT_EQ(&cluster.host(2), &added);
@@ -562,16 +561,18 @@ TEST(AutoscaleTest, ClusterAddAndDrainHostApi) {
   topo3.host_count = 3;
   Cluster upfront(topo3);
   EXPECT_EQ(added.spec().rng_seed, upfront.host(2).spec().rng_seed);
-  cluster.drain_host(1);
-  EXPECT_TRUE(cluster.is_retired(1));
-  EXPECT_EQ(cluster.live_host_count(), 2);
-  // A new run revives every host: the engine rebuilds all shard state, so
-  // the cluster's accessors must agree with where it actually places.
+  // A run places on the grown cluster, and a drain shows in its report.
   auto s = Scenario::coldstart_storm(8);
   s.cluster.host_count = 3;  // matches the grown cluster
-  (void)cluster.run(s);
-  EXPECT_FALSE(cluster.is_retired(1));
-  EXPECT_EQ(cluster.live_host_count(), 3);
+  HostEvent drain;
+  drain.kind = HostEvent::Kind::kDrain;
+  drain.time = sim::millis(1);
+  drain.host = 1;
+  s.host_events = {drain};
+  const FleetReport r = cluster.run(s);
+  ASSERT_EQ(r.hosts.size(), 3u);
+  EXPECT_TRUE(r.hosts[1].drained);
+  EXPECT_EQ(r.final_host_count, 2);
 }
 
 TEST(AutoscaleTest, RejectsNonPositiveEvalInterval) {
