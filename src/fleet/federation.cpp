@@ -5,12 +5,14 @@
 #include <cstdio>
 #include <exception>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
 #include <unordered_map>
 
 #include "core/host_system.h"
+#include "fleet/cluster.h"
 #include "fleet/engine.h"
 
 namespace fleet {
@@ -187,11 +189,10 @@ Federation::Federation(FederationTopology topology)
   if (topology_.cells.empty()) {
     throw std::invalid_argument("Federation: topology has no cells");
   }
-  cells_.resize(topology_.cells.size());
 }
 
 FederationReport Federation::run(const FederatedScenario& fs) {
-  const int cell_n = cell_count();
+  const int cell_n = static_cast<int>(topology_.cells.size());
   if (!fs.topology.cells.empty() &&
       static_cast<int>(fs.topology.cells.size()) != cell_n) {
     throw std::invalid_argument(
@@ -362,11 +363,11 @@ FederationReport Federation::run(const FederatedScenario& fs) {
   // One cell run: a fresh Cluster over the cell's routed subset, each seed
   // carrying its effective arrival. It reads only what the round leaves
   // alone and writes only cell k's slots, so a round's cells run
-  // concurrently and share nothing mutable. The cell's previous run is
-  // dropped first, so its memory is free before this run allocates.
+  // concurrently and share nothing mutable. The cell's previous report is
+  // dropped first, so its memory is free before this run allocates, and
+  // the Cluster is freed as soon as this run returns.
   const auto run_cell = [&](int k) {
     const auto c = static_cast<std::size_t>(k);
-    cells_[c].reset();
     reports[c] = FleetReport{};
     Scenario s = cs[c];
     s.population.reserve(members[c].size());
@@ -375,8 +376,8 @@ FederationReport Federation::run(const FederatedScenario& fs) {
       s.population.back().arrival = arrival[static_cast<std::size_t>(gid)];
     }
     run_members[c] = members[c];
-    cells_[c] = std::make_unique<Cluster>(topology_.cells[c].spec.cluster);
-    reports[c] = cells_[c]->run(s);
+    Cluster cluster(topology_.cells[c].spec.cluster);
+    reports[c] = cluster.run(s);
   };
 
   std::vector<char> dirty(static_cast<std::size_t>(cell_n), 1);

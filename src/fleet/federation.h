@@ -41,11 +41,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "fleet/cluster.h"
 #include "fleet/placement.h"
 #include "fleet/report.h"
 #include "fleet/scenario.h"
@@ -164,10 +162,11 @@ class FederationReport {
   std::string to_text() const;
 };
 
-/// K cells behind one router. Owns the per-cell Clusters; run() is
-/// deterministic for a given FederatedScenario (cells re-built fresh per
-/// run, exactly like "build a fresh Cluster per reproducible run"), and
-/// byte-identical whether a round's cells run on one thread or on many.
+/// K cells behind one router. Each cell run builds a fresh Cluster and
+/// frees it when that run returns, so run() is deterministic for a given
+/// FederatedScenario (exactly like "build a fresh Cluster per reproducible
+/// run"), and byte-identical whether a round's cells run on one thread or
+/// on many.
 class Federation {
  public:
   explicit Federation(FederationTopology topology);
@@ -183,17 +182,8 @@ class Federation {
   /// lowest cell index wins.
   FederationReport run(const FederatedScenario& fs);
 
-  int cell_count() const { return static_cast<int>(topology_.cells.size()); }
-
-  /// The cell's Cluster from the most recent run (final re-run state).
-  /// Null before the first run() touches that cell.
-  Cluster* cell(int index) {
-    return cells_[static_cast<std::size_t>(index)].get();
-  }
-
  private:
   FederationTopology topology_;
-  std::vector<std::unique_ptr<Cluster>> cells_;
 };
 
 }  // namespace fleet
