@@ -1432,6 +1432,12 @@ FleetReport FleetEngine::run(const Scenario& s) {
     throw std::invalid_argument(
         "FleetEngine::run: autoscale.eval_interval must be positive");
   }
+  if (s.autoscale.enabled && s.autoscale.min_hosts < 1) {
+    // Scale-in drains while more than min_hosts are live, so a lower floor
+    // would drain the last live host, which explicit drains refuse to do.
+    throw std::invalid_argument(
+        "FleetEngine::run: autoscale.min_hosts must be at least 1");
+  }
   // Up-front validation and fault resolution (chaos.h): out-of-range host
   // indices, negative times and malformed racks throw here with a clear
   // message instead of corrupting state deep in the event loop.

@@ -80,9 +80,9 @@ struct AutoscaleSpec {
   /// provisioner (fleet::Cluster provides one; a bare FleetEngine cannot
   /// grow).
   int max_hosts = 0;
-  /// Floor on live hosts for scale-in. Scenarios that should never shrink
-  /// below their starting topology set this to the initial host count
-  /// (Scenario::autoscale_storm does).
+  /// Floor on live hosts for scale-in; must be at least 1. Scenarios that
+  /// should never shrink below their starting topology set this to the
+  /// initial host count (Scenario::autoscale_storm does).
   int min_hosts = 1;
 };
 
@@ -244,6 +244,7 @@ struct TrafficSpec : TrafficKnobs {
   /// and the workload phases off that fork — the exact draw sequence the
   /// engine performed inline before populations became explicit, so a run
   /// fed the returned seeds is byte-identical to one that draws its own.
+  /// Throws std::invalid_argument on a negative tenant_count.
   std::vector<TenantSeed> draw_population() const;
 };
 

@@ -582,4 +582,20 @@ TEST(AutoscaleTest, RejectsNonPositiveEvalInterval) {
   EXPECT_THROW(cluster.run(s), std::invalid_argument);
 }
 
+TEST(AutoscaleTest, RejectsMinHostsBelowOne) {
+  // Scale-in drains while more than min_hosts are live, so a floor of 0
+  // would let the first evaluation drain the only host and reject every
+  // tenant.
+  for (const int min_hosts : {0, -1}) {
+    auto s = Scenario::autoscale_storm(64, 1, 2);
+    s.autoscale.min_hosts = min_hosts;
+    EXPECT_THROW(run_cluster(s), std::invalid_argument) << min_hosts;
+  }
+  auto s = Scenario::autoscale_storm(64, 1, 2);
+  s.autoscale.min_hosts = 1;
+  const FleetReport r = run_cluster(s);
+  EXPECT_EQ(r.admitted, 64);
+  EXPECT_GE(r.final_host_count, 1);
+}
+
 }  // namespace
