@@ -1,6 +1,7 @@
 #include "fleet/scenario.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "fleet/program.h"
 
@@ -24,6 +25,10 @@ std::vector<TenantSeed> TrafficSpec::draw_population() const {
   // platform pick, RNG fork, and phase draws off that fork. The order of
   // draws against the root rng is load-bearing — any reordering changes
   // every downstream report byte.
+  if (tenant_count < 0) {
+    throw std::invalid_argument(
+        "TrafficSpec: tenant_count must be non-negative");
+  }
   sim::Rng rng(seed);
 
   double mix_total = 0.0;

@@ -359,6 +359,17 @@ TEST(FederationTest, MalformedScenariosAreRejectedUpFront) {
   EXPECT_THROW(fed.run(fs), std::invalid_argument);
 }
 
+TEST(FederationTest, NegativeTenantCountIsRejected) {
+  // Clusters and federations both draw their tenants through
+  // TrafficSpec::draw_population, which refuses the count up front.
+  Scenario s = Scenario::cluster_storm(16, 2);
+  s.tenant_count = -1;
+  Cluster cluster(s.cluster);
+  EXPECT_THROW(cluster.run(s), std::invalid_argument);
+  EXPECT_THROW(run_federation(FederatedScenario::from_scenario(s, 2)),
+               std::invalid_argument);
+}
+
 TEST(FederationTest, MalformedPlatformWeightIsRejected) {
   // Every cell run reaches the engine's weight check, so the federation
   // refuses the mix rather than drop the share from every cell.
