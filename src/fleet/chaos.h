@@ -111,10 +111,10 @@ inline bool is_degrade_kind(Fault::Kind k) {
 
 /// One fault resolved against a concrete topology: rack names expanded to
 /// host lists, the whole schedule sorted by time with ids assigned in that
-/// order. The id doubles as the event payload
-/// (Event::tenant) and is stamped on the fault's verdict
-/// (RecoveryVerdict::fault or DegradeVerdict::fault). It is not an index
-/// into FleetReport::recovery, which holds crash-family verdicts only.
+/// order. The id doubles as the event payload (Event::tenant) and is
+/// stamped on the fault's verdict (RecoveryVerdict::fault or
+/// DegradeVerdict::fault). It is not an index into FleetReport::recovery,
+/// which holds crash-family verdicts only.
 struct ResolvedFault {
   int id = 0;
   Fault::Kind kind = Fault::Kind::kCrash;

@@ -12,9 +12,10 @@
 //
 // The cluster is also the engine's HostProvisioner: scenarios with an
 // autoscale spec or timed HostEvents can add fresh hosts mid-run (each
-// with a deterministic RNG seed derived from its index) and drain live
-// ones (tenants re-placed through placement + admission, then the host
-// retires and takes no further placements).
+// with a deterministic RNG seed derived from its index). Drains stay
+// inside the engine: tenants are re-placed through placement + admission,
+// then the host retires and takes no further placements; the report's
+// host rollups and final_host_count record which hosts ended live.
 #pragma once
 
 #include <memory>

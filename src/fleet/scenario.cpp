@@ -20,15 +20,15 @@ std::string arrival_pattern_name(ArrivalPattern p) {
 }
 
 std::vector<TenantSeed> TrafficSpec::draw_population() const {
+  if (tenant_count < 0) {
+    throw std::invalid_argument(
+        "TrafficSpec: tenant_count must be non-negative");
+  }
   // This is the engine's historical inline draw, hoisted verbatim: ALL
   // arrival times first (then one sort), and only then each tenant's
   // platform pick, RNG fork, and phase draws off that fork. The order of
   // draws against the root rng is load-bearing — any reordering changes
   // every downstream report byte.
-  if (tenant_count < 0) {
-    throw std::invalid_argument(
-        "TrafficSpec: tenant_count must be non-negative");
-  }
   sim::Rng rng(seed);
 
   double mix_total = 0.0;

@@ -500,5 +500,4 @@ TEST(ChaosTest, ChaosBuiltinsAreByteIdenticalAcrossRuns) {
   }
 }
 
-
 }  // namespace
