@@ -475,8 +475,10 @@ TEST(ChaosPinTest, PartitionThenCrashOnOneHost) {
   // 103 ms, after the window healed. Both faults keep their default
   // shapes: a 50 ms window, 20 ms restart delay and 20 ms jitter.
   Scenario s = chaos_storm(160, 4);
-  Fault part = crash_at(338'318, 1);
+  Fault part;
   part.kind = Fault::Kind::kPartition;
+  part.time = 338'318;
+  part.host = 1;
   s.faults = {part, crash_at(103'022'581, 1)};
   const FleetReport r = run_cluster(s);
   EXPECT_EQ(r.recovery.size(), 2u);
