@@ -7,8 +7,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/host_system.h"
@@ -230,6 +233,96 @@ TEST(ClusterTest, IncrementalFleetCountersMatchSummedForm) {
   const FleetReport r = engine.run(s);
   EXPECT_TRUE(engine.peak_audit_ok());
   EXPECT_GT(r.admitted, 0);
+}
+
+// Forwards every call to the scenario's built-in policy and keeps the last
+// HostState the engine pushed for each host.
+class RecordingPolicy : public fleet::PlacementPolicy {
+ public:
+  explicit RecordingPolicy(PlacementKind kind) : inner_(make_placement(kind)) {}
+
+  std::string name() const override { return inner_->name(); }
+  void reset() override {
+    last_.clear();
+    inner_->reset();
+  }
+  void target_updated(const fleet::HostState& state) override {
+    last_[state.index] = state;
+    inner_->target_updated(state);
+  }
+  void platform_count_changed(int target, platforms::PlatformId platform,
+                              int count) override {
+    inner_->platform_count_changed(target, platform, count);
+  }
+  void target_removed(int target) override { inner_->target_removed(target); }
+  void walk_begin(const PlacementRequest& req) override {
+    inner_->walk_begin(req);
+  }
+  int walk_next() override { return inner_->walk_next(); }
+  void rank(const PlacementRequest& req, const std::vector<HostView>& views,
+            std::vector<int>& ranked) override {
+    inner_->rank(req, views, ranked);
+  }
+
+  const std::map<int, fleet::HostState>& last() const { return last_; }
+
+ private:
+  std::unique_ptr<fleet::PlacementPolicy> inner_;
+  std::map<int, fleet::HostState> last_;
+};
+
+TEST(ClusterTest, LiveHostsEndTheRunWithNothingCharged) {
+  // Conservation: every charge a tenant puts on a host (boot, phase and
+  // program-op vCPUs, NIC slots, resident bytes, the active count) is
+  // given back by the time the run ends. Checked through the state the
+  // engine last pushed to the policy, across drains, crashes, degrade
+  // faults, partitions and churn.
+  std::vector<Scenario> runs;
+  Scenario drained = Scenario::program_storm(400, 4);
+  HostEvent drain;
+  drain.time = sim::millis(120);
+  drain.kind = HostEvent::Kind::kDrain;
+  drain.host = 1;
+  drained.host_events = {drain};
+  runs.push_back(drained);
+  runs.push_back(Scenario::degrade_storm(400, 4));
+  Scenario churn = Scenario::churn_mix(48, 2);
+  churn.cluster.host_count = 2;
+  churn.placement = PlacementKind::kLeastLoaded;
+  runs.push_back(churn);
+  runs.push_back(Scenario::crash_recovery(200, 3, 5));
+  runs.push_back(Scenario::partition_storm(200, 4));
+  runs.push_back(Scenario::rack_outage(200, 4));
+
+  for (const Scenario& s : runs) {
+    Cluster cluster(s.cluster);
+    RecordingPolicy policy(s.placement);
+    std::vector<core::HostSystem*> hosts;
+    for (int i = 0; i < cluster.host_count(); ++i) {
+      hosts.push_back(&cluster.host(i));
+    }
+    FleetEngine engine(hosts, &policy, &cluster);
+    const FleetReport r = engine.run(s);
+    EXPECT_GT(r.completed, 0) << s.name;
+    if (&s == &runs.front()) {
+      EXPECT_GT(r.drain_migrations, 0);
+    }
+    int live = 0;
+    for (const auto& h : r.hosts) {
+      if (h.drained || h.crashed) {
+        continue;
+      }
+      ++live;
+      const auto it = policy.last().find(h.host);
+      ASSERT_NE(it, policy.last().end()) << s.name << " host " << h.host;
+      const fleet::HostState& st = it->second;
+      EXPECT_EQ(st.pressure.cpu_demand, 0.0) << s.name << " host " << h.host;
+      EXPECT_EQ(st.pressure.net_active, 0) << s.name << " host " << h.host;
+      EXPECT_EQ(st.active_tenants, 0) << s.name << " host " << h.host;
+      EXPECT_EQ(st.resident_bytes, 0u) << s.name << " host " << h.host;
+    }
+    EXPECT_EQ(live, r.final_host_count) << s.name;
+  }
 }
 
 TEST(ClusterTest, ReportRendersPlacementAndHostTable) {
