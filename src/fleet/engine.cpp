@@ -269,20 +269,13 @@ bool FleetEngine::admit(Shard& sh, Tenant& t, const Scenario& s) {
 void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   // A tripped density-stop latch rejects before placement: no host is
   // consulted, no policy state advances, and the rejection counts only in
-  // the fleet-level total — not against any host's rollup.
-  if (s.stop_at_first_oom && report_.first_oom_tenant >= 0) {
-    t.outcome.admitted = false;
-    ++report_.rejected;
-    note_crash_loss(t);
-    return;
-  }
-  // A crash can kill the whole fleet; with nowhere to place, the arrival
-  // is rejected fleet-level (no host consulted, no first-OOM latch — this
-  // is a capacity outage, not a density wall).
-  if (live_hosts_ == 0) {
-    t.outcome.admitted = false;
-    ++report_.rejected;
-    note_crash_loss(t);
+  // the fleet-level total — not against any host's rollup. A crash can
+  // also kill the whole fleet; with nowhere to place, the arrival is
+  // rejected the same way (no first-OOM latch — this is a capacity
+  // outage, not a density wall).
+  if ((s.stop_at_first_oom && report_.first_oom_tenant >= 0) ||
+      live_hosts_ == 0) {
+    reject(t);
     return;
   }
 
@@ -331,11 +324,8 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
     if (report_.first_oom_tenant < 0) {
       report_.first_oom_tenant = static_cast<std::int64_t>(t.id);
     }
-    t.outcome.admitted = false;
-    t.resident_bytes = 0;
-    ++report_.rejected;
     ++shards_[static_cast<std::size_t>(last_tried)].rollup.rejected;
-    note_crash_loss(t);
+    reject(t);
     return;
   }
 
@@ -353,8 +343,7 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   ++sh.active;
   ++sh.tenants_by_platform[t.platform_id];
   notify_platform_count(sh, t.platform_id);
-  sh.cpu_demand += kBootVcpus;
-  t.in_flight = Tenant::InFlight::kBoot;
+  charge(sh, t, Tenant::InFlight::kBoot, kBootVcpus, false);
   t.holds_resources = true;
   note_peaks(sh);
 
@@ -379,14 +368,10 @@ sim::Nanos FleetEngine::boot_physics(Shard& sh, Tenant& t, const Scenario& s,
   t.platform->boot_total(t.clock, t.rng);
   const sim::Nanos boot_ns = t.clock.now() - arrival;
 
-  auto& cache = sh.host->page_cache();
-  const std::uint64_t misses =
-      cache.access_range(image_file_id(t.platform_id), 0, s.image_bytes);
   sim::Nanos image_ns = 0;
-  if (misses > 0) {
-    image_ns =
-        sh.host->nvme().read(misses * hostk::PageCache::kPageSize, t.rng);
-  } else {
+  const std::uint64_t misses = read_through(
+      sh, image_file_id(t.platform_id), s.image_bytes, t.rng, image_ns);
+  if (misses == 0) {
     image_ns = sim::micros(50);  // fully cache-resident image
   }
 
@@ -398,12 +383,7 @@ sim::Nanos FleetEngine::boot_physics(Shard& sh, Tenant& t, const Scenario& s,
   // nor the wire.
   if (misses > 0) {
     total = stretch(degrades_, sh.rollup.host, arrival, total);
-    const sim::Nanos stalled = stretch(partitions_, sh.rollup.host, arrival,
-                                       total);
-    if (stalled != total) {
-      ++sh.rollup.nic_stalls;
-      total = stalled;
-    }
+    total = nic_stall(sh, partitions_, arrival, total);
   }
   t.clock.advance_to(arrival + total);
   t.outcome.boot_latency = total;
@@ -417,13 +397,11 @@ void FleetEngine::handle_boot_phys(Tenant& t, const Scenario& s) {
 }
 
 void FleetEngine::handle_boot_done(Tenant& t, const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
-  sh.cpu_demand -= kBootVcpus;
-  t.in_flight = Tenant::InFlight::kNone;
-  // One string-keyed lookup per *platform id* per run, here; boots reuse
-  // the id-indexed slot and phases the per-tenant pointer. Creating the
-  // entry lazily (not at tenant setup) keeps platforms whose tenants never
-  // booted out of the report table.
+  discharge(shards_[static_cast<std::size_t>(t.host)], t);
+  // One string-keyed lookup per *platform id* per run, here; later boots
+  // and every phase reuse the id-indexed slot. Creating the entry lazily
+  // (not at tenant setup) keeps platforms whose tenants never booted out
+  // of the report table.
   PlatformFleetStats*& slot =
       stats_by_id_[static_cast<std::size_t>(t.platform_id)];
   if (slot == nullptr) {
@@ -431,7 +409,6 @@ void FleetEngine::handle_boot_done(Tenant& t, const Scenario& s) {
     slot->platform = t.platform->name();
   }
   auto& stats = *slot;
-  t.stats = &stats;
   const bool first_boot = !t.counted_in_stats;
   if (first_boot) {
     // Distinct tenants, not boots: churn re-arrivals add boot/phase
@@ -469,7 +446,6 @@ void FleetEngine::handle_boot_done(Tenant& t, const Scenario& s) {
       pslot = &report_.by_program[prog.name];
       pslot->program = prog.name;
     }
-    t.pstats = pslot;
     if (first_boot) {
       ++pslot->tenants;
     }
@@ -489,11 +465,8 @@ void FleetEngine::handle_boot_done(Tenant& t, const Scenario& s) {
 void FleetEngine::start_phase(Tenant& t, platforms::WorkloadClass w,
                               const Scenario& s) {
   Shard& sh = shards_[static_cast<std::size_t>(t.host)];
-  sh.cpu_demand += workload_vcpus(w);
-  if (w == WorkloadClass::kNetwork) {
-    ++sh.net_active;
-  }
-  t.in_flight = Tenant::InFlight::kPhase;
+  charge(sh, t, Tenant::InFlight::kPhase, workload_vcpus(w),
+         w == WorkloadClass::kNetwork);
   note_peaks(sh);
   t.phase_start = t.clock.now();
   t.clock.advance(phase_cost(t, w, s));
@@ -501,15 +474,11 @@ void FleetEngine::start_phase(Tenant& t, platforms::WorkloadClass w,
 }
 
 void FleetEngine::handle_phase_done(Tenant& t, const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
+  discharge(shards_[static_cast<std::size_t>(t.host)], t);
   const WorkloadClass w = t.phases[static_cast<std::size_t>(t.next_phase)];
-  sh.cpu_demand -= workload_vcpus(w);
-  if (w == WorkloadClass::kNetwork) {
-    --sh.net_active;
-  }
-  t.in_flight = Tenant::InFlight::kNone;
   t.platform->record_workload(w, t.rng);  // this host's HAP window
-  t.stats->phase_ms.add(sim::to_millis(t.clock.now() - t.phase_start));
+  stats_by_id_[static_cast<std::size_t>(t.platform_id)]->phase_ms.add(
+      sim::to_millis(t.clock.now() - t.phase_start));
   ++t.next_phase;
   ++t.outcome.phases_run;
 
@@ -517,7 +486,10 @@ void FleetEngine::handle_phase_done(Tenant& t, const Scenario& s) {
     start_phase(t, t.phases[static_cast<std::size_t>(t.next_phase)], s);
     return;
   }
-  // Teardown costs one more trace-visible startup-class interaction.
+  begin_teardown(t);
+}
+
+void FleetEngine::begin_teardown(Tenant& t) {
   t.platform->record_workload(WorkloadClass::kStartup, t.rng);
   t.clock.advance(sim::millis(t.rng.uniform(2.0, 8.0)));
   queue_.push(t.clock.now(), t.id, EventKind::kTeardown, t.epoch);
@@ -528,12 +500,8 @@ void FleetEngine::start_program_op(Tenant& t, const Scenario& s) {
   const SyscallProgram& prog = builtin_program(t.program);
   const ProgramOp& op = prog.ops[static_cast<std::size_t>(t.prog_op)];
   const OpClass cls = op_class(op.sc);
-  t.prog_vcpus = op_vcpus(cls);
-  sh.cpu_demand += t.prog_vcpus;
-  if (cls == OpClass::kNetwork) {
-    ++sh.net_active;
-  }
-  t.in_flight = Tenant::InFlight::kProgram;
+  charge(sh, t, Tenant::InFlight::kProgram, op_vcpus(cls),
+         cls == OpClass::kNetwork);
   note_peaks(sh);
   t.phase_start = t.clock.now();
   // Service time excludes the think gap: the op-latency sample the report
@@ -638,38 +606,22 @@ sim::Nanos FleetEngine::program_op_cost(Tenant& t, const ProgramOp& op,
   bool touched_disk = false;
   switch (cls) {
     case OpClass::kFile:
+    case OpClass::kMemory:
+      // File reads and mmap-backed data fault through the host page cache;
+      // only misses touch the NVMe. File writes are buffered: they dirty
+      // the cache for free and pay the device only when an explicit fsync
+      // flushes them.
       if (payload > 0 && !op_is_write(op.sc)) {
-        // Reads walk the host page cache; only misses touch the NVMe.
-        auto& cache = sh.host->page_cache();
-        const std::uint64_t misses = cache.access_range(
-            program_file_id(t.id, t.program, op.shared_file), 0, payload);
-        if (misses > 0) {
-          cost += sh.host->nvme().read(misses * hostk::PageCache::kPageSize,
-                                       t.rng);
-          touched_disk = true;
-        }
+        touched_disk =
+            read_through(sh, program_file_id(t.id, t.program, op.shared_file),
+                         payload, t.rng, cost) > 0;
       }
-      // Writes are buffered: they dirty the cache for free and pay the
-      // device only when an explicit fsync flushes them.
       break;
     case OpClass::kSync:
       cost += sh.host->nvme().write(
           std::max<std::uint64_t>(payload, hostk::PageCache::kPageSize),
           t.rng);
       touched_disk = true;
-      break;
-    case OpClass::kMemory:
-      if (payload > 0) {
-        // mmap-backed data faults through the same cache/device path.
-        auto& cache = sh.host->page_cache();
-        const std::uint64_t misses = cache.access_range(
-            program_file_id(t.id, t.program, op.shared_file), 0, payload);
-        if (misses > 0) {
-          cost += sh.host->nvme().read(misses * hostk::PageCache::kPageSize,
-                                       t.rng);
-          touched_disk = true;
-        }
-      }
       break;
     case OpClass::kNetwork:
       if (payload > 0) {
@@ -693,12 +645,7 @@ sim::Nanos FleetEngine::program_op_cost(Tenant& t, const ProgramOp& op,
   if (cls == OpClass::kNetwork && payload > 0) {
     // Same rule as statistical network phases: a partition freezes NIC
     // progress and the op stretches by exactly the window overlap.
-    const sim::Nanos stalled =
-        stretch(partitions_, sh.rollup.host, begin, total);
-    if (stalled != total) {
-      ++sh.rollup.nic_stalls;
-      total = stalled;
-    }
+    total = nic_stall(sh, partitions_, begin, total);
     if (!pairs_.empty()) {
       // Partial partitions cut host *pairs*: draw the far end uniformly
       // over the initial topology, self included (self = host-local
@@ -709,28 +656,18 @@ sim::Nanos FleetEngine::program_op_cost(Tenant& t, const ProgramOp& op,
       const int peer = std::min(
           n - 1, static_cast<int>(t.rng.next_double() *
                                   static_cast<double>(n)));
-      const sim::Nanos cut =
-          stretch(pairs_, sh.rollup.host, begin, total, peer, impact);
-      if (cut != total) {
-        ++sh.rollup.nic_stalls;
-        total = cut;
-      }
+      total = nic_stall(sh, pairs_, begin, total, peer, impact);
     }
   }
   return total;
 }
 
 void FleetEngine::handle_program_step(Tenant& t, const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
+  discharge(shards_[static_cast<std::size_t>(t.host)], t);
   const SyscallProgram& prog = builtin_program(t.program);
   const ProgramOp& op = prog.ops[static_cast<std::size_t>(t.prog_op)];
-  const OpClass cls = op_class(op.sc);
-  sh.cpu_demand -= t.prog_vcpus;
-  if (cls == OpClass::kNetwork) {
-    --sh.net_active;
-  }
-  t.in_flight = Tenant::InFlight::kNone;
-  auto& pcls = t.pstats->by_class[static_cast<std::size_t>(cls)];
+  auto& pcls = pstats_by_id_[static_cast<std::size_t>(t.program)]
+                   ->by_class[static_cast<std::size_t>(op_class(op.sc))];
   pcls.ops += op.repeat;
   pcls.op_ms.add(sim::to_millis(t.prog_service));
   ++t.outcome.phases_run;
@@ -745,40 +682,33 @@ void FleetEngine::handle_program_step(Tenant& t, const Scenario& s) {
     start_program_op(t, s);
     return;
   }
-  // Teardown costs one more trace-visible startup-class interaction, same
-  // as a statistical tenant's exit.
-  t.platform->record_workload(WorkloadClass::kStartup, t.rng);
-  t.clock.advance(sim::millis(t.rng.uniform(2.0, 8.0)));
-  queue_.push(t.clock.now(), t.id, EventKind::kTeardown, t.epoch);
+  begin_teardown(t);
+}
+
+void FleetEngine::charge(Shard& sh, Tenant& t, Tenant::InFlight what,
+                         double vcpus, bool nic) {
+  t.in_flight = what;
+  t.vcpus = vcpus;
+  t.on_nic = nic;
+  sh.cpu_demand += vcpus;
+  if (nic) {
+    ++sh.net_active;
+  }
+}
+
+void FleetEngine::discharge(Shard& sh, Tenant& t) {
+  sh.cpu_demand -= t.vcpus;
+  if (t.on_nic) {
+    --sh.net_active;
+  }
+  t.in_flight = Tenant::InFlight::kNone;
+  t.vcpus = 0.0;
+  t.on_nic = false;
 }
 
 void FleetEngine::release_tenant(Shard& sh, Tenant& t) {
   const FleetDelta before = fleet_before(sh);
-  switch (t.in_flight) {
-    case Tenant::InFlight::kBoot:
-      sh.cpu_demand -= kBootVcpus;
-      break;
-    case Tenant::InFlight::kPhase: {
-      const WorkloadClass w = t.phases[static_cast<std::size_t>(t.next_phase)];
-      sh.cpu_demand -= workload_vcpus(w);
-      if (w == WorkloadClass::kNetwork) {
-        --sh.net_active;
-      }
-      break;
-    }
-    case Tenant::InFlight::kProgram: {
-      sh.cpu_demand -= t.prog_vcpus;
-      const ProgramOp& op = builtin_program(t.program)
-                                .ops[static_cast<std::size_t>(t.prog_op)];
-      if (op_class(op.sc) == OpClass::kNetwork) {
-        --sh.net_active;
-      }
-      break;
-    }
-    case Tenant::InFlight::kNone:
-      break;
-  }
-  t.in_flight = Tenant::InFlight::kNone;
+  discharge(sh, t);
   if (t.ksm_registered) {
     sh.ksm.remove(t.id);
     sh.ksm.scan();
@@ -828,24 +758,42 @@ void FleetEngine::handle_teardown(Tenant& t, const Scenario& s) {
   if (t.rounds_left > 0) {
     // Churn: idle out the gap, then re-enter the fleet. Placement and
     // admission run again, so the tenant may land on a different host or
-    // be rejected if the fleet filled up meanwhile. The outcome's
-    // per-round fields restart here so a rejected re-arrival cannot keep
-    // a stale completed/boot record from the previous round.
+    // be rejected if the fleet filled up meanwhile. requeue_arrival
+    // restarts the outcome's per-round fields, so a rejected re-arrival
+    // cannot keep a stale completed/boot record from the previous round.
     --t.rounds_left;
-    t.next_phase = 0;
     t.clock.advance(s.churn_gap);
-    t.outcome.arrival = t.clock.now();
-    t.outcome.boot_latency = 0;
-    t.outcome.completion = 0;
-    t.outcome.completed = false;
     ++report_.churn_rearrivals;
-    queue_.push(t.clock.now(), t.id, EventKind::kArrival, t.epoch);
+    requeue_arrival(t, t.clock.now());
   }
 }
 
-// --- Mid-run topology changes ----------------------------------------------
+void FleetEngine::requeue_arrival(Tenant& t, sim::Nanos at) {
+  ++t.epoch;
+  t.next_phase = 0;
+  t.clock = sim::Clock(at);
+  t.outcome.arrival = at;
+  t.outcome.boot_latency = 0;
+  t.outcome.completion = 0;
+  t.outcome.completed = false;
+  queue_.push(at, t.id, EventKind::kArrival, t.epoch);
+}
 
-int FleetEngine::live_host_count() const { return live_hosts_; }
+void FleetEngine::reject(Tenant& t) {
+  t.outcome.admitted = false;
+  t.resident_bytes = 0;
+  ++report_.rejected;
+  if (t.crash_fault < 0) {
+    return;
+  }
+  const int slot = recovery_slot_[static_cast<std::size_t>(t.crash_fault)];
+  ++report_.recovery[static_cast<std::size_t>(slot)].lost;
+  ++report_.crash_lost;
+  t.outcome.lost_to_fault = slot;
+  t.crash_fault = -1;  // recovery resolved: permanently lost
+}
+
+// --- Mid-run topology changes ----------------------------------------------
 
 double FleetEngine::resident_fraction() const {
   std::uint64_t cap = 0;
@@ -883,7 +831,7 @@ void FleetEngine::record_autoscale(sim::Nanos time, const std::string& action,
   a.time = time;
   a.action = action;
   a.host = host;
-  a.live_hosts = live_host_count();
+  a.live_hosts = live_hosts_;
   a.resident_fraction = fraction;
   report_.autoscale_timeline.push_back(std::move(a));
 }
@@ -895,12 +843,7 @@ int FleetEngine::add_shard(const Scenario& s) {
   Shard& sh = shards_.back();
   sh.host = host;
   init_shard(sh, index, s);
-  // Mid-run hosts start observing from their birth instant, exactly like
-  // run() does for the initial set before the event loop.
-  sh.host->kernel().ftrace().start();
-  sh.cache_hits0 = sh.host->page_cache().hits();
-  sh.cache_misses0 = sh.host->page_cache().misses();
-  sh.nvme_read0 = sh.host->nvme().bytes_read();
+  start_observing(sh);  // from its birth instant
   ++live_hosts_;
   publish_host(sh);
   return index;
@@ -914,30 +857,27 @@ void FleetEngine::drain_shard(int index, sim::Nanos now) {
     // host twice would re-release its tenants and corrupt every counter.
     return;
   }
-  sh.live = false;
-  --live_hosts_;
+  retire_shard(index);
   sh.rollup.drained = true;
-  if (policy_ != nullptr) {
-    policy_->target_removed(index);
-  }
   // Re-place every tenant this host still held, as churn-style
   // re-arrivals: resources released here and now, a fresh arrival event
   // queued at the drain instant, placement + admission deciding again.
-  // Bumping the epoch discards the tenant's already-queued events.
+  // The new epoch discards the tenant's already-queued events.
   for (Tenant& t : tenants_) {
     if (t.host != index || !t.holds_resources) {
       continue;
     }
     release_tenant(sh, t);
-    ++t.epoch;
-    t.next_phase = 0;
-    t.clock = sim::Clock(now);
-    t.outcome.arrival = now;
-    t.outcome.boot_latency = 0;
-    t.outcome.completion = 0;
-    t.outcome.completed = false;
     ++report_.drain_migrations;
-    queue_.push(now, t.id, EventKind::kArrival, t.epoch);
+    requeue_arrival(t, now);
+  }
+}
+
+void FleetEngine::retire_shard(int index) {
+  shards_[static_cast<std::size_t>(index)].live = false;
+  --live_hosts_;
+  if (policy_ != nullptr) {
+    policy_->target_removed(index);
   }
 }
 
@@ -957,8 +897,7 @@ void FleetEngine::handle_host_event(const Event& e, const Scenario& s) {
     target = pick_drain_host();
   }
   if (target < 0 || target >= static_cast<int>(shards_.size()) ||
-      !shards_[static_cast<std::size_t>(target)].live ||
-      live_host_count() <= 1) {
+      !shards_[static_cast<std::size_t>(target)].live || live_hosts_ <= 1) {
     return;  // never drain the last live host or a dead index
   }
   const double fraction = resident_fraction();
@@ -971,14 +910,13 @@ void FleetEngine::handle_autoscale_eval(sim::Nanos now, const Scenario& s) {
   const double fraction = resident_fraction();
   const bool cooled = !has_scaled_ || now - last_scale_ >= a.cooldown_ms;
   if (cooled) {
-    const int live = live_host_count();
-    if (fraction > a.scale_out_watermark && live < a.max_hosts &&
+    if (fraction > a.scale_out_watermark && live_hosts_ < a.max_hosts &&
         provisioner_ != nullptr) {
       const int index = add_shard(s);
       record_autoscale(now, "scale-out", index, fraction);
       has_scaled_ = true;
       last_scale_ = now;
-    } else if (fraction < a.scale_in_watermark && live > a.min_hosts) {
+    } else if (fraction < a.scale_in_watermark && live_hosts_ > a.min_hosts) {
       const int target = pick_drain_host();
       if (target >= 0) {
         drain_shard(target, now);
@@ -1104,18 +1042,14 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
                               FleetReport::RecoveryVerdict& v) {
   Shard& sh = shards_[static_cast<std::size_t>(index)];
   const FleetDelta before = fleet_before(sh);
-  sh.live = false;
-  --live_hosts_;
+  retire_shard(index);
   sh.rollup.crashed = true;
-  if (policy_ != nullptr) {
-    policy_->target_removed(index);
-  }
   // Victims die mid-phase: unlike a graceful drain there is no per-tenant
   // release — their in-flight CPU/NIC demand vanishes with the host, and
   // the host's KSM stable tree and page cache are lost wholesale below.
   // Each victim re-arrives on the survivors after the fault's restart
   // delay plus a per-victim jitter draw, facing placement + admission
-  // again; bumping the epoch discards its already-queued events.
+  // again; its new epoch discards its already-queued events.
   for (Tenant& t : tenants_) {
     if (t.host != index || !t.holds_resources) {
       continue;
@@ -1126,25 +1060,21 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
       // fresh boot against a cold image cache.
       ++v.boots_lost;
     }
+    // Its charge, tree registration and resident share die with the host.
     t.in_flight = Tenant::InFlight::kNone;
-    t.ksm_registered = false;  // its tree registration dies with the host
+    t.vcpus = 0.0;
+    t.on_nic = false;
+    t.ksm_registered = false;
     t.resident_bytes = 0;
     t.holds_resources = false;
     --active_;
-    ++t.epoch;
-    t.next_phase = 0;
+    t.crash_fault = f.id;
+    ++v.victims;
     const sim::Nanos rearrive =
         now + f.restart_delay +
         static_cast<sim::Nanos>(frng.next_double() *
                                 static_cast<double>(f.restart_jitter));
-    t.clock = sim::Clock(rearrive);
-    t.outcome.arrival = rearrive;
-    t.outcome.boot_latency = 0;
-    t.outcome.completion = 0;
-    t.outcome.completed = false;
-    t.crash_fault = f.id;
-    ++v.victims;
-    queue_.push(rearrive, t.id, EventKind::kArrival, t.epoch);
+    requeue_arrival(t, rearrive);
   }
   // The host state dies wholesale: cold page cache, empty stable tree,
   // every activity counter zeroed. fleet_apply folds the loss into the
@@ -1181,20 +1111,28 @@ sim::Nanos FleetEngine::stretch(
   return stretched;
 }
 
-void FleetEngine::note_crash_loss(Tenant& t) {
-  if (t.crash_fault < 0) {
-    return;
+sim::Nanos FleetEngine::nic_stall(
+    Shard& sh, const std::vector<std::vector<FaultWindow>>& windows,
+    sim::Nanos begin, sim::Nanos total, int peer, OpImpact* impact) {
+  const sim::Nanos stalled =
+      stretch(windows, sh.rollup.host, begin, total, peer, impact);
+  if (stalled != total) {
+    ++sh.rollup.nic_stalls;
   }
-  const int slot = recovery_slot_[static_cast<std::size_t>(t.crash_fault)];
-  ++report_.recovery[static_cast<std::size_t>(slot)].lost;
-  ++report_.crash_lost;
-  // Stamp the outcome (as the *verdict index*, what an outer reader can
-  // actually look up) so a router (fleet::Federation) can identify which
-  // fault stranded this tenant and re-route it to another cell.
-  t.outcome.lost_to_fault = slot;
-  t.crash_fault = -1;  // recovery resolved: permanently lost
+  return stalled;
 }
 
+std::uint64_t FleetEngine::read_through(Shard& sh, std::uint64_t file,
+                                        std::uint64_t bytes, sim::Rng& rng,
+                                        sim::Nanos& device_ns) {
+  const std::uint64_t misses =
+      sh.host->page_cache().access_range(file, 0, bytes);
+  if (misses > 0) {
+    device_ns +=
+        sh.host->nvme().read(misses * hostk::PageCache::kPageSize, rng);
+  }
+  return misses;
+}
 
 sim::Nanos FleetEngine::phase_cost(Tenant& t, WorkloadClass w,
                                    const Scenario& s) {
@@ -1220,18 +1158,11 @@ sim::Nanos FleetEngine::phase_cost(Tenant& t, WorkloadClass w,
       cost = static_cast<sim::Nanos>(static_cast<double>(base) / bw);
       break;
     }
-    case WorkloadClass::kIo: {
-      auto& cache = sh.host->page_cache();
-      const std::uint64_t misses = cache.access_range(
-          0xD47A'0000ull + t.id, 0, s.io_bytes_per_phase);
-      sim::Nanos io_ns = 0;
-      if (misses > 0) {
-        io_ns =
-            sh.host->nvme().read(misses * hostk::PageCache::kPageSize, t.rng);
-      }
-      cost = base / 5 + io_ns;
+    case WorkloadClass::kIo:
+      cost = base / 5;
+      read_through(sh, 0xD47A'0000ull + t.id, s.io_bytes_per_phase, t.rng,
+                   cost);
       break;
-    }
     case WorkloadClass::kNetwork: {
       auto& nic = sh.host->nic();
       const sim::Nanos wire =
@@ -1252,12 +1183,7 @@ sim::Nanos FleetEngine::phase_cost(Tenant& t, WorkloadClass w,
     // window list at scheduling time. t.clock.now() is still the phase
     // start here — start_phase advances the clock by this function's
     // return value.
-    const sim::Nanos stalled =
-        stretch(partitions_, sh.rollup.host, t.clock.now(), total);
-    if (stalled != total) {
-      ++sh.rollup.nic_stalls;
-      total = stalled;
-    }
+    total = nic_stall(sh, partitions_, t.clock.now(), total);
   }
   return total;
 }
@@ -1282,6 +1208,13 @@ void FleetEngine::init_shard(Shard& sh, int index, const Scenario& s) {
           platforms::PlatformFactory::create(share.id, *sh.host);
     }
   }
+}
+
+void FleetEngine::start_observing(Shard& sh) {
+  sh.host->kernel().ftrace().start();
+  sh.cache_hits0 = sh.host->page_cache().hits();
+  sh.cache_misses0 = sh.host->page_cache().misses();
+  sh.nvme_read0 = sh.host->nvme().bytes_read();
 }
 
 void FleetEngine::process_event(const Event& e, const Scenario& s,
@@ -1359,8 +1292,7 @@ void FleetEngine::process_event(const Event& e, const Scenario& s,
     if (arrival_cursor_ < tenant_count) {
       if (s.stop_at_first_oom && report_.first_oom_tenant >= 0) {
         for (int i = arrival_cursor_; i < tenant_count; ++i) {
-          tenants_[static_cast<std::size_t>(i)].outcome.admitted = false;
-          ++report_.rejected;
+          reject(tenants_[static_cast<std::size_t>(i)]);
         }
         latched_tail_ = true;
         latched_tail_time_ = arrivals.back();
@@ -1553,7 +1485,7 @@ FleetReport FleetEngine::run(const Scenario& s) {
   }
 
   for (Shard& sh : shards_) {
-    sh.host->kernel().ftrace().start();
+    start_observing(sh);
   }
 
   tenants_.reserve(pop.size());
@@ -1622,12 +1554,6 @@ FleetReport FleetEngine::run(const Scenario& s) {
     }
   }
 
-  for (Shard& sh : shards_) {
-    sh.cache_hits0 = sh.host->page_cache().hits();
-    sh.cache_misses0 = sh.host->page_cache().misses();
-    sh.nvme_read0 = sh.host->nvme().bytes_read();
-  }
-
   sim::Nanos first_arrival = arrivals.empty() ? 0 : arrivals.front();
   sim::Nanos last_event = first_arrival;
   while (!queue_.empty()) {
@@ -1669,7 +1595,7 @@ FleetReport FleetEngine::run(const Scenario& s) {
 
   report_.ksm.enabled = s.enable_ksm;
   report_.makespan = last_event - first_arrival;
-  report_.final_host_count = live_host_count();
+  report_.final_host_count = live_hosts_;
 
   report_.tenants.reserve(tenants_.size());
   for (const Tenant& t : tenants_) {

@@ -85,10 +85,6 @@ class FleetEngine {
     std::uint64_t id = 0;
     platforms::PlatformId platform_id = platforms::PlatformId::kNative;
     platforms::Platform* platform = nullptr;
-    /// Cached &report_.by_platform[platform->name()], resolved once per
-    /// boot completion (std::map nodes are pointer-stable) so per-phase
-    /// accounting skips the string-keyed lookup.
-    PlatformFleetStats* stats = nullptr;
     sim::Clock clock;
     sim::Rng rng{0};
     std::vector<platforms::WorkloadClass> phases;
@@ -98,17 +94,22 @@ class FleetEngine {
     sim::Nanos phase_start = 0;
     TenantOutcome outcome;
     std::uint64_t resident_bytes = 0;  // non-KSM-managed share
-    bool ksm_registered = false;
-    bool counted_in_stats = false;  // already in its platform's tenant count
-    /// What demand the tenant currently charges its shard, so a drain can
-    /// release it exactly (a boot's kBootVcpus, a phase's vcpus + NIC slot,
-    /// a program op's op_vcpus + NIC slot).
+    /// In-flight demand on the shard, stored by charge() as it is charged
+    /// and given back by discharge(): vCPUs, and one NIC slot when on_nic.
+    double vcpus = 0.0;
+    /// What the charge is for. Only a crash reads it: a victim caught
+    /// mid-boot counts as a lost boot.
     enum class InFlight {
       kNone,
       kBoot,
       kPhase,
       kProgram
     } in_flight = InFlight::kNone;
+    bool on_nic = false;
+    bool ksm_registered = false;
+    bool counted_in_stats = false;  // already in its platform's tenant count
+    /// Admitted and not yet released (teardown or drain migration).
+    bool holds_resources = false;
     /// Built-in syscall program this tenant interprets (fleet/program.h);
     /// -1 = statistical phases. Copied from the TenantSeed.
     int program = -1;
@@ -118,21 +119,14 @@ class FleetEngine {
     /// the host).
     int prog_op = 0;
     int prog_loops_left = 0;
-    /// Demand and service time of the in-flight op, stashed so the
-    /// completion (and a drain/crash release) undoes and records exactly
-    /// what the start charged. Service excludes the op's think gap.
-    double prog_vcpus = 0.0;
+    /// Service time of the in-flight op, stashed so its completion records
+    /// the sample the start measured. Excludes the op's think gap.
     sim::Nanos prog_service = 0;
-    /// Cached &report_.by_program[...] slot, resolved at boot completion
-    /// like `stats` (std::map nodes are pointer-stable).
-    ProgramFleetStats* pstats = nullptr;
-    /// Admitted and not yet released (teardown or drain migration).
-    bool holds_resources = false;
     /// CPU contention factor captured at the admitting arrival, applied by
     /// the deferred kBootPhys event (cluster-capable runs only).
     double boot_factor = 1.0;
-    /// Lifecycle generation; bumped by a drain migration to invalidate the
-    /// tenant's already-queued events.
+    /// Lifecycle generation; bumped by every re-arrival (requeue_arrival)
+    /// so events still queued for the previous lifecycle are dropped.
     std::uint32_t epoch = 0;
     /// Fault id whose crash killed this tenant; -1 outside recovery. Set
     /// when a crash re-injects the victim's arrival, cleared when the
@@ -184,6 +178,20 @@ class FleetEngine {
   void handle_boot_done(Tenant& t, const Scenario& s);
   void handle_phase_done(Tenant& t, const Scenario& s);
   void handle_teardown(Tenant& t, const Scenario& s);
+
+  /// Re-enter t at `at` (churn, drain migration, crash recovery) as a new
+  /// lifecycle generation: per-round outcome fields restart and the
+  /// arrival faces placement and admission again.
+  void requeue_arrival(Tenant& t, sim::Nanos at);
+  /// Fleet-level rejection of t's arrival. A crash victim rejected here is
+  /// permanently lost; its outcome names the verdict (lost_to_fault) so a
+  /// router can re-route it. Re-admission is counted where the re-boot
+  /// completes, so a victim drain-migrated mid-recovery counts once.
+  void reject(Tenant& t);
+  /// The exit record every tenant that ran its work pays: one more
+  /// trace-visible startup-class interaction and a 2-8 ms gap, then the
+  /// kTeardown event.
+  void begin_teardown(Tenant& t);
 
   /// The boot's shard-local physics: platform boot sampling, the image
   /// pull through the shard's page cache / NVMe, contention stretching by
@@ -257,6 +265,13 @@ class FleetEngine {
   /// Tell the policy that `sh`'s tenant count for `id` moved.
   void notify_platform_count(Shard& sh, platforms::PlatformId id);
 
+  /// Charge `vcpus` (plus one NIC slot when `nic`) to sh and store the
+  /// charge on t, which holds none.
+  static void charge(Shard& sh, Tenant& t, Tenant::InFlight what,
+                     double vcpus, bool nic);
+  /// Give back exactly what t's charge put on sh (nothing when idle).
+  static void discharge(Shard& sh, Tenant& t);
+
   /// Release everything tenant t currently charges against shard sh
   /// (in-flight CPU/NIC demand, KSM registration, resident bytes, the
   /// shard's active counters) plus the fleet-global bookkeeping (active_,
@@ -267,8 +282,10 @@ class FleetEngine {
   // Mid-run topology changes.
   int add_shard(const Scenario& s);
   void drain_shard(int index, sim::Nanos now);
+  /// Take a drained or crashed shard out of placement for good; its rollup
+  /// stays in the report.
+  void retire_shard(int index);
   int pick_drain_host() const;  // fewest active tenants, ties: highest index
-  int live_host_count() const;
   void record_autoscale(sim::Nanos time, const std::string& action, int host,
                         double resident_fraction);
   double resident_fraction() const;  // over live hosts
@@ -277,9 +294,9 @@ class FleetEngine {
 
   // Fault injection (chaos.h).
   void handle_fault(const Event& e, const Scenario& s);
-  /// Kill every tenant on shard `index`: release their in-flight demand,
-  /// drop the host's page cache and KSM stable tree wholesale, retire the
-  /// host from placement, and re-inject the victims as jittered arrivals.
+  /// Kill every tenant on shard `index`: zero the host's in-flight demand,
+  /// page cache and KSM stable tree wholesale, retire the host from
+  /// placement, and re-inject the victims as jittered arrivals.
   void crash_shard(int index, const ResolvedFault& f, sim::Nanos now,
                    sim::Rng& frng, FleetReport::RecoveryVerdict& v);
   /// Duration of `total` ns of work begun at `begin` on `host`, stretched
@@ -291,11 +308,18 @@ class FleetEngine {
       const std::vector<std::vector<FaultWindow>>& windows, int host,
       sim::Nanos begin, sim::Nanos total, int peer = -1,
       OpImpact* impact = nullptr);
-  /// Recovery bookkeeping when a crash victim's re-arrival is rejected:
-  /// the tenant is permanently lost. (Re-admission is counted where the
-  /// re-boot completes — handle_boot_done — so a victim drain-migrated
-  /// mid-recovery is never double-counted.)
-  void note_crash_loss(Tenant& t);
+  /// stretch() for NIC work on sh: counts one stall in sh's rollup when a
+  /// window actually held the work back.
+  static sim::Nanos nic_stall(
+      Shard& sh, const std::vector<std::vector<FaultWindow>>& windows,
+      sim::Nanos begin, sim::Nanos total, int peer = -1,
+      OpImpact* impact = nullptr);
+  /// Read `bytes` of page-cache file `file` through sh's host: the misses
+  /// are read from its NVMe (drawing from `rng`), and that service time is
+  /// added to `device_ns`. Returns the miss count.
+  static std::uint64_t read_through(Shard& sh, std::uint64_t file,
+                                    std::uint64_t bytes, sim::Rng& rng,
+                                    sim::Nanos& device_ns);
 
   /// Virtual duration of one workload phase, including platform profile
   /// scaling and charges to the shard's host models.
@@ -310,6 +334,9 @@ class FleetEngine {
   /// Set up a freshly constructed or reset shard for this run: KSM tree,
   /// platform instances for the scenario mix, RAM cap, rollup identity.
   void init_shard(Shard& sh, int index, const Scenario& s);
+  /// Start sh's per-run observation: its ftrace window and the page-cache
+  /// and NVMe counter baselines its rollup is reported against.
+  static void start_observing(Shard& sh);
 
   std::vector<Shard> shards_;
   PlacementPolicy* policy_ = nullptr;  // non-owning; required when M > 1
@@ -323,8 +350,9 @@ class FleetEngine {
   hap::EpssModel epss_;
   FleetReport report_;
 
-  /// by_platform stats resolved once per PlatformId instead of one
-  /// string-keyed map lookup per boot (ids and names are 1:1 per run).
+  /// by_platform stats resolved once per PlatformId (ids and names are 1:1
+  /// per run), so boots and phases skip the string-keyed map lookup.
+  /// std::map nodes are pointer-stable.
   static constexpr std::size_t kPlatformIdSlots = 16;
   static_assert(static_cast<std::size_t>(
                     platforms::PlatformId::kOsvFirecracker) <
@@ -333,7 +361,7 @@ class FleetEngine {
   std::array<PlatformFleetStats*, kPlatformIdSlots> stats_by_id_{};
 
   /// by_program stats resolved once per built-in program id, mirroring
-  /// stats_by_id_.
+  /// stats_by_id_ for program boots and ops.
   static constexpr std::size_t kProgramIdSlots = 8;
   std::array<ProgramFleetStats*, kProgramIdSlots> pstats_by_id_{};
 
@@ -377,8 +405,8 @@ class FleetEngine {
   /// Distinct tenants disturbed per degraded verdict. Finalized into
   /// DegradeVerdict::affected at run end.
   std::vector<std::set<std::uint64_t>> degrade_affected_;
-  /// Live shard count, maintained at add/drain/crash so the per-arrival
-  /// zero-live-hosts check is O(1) instead of an O(M) scan.
+  /// Live shard count, maintained by add_shard and retire_shard so the
+  /// per-arrival zero-live-hosts check is O(1) instead of an O(M) scan.
   int live_hosts_ = 0;
 
   /// Fleet-wide resident/KSM sums, maintained incrementally at the only
