@@ -7,6 +7,40 @@
 
 namespace fleet {
 
+namespace {
+
+/// Cumulative-weight draw over one mix (platform, workload or program
+/// shares): one uniform draw scaled by the total, minus each weight in
+/// order until it reaches zero, falling back to the last share when
+/// rounding leaves a remainder. Every drawn population depends on that
+/// arithmetic byte for byte.
+template <typename Share>
+class WeightedPick {
+ public:
+  explicit WeightedPick(const std::vector<Share>& mix) : mix_(mix) {
+    for (const Share& share : mix_) {
+      total_ += share.weight;
+    }
+  }
+
+  const Share& operator()(sim::Rng& r) const {
+    double x = r.next_double() * total_;
+    for (const Share& share : mix_) {
+      x -= share.weight;
+      if (x <= 0.0) {
+        return share;
+      }
+    }
+    return mix_.back();
+  }
+
+ private:
+  const std::vector<Share>& mix_;
+  double total_ = 0.0;
+};
+
+}  // namespace
+
 std::string arrival_pattern_name(ArrivalPattern p) {
   switch (p) {
     case ArrivalPattern::kStorm:
@@ -30,49 +64,9 @@ std::vector<TenantSeed> TrafficSpec::draw_population() const {
   // draws against the root rng is load-bearing — any reordering changes
   // every downstream report byte.
   sim::Rng rng(seed);
-
-  double mix_total = 0.0;
-  for (const auto& share : platform_mix) {
-    mix_total += share.weight;
-  }
-  double workload_total = 0.0;
-  for (const auto& share : workload_mix) {
-    workload_total += share.weight;
-  }
-  const auto pick_platform = [&](sim::Rng& r) {
-    double x = r.next_double() * mix_total;
-    for (const auto& share : platform_mix) {
-      x -= share.weight;
-      if (x <= 0.0) {
-        return share.id;
-      }
-    }
-    return platform_mix.back().id;
-  };
-  const auto pick_workload = [&](sim::Rng& r) {
-    double x = r.next_double() * workload_total;
-    for (const auto& share : workload_mix) {
-      x -= share.weight;
-      if (x <= 0.0) {
-        return share.workload;
-      }
-    }
-    return workload_mix.back().workload;
-  };
-  double program_total = 0.0;
-  for (const auto& share : program_mix) {
-    program_total += share.weight;
-  }
-  const auto pick_program = [&](sim::Rng& r) {
-    double x = r.next_double() * program_total;
-    for (const auto& share : program_mix) {
-      x -= share.weight;
-      if (x <= 0.0) {
-        return share.program;
-      }
-    }
-    return program_mix.back().program;
-  };
+  const WeightedPick<PlatformShare> pick_platform(platform_mix);
+  const WeightedPick<WorkloadShare> pick_workload(workload_mix);
+  const WeightedPick<ProgramShare> pick_program(program_mix);
 
   std::vector<sim::Nanos> arrivals;
   arrivals.reserve(static_cast<std::size_t>(tenant_count));
@@ -103,17 +97,17 @@ std::vector<TenantSeed> TrafficSpec::draw_population() const {
     seeds.emplace_back();
     TenantSeed& t = seeds.back();
     t.arrival = arrivals[static_cast<std::size_t>(i)];
-    t.platform_id = pick_platform(rng);
+    t.platform_id = pick_platform(rng).id;
     t.rng = rng.fork();
     t.phases.reserve(static_cast<std::size_t>(phases_per_tenant));
     for (int p = 0; p < phases_per_tenant; ++p) {
-      t.phases.push_back(pick_workload(t.rng));
+      t.phases.push_back(pick_workload(t.rng).workload);
     }
     // The program draw comes strictly after the phase draws and only when a
     // mix is declared: all-statistical scenarios consume exactly the
     // historical draw sequence, so their reports stay byte-identical.
     if (!program_mix.empty()) {
-      t.program = pick_program(t.rng);
+      t.program = pick_program(t.rng).program;
     }
   }
   return seeds;
