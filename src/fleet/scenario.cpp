@@ -1,6 +1,8 @@
 #include "fleet/scenario.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "fleet/program.h"
@@ -58,6 +60,24 @@ std::vector<TenantSeed> TrafficSpec::draw_population() const {
     throw std::invalid_argument(
         "TrafficSpec: tenant_count must be non-negative");
   }
+  // Arrival instants are int64 nanoseconds: refuse inputs that would draw
+  // them negative or wrap them.
+  constexpr sim::Nanos kMaxNanos = std::numeric_limits<sim::Nanos>::max();
+  if (arrival == ArrivalPattern::kPoisson &&
+      !(arrival_rate_per_sec > 0.0 && std::isfinite(arrival_rate_per_sec))) {
+    throw std::invalid_argument(
+        "TrafficSpec: arrival_rate_per_sec must be positive and finite");
+  }
+  if (arrival != ArrivalPattern::kPoisson && arrival_window < 0) {
+    throw std::invalid_argument(
+        "TrafficSpec: arrival_window must be non-negative");
+  }
+  if (arrival == ArrivalPattern::kRamp && tenant_count > 1 &&
+      arrival_window > kMaxNanos / (tenant_count - 1)) {
+    throw std::invalid_argument(
+        "TrafficSpec: ramp arrival_window * (tenant_count - 1) overflows "
+        "int64 nanoseconds");
+  }
   // This is the engine's historical inline draw, hoisted verbatim: ALL
   // arrival times first (then one sort), and only then each tenant's
   // platform pick, RNG fork, and phase draws off that fork. The order of
@@ -82,11 +102,20 @@ std::vector<TenantSeed> TrafficSpec::draw_population() const {
                                ? 0
                                : arrival_window * i / (tenant_count - 1));
         break;
-      case ArrivalPattern::kPoisson:
-        poisson_t += sim::seconds(
-            rng.exponential(std::max(1e-9, arrival_rate_per_sec)));
+      case ArrivalPattern::kPoisson: {
+        // Checked in double first: the cast itself is undefined past
+        // INT64_MAX.
+        const double gap = rng.exponential(arrival_rate_per_sec) *
+                           static_cast<double>(sim::kNanosPerSecond);
+        if (!(gap < static_cast<double>(kMaxNanos)) ||
+            static_cast<sim::Nanos>(gap) > kMaxNanos - poisson_t) {
+          throw std::invalid_argument(
+              "TrafficSpec: Poisson arrivals pass INT64_MAX nanoseconds");
+        }
+        poisson_t += static_cast<sim::Nanos>(gap);
         arrivals.push_back(poisson_t);
         break;
+      }
     }
   }
   std::sort(arrivals.begin(), arrivals.end());

@@ -154,9 +154,9 @@ struct TrafficKnobs {
   // --- Tenant population --------------------------------------------------
   int tenant_count = 64;
   ArrivalPattern arrival = ArrivalPattern::kStorm;
-  /// Burst/ramp window over which arrivals land (kStorm, kRamp).
+  /// Burst/ramp window over which arrivals land (kStorm, kRamp; >= 0).
   sim::Nanos arrival_window = sim::millis(100);
-  /// Mean arrival rate (kPoisson).
+  /// Mean arrival rate (kPoisson; positive and finite).
   double arrival_rate_per_sec = 100.0;
 
   // --- Platform and workload mix ------------------------------------------
@@ -244,7 +244,9 @@ struct TrafficSpec : TrafficKnobs {
   /// and the workload phases off that fork — the exact draw sequence the
   /// engine performed inline before populations became explicit, so a run
   /// fed the returned seeds is byte-identical to one that draws its own.
-  /// Throws std::invalid_argument on a negative tenant_count.
+  /// Throws std::invalid_argument on a negative tenant_count, a Poisson
+  /// rate that is not positive and finite, a negative storm or ramp window,
+  /// or arrivals that would pass INT64_MAX nanoseconds.
   std::vector<TenantSeed> draw_population() const;
 };
 

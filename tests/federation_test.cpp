@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -361,13 +362,51 @@ TEST(FederationTest, MalformedScenariosAreRejectedUpFront) {
 
 TEST(FederationTest, NegativeTenantCountIsRejected) {
   // Clusters and federations both draw their tenants through
-  // TrafficSpec::draw_population, which refuses the count up front.
+  // TrafficSpec::draw_population, which refuses up front a negative count
+  // and every arrival input that would draw int64 nanoseconds negative or
+  // wrap them.
+  std::vector<Scenario> rows;
   Scenario s = Scenario::cluster_storm(16, 2);
   s.tenant_count = -1;
-  Cluster cluster(s.cluster);
-  EXPECT_THROW(cluster.run(s), std::invalid_argument);
-  EXPECT_THROW(run_federation(FederatedScenario::from_scenario(s, 2)),
-               std::invalid_argument);
+  rows.push_back(s);
+  for (const double rate : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    s = Scenario::steady_state_mix(16);
+    s.arrival_rate_per_sec = rate;
+    rows.push_back(s);
+  }
+  s = Scenario::steady_state_mix(16);
+  s.arrival_rate_per_sec = 1e-12;  // mean gap 1e21 ns: past INT64_MAX
+  rows.push_back(s);
+  for (const auto pattern :
+       {fleet::ArrivalPattern::kStorm, fleet::ArrivalPattern::kRamp}) {
+    s = Scenario::cluster_storm(16, 2);
+    s.arrival = pattern;
+    s.arrival_window = -1;
+    rows.push_back(s);
+  }
+  s = Scenario::cluster_storm(16, 2);
+  s.arrival = fleet::ArrivalPattern::kRamp;
+  s.arrival_window = std::numeric_limits<sim::Nanos>::max() / 8;
+  rows.push_back(s);
+
+  // The draw's own refusal, not a later error such as the clock refusing
+  // an arrival that wrapped negative.
+  const auto rejected_by_draw = [](const auto& run) {
+    try {
+      run();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).rfind("TrafficSpec: ", 0) == 0;
+    }
+    return false;
+  };
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Scenario& row = rows[i];
+    EXPECT_TRUE(rejected_by_draw([&] { Cluster(row.cluster).run(row); }))
+        << "row " << i;
+    EXPECT_TRUE(rejected_by_draw([&] {
+      run_federation(FederatedScenario::from_scenario(row, 2));
+    })) << "row " << i;
+  }
 }
 
 TEST(FederationTest, MalformedPlatformWeightIsRejected) {
