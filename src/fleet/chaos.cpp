@@ -1,33 +1,12 @@
 #include "fleet/chaos.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "fleet/scenario.h"
 
 namespace fleet {
 
 namespace {
-
-void validate_racks(const ClusterTopology& topo, int initial_hosts) {
-  for (const ClusterTopology::Rack& rack : topo.racks) {
-    if (rack.name.empty()) {
-      throw std::invalid_argument("ClusterTopology: rack with an empty name");
-    }
-    if (rack.hosts.empty()) {
-      throw std::invalid_argument("ClusterTopology: rack '" + rack.name +
-                                  "' has no hosts");
-    }
-    for (const int h : rack.hosts) {
-      if (h < 0 || h >= initial_hosts) {
-        throw std::invalid_argument(
-            "ClusterTopology: rack '" + rack.name + "' references host " +
-            std::to_string(h) + " outside the initial topology of " +
-            std::to_string(initial_hosts) + " hosts");
-      }
-    }
-  }
-}
 
 /// One host's windows split into disjoint pieces sorted by start: a
 /// boundary sweep where the worst multiplier wins inside each piece and
@@ -67,50 +46,22 @@ std::vector<FaultWindow> split_overlaps(const std::vector<FaultWindow>& w) {
 
 }  // namespace
 
-std::vector<ResolvedFault> resolve_faults(const Scenario& s,
+std::vector<ResolvedFault> resolve_faults(const CellSpec& cell,
                                           int initial_hosts) {
   std::vector<ResolvedFault> out;
-  if (s.faults.empty()) {
-    return out;
-  }
-  validate_racks(s.cluster, initial_hosts);
-  for (const Fault& f : s.faults) {
-    if (f.time < 0) {
-      throw std::invalid_argument("Fault: fault time must be non-negative");
-    }
-    if (f.restart_delay < 0 || f.restart_jitter < 0) {
-      throw std::invalid_argument(
-          "Fault: restart delay and jitter must be non-negative");
-    }
+  for (const Fault& f : cell.faults) {
     ResolvedFault r;
     r.kind = f.kind;
     r.time = f.time;
     r.restart_delay = f.restart_delay;
     r.restart_jitter = f.restart_jitter;
     if (f.kind == Fault::Kind::kPartition || is_degrade_kind(f.kind)) {
-      if (f.duration <= 0) {
-        throw std::invalid_argument(
-            f.kind == Fault::Kind::kPartition
-                ? "Fault: partition duration must be positive"
-                : "Fault: degrade-family fault duration must be positive");
-      }
       r.duration = f.duration;
     }
     if (f.kind == Fault::Kind::kDiskDegrade) {
-      if (!(f.degrade >= 1.0)) {
-        throw std::invalid_argument(
-            "Fault: disk degrade multiplier must be >= 1 (got " +
-            std::to_string(f.degrade) + ")");
-      }
       r.degrade = f.degrade;
     }
     if (f.kind == Fault::Kind::kPartialPartition) {
-      if (f.peer < 0 || f.peer >= initial_hosts) {
-        throw std::invalid_argument(
-            "Fault: partial partition peer " + std::to_string(f.peer) +
-            " outside the initial topology of " +
-            std::to_string(initial_hosts) + " hosts");
-      }
       r.peer = f.peer;
     }
     if (f.kind == Fault::Kind::kCellOutage) {
@@ -121,39 +72,11 @@ std::vector<ResolvedFault> resolve_faults(const Scenario& s,
       for (int h = 0; h < initial_hosts; ++h) {
         r.hosts[static_cast<std::size_t>(h)] = h;
       }
-      out.push_back(std::move(r));
-      continue;
-    }
-    if (!f.rack.empty()) {
-      const ClusterTopology::Rack* rack = nullptr;
-      for (const ClusterTopology::Rack& candidate : s.cluster.racks) {
-        if (candidate.name == f.rack) {
-          rack = &candidate;
-          break;
-        }
-      }
-      if (rack == nullptr) {
-        throw std::invalid_argument("Fault: unknown rack '" + f.rack + "'");
-      }
+    } else if (!f.rack.empty()) {
       r.rack = f.rack;
-      r.hosts = rack->hosts;
+      r.hosts = cell.cluster.rack(f.rack)->hosts;
     } else {
-      if (f.host < 0 || f.host >= initial_hosts) {
-        throw std::invalid_argument(
-            "Fault: fault targets host " + std::to_string(f.host) +
-            " outside the initial topology of " +
-            std::to_string(initial_hosts) + " hosts");
-      }
       r.hosts = {f.host};
-    }
-    if (f.kind == Fault::Kind::kPartialPartition) {
-      for (const int h : r.hosts) {
-        if (h == r.peer) {
-          throw std::invalid_argument(
-              "Fault: partial partition pairs host " + std::to_string(h) +
-              " with itself");
-        }
-      }
     }
     out.push_back(std::move(r));
   }
@@ -169,37 +92,6 @@ std::vector<ResolvedFault> resolve_faults(const Scenario& s,
     out[i].id = static_cast<int>(i);
   }
   return out;
-}
-
-void validate_host_events(const Scenario& s, int initial_hosts) {
-  // Indices at or above this can never name a host in this scenario: the
-  // initial topology plus every explicit add, with any autoscale headroom
-  // making the index space unbounded (scale-out always appends).
-  int adds = 0;
-  for (const HostEvent& he : s.host_events) {
-    adds += he.kind == HostEvent::Kind::kAdd ? 1 : 0;
-  }
-  const bool can_grow =
-      s.autoscale.enabled && s.autoscale.max_hosts > initial_hosts;
-  for (const HostEvent& he : s.host_events) {
-    if (he.time < 0) {
-      throw std::invalid_argument(
-          "HostEvent: event time must be non-negative");
-    }
-    if (he.kind != HostEvent::Kind::kDrain) {
-      continue;
-    }
-    if (he.host < -1) {
-      throw std::invalid_argument(
-          "HostEvent: drain host must be a host index or -1 (engine picks)");
-    }
-    if (!can_grow && he.host >= initial_hosts + adds) {
-      throw std::invalid_argument(
-          "HostEvent: drain targets host " + std::to_string(he.host) +
-          " but at most " + std::to_string(initial_hosts + adds) +
-          " hosts can ever exist in this scenario");
-    }
-  }
 }
 
 std::vector<std::vector<FaultWindow>> build_windows(

@@ -63,7 +63,7 @@
 
 namespace fleet {
 
-struct Scenario;
+struct CellSpec;
 
 /// One injected fault, as the scenario author writes it.
 struct Fault {
@@ -128,17 +128,12 @@ struct ResolvedFault {
   int peer = -1;         // kPartialPartition far end
 };
 
-/// Expand and validate the scenario's fault schedule against the initial
-/// topology. Throws std::invalid_argument on negative times, non-positive
-/// partition durations, out-of-range host indices, unknown or malformed
-/// racks — up front, instead of UB deep in the event loop.
-std::vector<ResolvedFault> resolve_faults(const Scenario& s,
+/// Expand the cell's fault schedule against the initial topology of
+/// `initial_hosts` hosts: rack names and cell outages become host lists,
+/// the schedule is sorted by time and ids follow. Checks nothing: the
+/// caller must have run validate(cell, initial_hosts) (scenario.h) first.
+std::vector<ResolvedFault> resolve_faults(const CellSpec& cell,
                                           int initial_hosts);
-
-/// Up-front validation of the scenario's timed HostEvent hooks: negative
-/// times and host indices that could never name a real host are rejected
-/// with a clear error. Throws std::invalid_argument.
-void validate_host_events(const Scenario& s, int initial_hosts);
 
 /// Half-open window [start, end) during which one host's work progresses
 /// at 1/multiplier speed. An infinite multiplier (the default) freezes

@@ -1,7 +1,6 @@
 #include "fleet/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -1309,79 +1308,15 @@ void FleetEngine::process_event(const Event& e, const Scenario& s,
 }
 
 FleetReport FleetEngine::run(const Scenario& s) {
-  if (s.platform_mix.empty() || s.workload_mix.empty()) {
-    throw std::invalid_argument(
-        "FleetEngine::run: scenario needs a platform mix and a workload mix");
-  }
-  if (s.phases_per_tenant <= 0) {
-    // Zero phases would silently draw no workload at all and tear every
-    // tenant down straight out of boot — a mis-specified scenario, not a
-    // meaningful population.
-    throw std::invalid_argument(
-        "FleetEngine::run: phases_per_tenant must be positive");
-  }
-  if (s.op_max_retries < 0) {
-    throw std::invalid_argument(
-        "FleetEngine::run: op_max_retries must be non-negative");
-  }
-  if (s.op_max_retries > 0 && s.op_backoff_base_ms <= 0) {
-    throw std::invalid_argument(
-        "FleetEngine::run: op_max_retries needs a positive op_backoff_base_ms");
-  }
-  if (s.op_max_retries > 0 && s.op_slo_ms <= 0) {
-    // Retries time out at the op SLO; without a budget there is nothing to
-    // retry against and the knob would silently do nothing.
-    throw std::invalid_argument(
-        "FleetEngine::run: op_max_retries needs a positive op_slo_ms");
-  }
-  // The weighted picks in draw_population() silently drop a share whose
-  // weight is zero, negative or NaN, and an infinite weight swamps the rest.
-  const auto check_weights = [](const auto& mix, const std::string& name) {
-    for (const auto& share : mix) {
-      if (!(share.weight > 0.0 && std::isfinite(share.weight))) {
-        throw std::invalid_argument("FleetEngine::run: " + name +
-                                    " weights must be positive and finite");
-      }
-    }
-  };
-  check_weights(s.platform_mix, "platform_mix");
-  check_weights(s.workload_mix, "workload_mix");
-  check_weights(s.program_mix, "program_mix");
-  for (const ProgramShare& share : s.program_mix) {
-    if (share.program < -1 || share.program >= builtin_program_count()) {
-      throw std::invalid_argument(
-          "FleetEngine::run: program_mix references an unknown program (use "
-          "-1 for the statistical share)");
-    }
-  }
+  // Every scenario rule lives in validate (scenario.h): malformed input
+  // throws here, before any state is touched, instead of corrupting state
+  // deep in the event loop.
+  const int initial_hosts = static_cast<int>(shards_.size());
+  validate(s);
+  validate(s, initial_hosts);
   if (shards_.size() > 1 && policy_ == nullptr) {
     throw std::invalid_argument(
         "FleetEngine::run: cluster runs need a placement policy");
-  }
-  if (s.autoscale.enabled && s.autoscale.eval_interval <= 0) {
-    // A non-advancing evaluation would re-queue itself at the same instant
-    // forever, ahead of every tenant event.
-    throw std::invalid_argument(
-        "FleetEngine::run: autoscale.eval_interval must be positive");
-  }
-  if (s.autoscale.enabled && s.autoscale.min_hosts < 1) {
-    // Scale-in drains while more than min_hosts are live, so a lower floor
-    // would drain the last live host, which explicit drains refuse to do.
-    throw std::invalid_argument(
-        "FleetEngine::run: autoscale.min_hosts must be at least 1");
-  }
-  // Up-front validation and fault resolution (chaos.h): out-of-range host
-  // indices, negative times and malformed racks throw here with a clear
-  // message instead of corrupting state deep in the event loop.
-  const int initial_hosts = static_cast<int>(shards_.size());
-  validate_host_events(s, initial_hosts);
-  for (std::size_t i = 1; i < s.population.size(); ++i) {
-    // The lazy arrival seeding below assumes arrival order; a router hands
-    // cells populations it keeps sorted, so a violation is a caller bug.
-    if (s.population[i].arrival < s.population[i - 1].arrival) {
-      throw std::invalid_argument(
-          "FleetEngine::run: explicit population must be sorted by arrival");
-    }
   }
   faults_ = resolve_faults(s, initial_hosts);
   partitions_ = build_windows(faults_, initial_hosts, Fault::Kind::kPartition);

@@ -209,6 +209,8 @@ FederationReport Federation::run(const FederatedScenario& fs) {
   }
 
   // The global population, drawn once from the seed (or read in place).
+  // Each cell's own engine checks that cell's spec.
+  validate(fs.traffic);
   std::vector<TenantSeed> drawn;
   if (fs.traffic.population.empty()) {
     drawn = fs.traffic.draw_population();
@@ -216,13 +218,6 @@ FederationReport Federation::run(const FederatedScenario& fs) {
   const std::vector<TenantSeed>& population =
       fs.traffic.population.empty() ? drawn : fs.traffic.population;
   const int n = static_cast<int>(population.size());
-  for (int i = 1; i < n; ++i) {
-    if (population[static_cast<std::size_t>(i)].arrival <
-        population[static_cast<std::size_t>(i - 1)].arrival) {
-      throw std::invalid_argument(
-          "Federation: explicit population must be sorted by arrival");
-    }
-  }
 
   // Per-cell Scenario skeletons: the global traffic knobs (never the global
   // population) + that cell's mechanism, with scenario-level outages

@@ -175,11 +175,12 @@ class Federation {
   /// round run concurrently on up to hardware_concurrency() threads while
   /// the caller waits; a round with one dirty cell runs on the caller and
   /// starts no thread. The scenario's topology must match this
-  /// federation's (cell count); throws std::invalid_argument on malformed
-  /// scenarios (no cells, outage targeting an unknown cell, unsorted
-  /// explicit population). An exception from a cell's own run reaches the
-  /// caller once every cell of its round has finished; with several, the
-  /// lowest cell index wins.
+  /// federation's (cell count); throws std::invalid_argument on a cell
+  /// count mismatch or an outage targeting an unknown cell, and runs
+  /// validate(fs.traffic) (scenario.h) before it draws or routes. Each
+  /// cell's spec is checked by that cell's own engine: an exception from a
+  /// cell's run reaches the caller once every cell of its round has
+  /// finished; with several, the lowest cell index wins.
   FederationReport run(const FederatedScenario& fs);
 
  private:

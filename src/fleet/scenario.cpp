@@ -11,6 +11,8 @@ namespace fleet {
 
 namespace {
 
+constexpr sim::Nanos kMaxNanos = std::numeric_limits<sim::Nanos>::max();
+
 /// Cumulative-weight draw over one mix (platform, workload or program
 /// shares): one uniform draw scaled by the total, minus each weight in
 /// order until it reaches zero, falling back to the last share when
@@ -55,29 +57,218 @@ std::string arrival_pattern_name(ArrivalPattern p) {
   return "unknown";
 }
 
-std::vector<TenantSeed> TrafficSpec::draw_population() const {
-  if (tenant_count < 0) {
-    throw std::invalid_argument(
-        "TrafficSpec: tenant_count must be non-negative");
+const ClusterTopology::Rack* ClusterTopology::rack(
+    const std::string& name) const {
+  for (const Rack& r : racks) {
+    if (r.name == name) {
+      return &r;
+    }
+  }
+  return nullptr;
+}
+
+void validate(const TrafficSpec& t) {
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("TrafficSpec: " + what);
+  };
+  if (t.platform_mix.empty() || t.workload_mix.empty()) {
+    fail("scenario needs a platform mix and a workload mix");
+  }
+  if (t.phases_per_tenant <= 0) {
+    // Zero phases would silently draw no workload at all and tear every
+    // tenant down straight out of boot — a mis-specified scenario, not a
+    // meaningful population.
+    fail("phases_per_tenant must be positive");
+  }
+  if (t.op_max_retries < 0) {
+    fail("op_max_retries must be non-negative");
+  }
+  if (t.op_max_retries > 0 && t.op_backoff_base_ms <= 0) {
+    fail("op_max_retries needs a positive op_backoff_base_ms");
+  }
+  if (t.op_max_retries > 0 && t.op_slo_ms <= 0) {
+    // Retries time out at the op SLO; without a budget there is nothing to
+    // retry against and the knob would silently do nothing.
+    fail("op_max_retries needs a positive op_slo_ms");
+  }
+  // The weighted picks silently drop a share whose weight is zero, negative
+  // or NaN, and an infinite weight swamps the rest.
+  const auto check_weights = [&](const auto& mix, const std::string& name) {
+    for (const auto& share : mix) {
+      if (!(share.weight > 0.0 && std::isfinite(share.weight))) {
+        fail(name + " weights must be positive and finite");
+      }
+    }
+  };
+  check_weights(t.platform_mix, "platform_mix");
+  check_weights(t.workload_mix, "workload_mix");
+  check_weights(t.program_mix, "program_mix");
+  const auto known_program = [](int program) {
+    return program >= -1 && program < builtin_program_count();
+  };
+  for (const ProgramShare& share : t.program_mix) {
+    if (!known_program(share.program)) {
+      fail("program_mix references an unknown program (use -1 for the "
+           "statistical share)");
+    }
+  }
+  if (t.tenant_count < 0) {
+    fail("tenant_count must be non-negative");
   }
   // Arrival instants are int64 nanoseconds: refuse inputs that would draw
   // them negative or wrap them.
-  constexpr sim::Nanos kMaxNanos = std::numeric_limits<sim::Nanos>::max();
-  if (arrival == ArrivalPattern::kPoisson &&
-      !(arrival_rate_per_sec > 0.0 && std::isfinite(arrival_rate_per_sec))) {
-    throw std::invalid_argument(
-        "TrafficSpec: arrival_rate_per_sec must be positive and finite");
+  const double rate = t.arrival_rate_per_sec;
+  if (t.arrival == ArrivalPattern::kPoisson &&
+      !(rate > 0.0 && std::isfinite(rate))) {
+    fail("arrival_rate_per_sec must be positive and finite");
   }
-  if (arrival != ArrivalPattern::kPoisson && arrival_window < 0) {
-    throw std::invalid_argument(
-        "TrafficSpec: arrival_window must be non-negative");
+  if (t.arrival != ArrivalPattern::kPoisson && t.arrival_window < 0) {
+    fail("arrival_window must be non-negative");
   }
-  if (arrival == ArrivalPattern::kRamp && tenant_count > 1 &&
-      arrival_window > kMaxNanos / (tenant_count - 1)) {
-    throw std::invalid_argument(
-        "TrafficSpec: ramp arrival_window * (tenant_count - 1) overflows "
-        "int64 nanoseconds");
+  if (t.arrival == ArrivalPattern::kRamp && t.tenant_count > 1 &&
+      t.arrival_window > kMaxNanos / (t.tenant_count - 1)) {
+    fail("ramp arrival_window * (tenant_count - 1) overflows int64 "
+         "nanoseconds");
   }
+  // Phase lengths and churn gaps are charged to tenant clocks, which refuse
+  // a negative cost mid-run.
+  if (t.mean_phase_duration < 0) {
+    fail("mean_phase_duration must be non-negative");
+  }
+  if (t.churn_rounds > 0 && t.churn_gap < 0) {
+    fail("churn_gap must be non-negative when churn_rounds > 0");
+  }
+  // The engine seeds arrivals lazily in population order and binds each
+  // tenant to the platform instance its cell built for platform_mix.
+  for (std::size_t i = 0; i < t.population.size(); ++i) {
+    const TenantSeed& seed = t.population[i];
+    if (i > 0 && seed.arrival < t.population[i - 1].arrival) {
+      fail("explicit population must be sorted by arrival");
+    }
+    if (std::none_of(t.platform_mix.begin(), t.platform_mix.end(),
+                     [&](const PlatformShare& share) {
+                       return share.id == seed.platform_id;
+                     })) {
+      fail("explicit population names a platform outside platform_mix");
+    }
+    if (!known_program(seed.program)) {
+      fail("explicit population references an unknown program");
+    }
+  }
+}
+
+void validate(const CellSpec& c, int initial_hosts) {
+  if (c.autoscale.enabled && c.autoscale.eval_interval <= 0) {
+    // A non-advancing evaluation would re-queue itself at the same instant
+    // forever, ahead of every tenant event.
+    throw std::invalid_argument(
+        "AutoscaleSpec: eval_interval must be positive");
+  }
+  if (c.autoscale.enabled && c.autoscale.min_hosts < 1) {
+    // Scale-in drains while more than min_hosts are live, so a lower floor
+    // would drain the last live host, which explicit drains refuse to do.
+    throw std::invalid_argument("AutoscaleSpec: min_hosts must be at least 1");
+  }
+
+  // Drain indices at or above this can never name a host in this scenario:
+  // the initial topology plus every explicit add, with any autoscale
+  // headroom making the index space unbounded (scale-out always appends).
+  int adds = 0;
+  for (const HostEvent& he : c.host_events) {
+    adds += he.kind == HostEvent::Kind::kAdd ? 1 : 0;
+  }
+  const bool can_grow =
+      c.autoscale.enabled && c.autoscale.max_hosts > initial_hosts;
+  for (const HostEvent& he : c.host_events) {
+    if (he.time < 0) {
+      throw std::invalid_argument(
+          "HostEvent: event time must be non-negative");
+    }
+    if (he.kind != HostEvent::Kind::kDrain) {
+      continue;
+    }
+    if (he.host < -1) {
+      throw std::invalid_argument(
+          "HostEvent: drain host must be a host index or -1 (engine picks)");
+    }
+    if (!can_grow && he.host >= initial_hosts + adds) {
+      throw std::invalid_argument(
+          "HostEvent: drain targets host " + std::to_string(he.host) +
+          " but at most " + std::to_string(initial_hosts + adds) +
+          " hosts can ever exist in this scenario");
+    }
+  }
+
+  const auto outside = [&](int h) { return h < 0 || h >= initial_hosts; };
+  const std::string topology =
+      " outside the initial topology of " + std::to_string(initial_hosts) +
+      " hosts";
+  for (const ClusterTopology::Rack& rack : c.cluster.racks) {
+    if (rack.name.empty()) {
+      throw std::invalid_argument("ClusterTopology: rack with an empty name");
+    }
+    if (rack.hosts.empty()) {
+      throw std::invalid_argument("ClusterTopology: rack '" + rack.name +
+                                  "' has no hosts");
+    }
+    for (const int h : rack.hosts) {
+      if (outside(h)) {
+        throw std::invalid_argument("ClusterTopology: rack '" + rack.name +
+                                    "' references host " + std::to_string(h) +
+                                    topology);
+      }
+    }
+  }
+
+  for (const Fault& f : c.faults) {
+    if (f.time < 0) {
+      throw std::invalid_argument("Fault: fault time must be non-negative");
+    }
+    if (f.restart_delay < 0 || f.restart_jitter < 0) {
+      throw std::invalid_argument(
+          "Fault: restart delay and jitter must be non-negative");
+    }
+    if ((f.kind == Fault::Kind::kPartition || is_degrade_kind(f.kind)) &&
+        f.duration <= 0) {
+      throw std::invalid_argument(
+          f.kind == Fault::Kind::kPartition
+              ? "Fault: partition duration must be positive"
+              : "Fault: degrade-family fault duration must be positive");
+    }
+    if (f.kind == Fault::Kind::kDiskDegrade && !(f.degrade >= 1.0)) {
+      throw std::invalid_argument(
+          "Fault: disk degrade multiplier must be >= 1 (got " +
+          std::to_string(f.degrade) + ")");
+    }
+    const bool pair = f.kind == Fault::Kind::kPartialPartition;
+    if (pair && outside(f.peer)) {
+      throw std::invalid_argument("Fault: partial partition peer " +
+                                  std::to_string(f.peer) + topology);
+    }
+    if (f.kind == Fault::Kind::kCellOutage) {
+      continue;  // the whole initial topology: host and rack are ignored
+    }
+    const ClusterTopology::Rack* rack = nullptr;
+    if (!f.rack.empty()) {
+      rack = c.cluster.rack(f.rack);
+      if (rack == nullptr) {
+        throw std::invalid_argument("Fault: unknown rack '" + f.rack + "'");
+      }
+    } else if (outside(f.host)) {
+      throw std::invalid_argument("Fault: fault targets host " +
+                                  std::to_string(f.host) + topology);
+    }
+    if (pair && (rack == nullptr ? f.host == f.peer
+                                 : std::count(rack->hosts.begin(),
+                                              rack->hosts.end(), f.peer) > 0)) {
+      throw std::invalid_argument("Fault: partial partition pairs host " +
+                                  std::to_string(f.peer) + " with itself");
+    }
+  }
+}
+
+std::vector<TenantSeed> TrafficSpec::draw_population() const {
+  validate(*this);
   // This is the engine's historical inline draw, hoisted verbatim: ALL
   // arrival times first (then one sort), and only then each tenant's
   // platform pick, RNG fork, and phase draws off that fork. The order of

@@ -55,6 +55,9 @@ struct ClusterTopology {
     std::vector<int> hosts;
   };
   std::vector<Rack> racks;
+
+  /// The rack called `name`, or nullptr when there is none.
+  const Rack* rack(const std::string& name) const;
 };
 
 /// Watermark-driven mid-run cluster resizing. The engine emits periodic
@@ -244,9 +247,10 @@ struct TrafficSpec : TrafficKnobs {
   /// and the workload phases off that fork — the exact draw sequence the
   /// engine performed inline before populations became explicit, so a run
   /// fed the returned seeds is byte-identical to one that draws its own.
-  /// Throws std::invalid_argument on a negative tenant_count, a Poisson
-  /// rate that is not positive and finite, a negative storm or ramp window,
-  /// or arrivals that would pass INT64_MAX nanoseconds.
+  /// Runs validate(*this) first, so malformed traffic throws
+  /// std::invalid_argument before any draw; the one check left inside the
+  /// draw refuses Poisson arrivals that pass INT64_MAX nanoseconds, which
+  /// depends on the drawn gaps.
   std::vector<TenantSeed> draw_population() const;
 };
 
@@ -283,6 +287,22 @@ struct CellSpec {
   /// use each HostSystem's spec.
   std::uint64_t host_ram_override_bytes = 0;
 };
+
+/// The one place scenario input is checked. Every entry point runs these
+/// before it does any work — draw_population() the traffic half,
+/// FleetEngine::run both halves, Federation::run the traffic half (each
+/// cell's engine checks that cell's spec) — so malformed input throws
+/// std::invalid_argument naming the first bad field, never UB or another
+/// exception deep in a draw or the event loop.
+///
+/// Traffic: the arrival knobs, the three mixes, phases, churn, the retry
+/// knobs and any explicit population (sorted by arrival, platforms inside
+/// platform_mix, programs that exist).
+void validate(const TrafficSpec& traffic);
+
+/// Cell, against an initial topology of `initial_hosts` hosts: autoscale,
+/// host events, racks (whether or not a fault names them) and faults.
+void validate(const CellSpec& cell, int initial_hosts);
 
 /// The single-cluster scenario: one TrafficSpec applied to one CellSpec.
 /// Inheritance keeps the pre-federation flat field access (`s.tenant_count`,

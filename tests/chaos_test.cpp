@@ -34,7 +34,7 @@ using fleet::resolve_faults;
 using fleet::ResolvedFault;
 using fleet::Scenario;
 using fleet::stretched_completion;
-using fleet::validate_host_events;
+using fleet::validate;
 using testutil::digest;
 
 FleetReport run_cluster(const Scenario& s) {
@@ -135,40 +135,45 @@ TEST(ChaosTest, BuildPartitionWindowsEmptyWithoutPartitions) {
 
 // --- Up-front validation -----------------------------------------------------
 
-TEST(ChaosTest, ResolveFaultsRejectsMalformedSpecs) {
+TEST(ChaosTest, ValidateRejectsMalformedFaults) {
   Scenario s = chaos_storm(8, 2);
   // Negative fault time.
   s.faults = {crash_at(-1, 0)};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   // Host outside the initial topology.
   s.faults = {crash_at(sim::millis(10), 2)};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   s.faults = {crash_at(sim::millis(10), -1)};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   // Unknown rack name.
   s.faults = {crash_at(sim::millis(10), 0)};
   s.faults[0].rack = "nope";
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   // Non-positive partition duration.
   s.faults = {crash_at(sim::millis(10), 0)};
   s.faults[0].kind = Fault::Kind::kPartition;
   s.faults[0].duration = 0;
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   // Negative restart shape.
   s.faults = {crash_at(sim::millis(10), 0)};
   s.faults[0].restart_delay = -1;
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
 }
 
-TEST(ChaosTest, ResolveFaultsRejectsMalformedRacks) {
+TEST(ChaosTest, ValidateRejectsMalformedRacks) {
   Scenario s = chaos_storm(8, 2);
   s.faults = {crash_at(sim::millis(10), 0)};
   s.cluster.racks = {{"", {0}}};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   s.cluster.racks = {{"r0", {}}};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   s.cluster.racks = {{"r0", {0, 5}}};  // member outside the topology
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
+  // Racks are checked whether or not a fault names them.
+  s.faults.clear();
+  s.cluster.racks = {{"r0", {0, 99}}};
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
+  EXPECT_THROW(run_cluster(s), std::invalid_argument);
 }
 
 TEST(ChaosTest, ResolveFaultsSortsByTimeAndAssignsIds) {
@@ -183,25 +188,25 @@ TEST(ChaosTest, ResolveFaultsSortsByTimeAndAssignsIds) {
   EXPECT_EQ(resolved[1].time, sim::millis(50));
 }
 
-TEST(ChaosTest, ValidateHostEventsRejectsBadHooks) {
+TEST(ChaosTest, ValidateRejectsBadHostEvents) {
   Scenario s = chaos_storm(8, 2);
   HostEvent he;
   he.kind = HostEvent::Kind::kDrain;
   he.time = -1;
   s.host_events = {he};
-  EXPECT_THROW(validate_host_events(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   he.time = sim::millis(10);
   he.host = -2;
   s.host_events = {he};
-  EXPECT_THROW(validate_host_events(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   // A fixed 2-host topology can never contain host index 7.
   he.host = 7;
   s.host_events = {he};
-  EXPECT_THROW(validate_host_events(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   // ...unless the autoscaler can grow the fleet past it.
   s.autoscale.enabled = true;
   s.autoscale.max_hosts = 16;
-  EXPECT_NO_THROW(validate_host_events(s, 2));
+  EXPECT_NO_THROW(validate(s, 2));
   // An engine run surfaces the same validation up front.
   s.autoscale.enabled = false;
   EXPECT_THROW(run_cluster(s), std::invalid_argument);

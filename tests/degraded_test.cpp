@@ -35,10 +35,10 @@ using fleet::Federation;
 using fleet::FederationReport;
 using fleet::FleetEngine;
 using fleet::FleetReport;
-using fleet::resolve_faults;
 using fleet::ResolvedFault;
 using fleet::Scenario;
 using fleet::stretched_completion;
+using fleet::validate;
 using testutil::digest;
 
 FleetReport run_cluster(const Scenario& s) {
@@ -172,27 +172,27 @@ TEST(DegradedTest, PairWindowsAreSymmetric) {
 
 // --- Up-front validation -----------------------------------------------------
 
-TEST(DegradedTest, ResolveFaultsRejectsMalformedDegradeShapes) {
+TEST(DegradedTest, ValidateRejectsMalformedDegradeShapes) {
   Scenario s = Scenario::program_storm(16, 2);
   // Disk degrade multiplier below 1 would *speed the disk up*.
   s.faults = {disk_degrade_at(sim::millis(10), 0, 0.5, sim::millis(20))};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   // Non-positive degrade window.
   s.faults = {disk_degrade_at(sim::millis(10), 0, 4.0, 0)};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   s.faults = {mem_pressure_at(sim::millis(10), 0, -1)};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   // A partial partition pairing a host with itself cuts nothing.
   s.faults = {
       partial_partition_at(sim::millis(10), 1, 1, sim::millis(20))};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   // Peer outside the initial topology.
   s.faults = {
       partial_partition_at(sim::millis(10), 0, 5, sim::millis(20))};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
   s.faults = {
       partial_partition_at(sim::millis(10), 0, -1, sim::millis(20))};
-  EXPECT_THROW(resolve_faults(s, 2), std::invalid_argument);
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
 }
 
 TEST(DegradedTest, RunRejectsMalformedRetryKnobs) {

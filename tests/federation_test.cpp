@@ -18,6 +18,7 @@
 #include "fleet/cluster.h"
 #include "fleet/federation.h"
 #include "fleet/placement.h"
+#include "fleet/program.h"
 #include "fleet/report.h"
 #include "fleet/scenario.h"
 #include "report_digest.h"
@@ -360,14 +361,42 @@ TEST(FederationTest, MalformedScenariosAreRejectedUpFront) {
   EXPECT_THROW(fed.run(fs), std::invalid_argument);
 }
 
-TEST(FederationTest, NegativeTenantCountIsRejected) {
-  // Clusters and federations both draw their tenants through
-  // TrafficSpec::draw_population, which refuses up front a negative count
-  // and every arrival input that would draw int64 nanoseconds negative or
-  // wrap them.
+TEST(FederationTest, MalformedTrafficIsRejectedBeforeAnyDraw) {
+  // Clusters and federations both check their traffic through
+  // fleet::validate before they draw or route a tenant: a negative count,
+  // every arrival input that would draw int64 nanoseconds negative or wrap
+  // them, empty or zero-weight mixes, phase and churn lengths the tenant
+  // clocks would refuse mid-run, and explicit populations naming a
+  // platform or program the run cannot build.
   std::vector<Scenario> rows;
   Scenario s = Scenario::cluster_storm(16, 2);
   s.tenant_count = -1;
+  rows.push_back(s);
+  s = Scenario::cluster_storm(16, 2);
+  s.platform_mix.clear();
+  rows.push_back(s);
+  s = Scenario::cluster_storm(16, 2);
+  s.workload_mix.clear();
+  rows.push_back(s);
+  s = Scenario::cluster_storm(16, 2);
+  s.platform_mix[0].weight = 0.0;
+  rows.push_back(s);
+  s = Scenario::cluster_storm(16, 2);
+  s.phases_per_tenant = -1;
+  rows.push_back(s);
+  s = Scenario::cluster_storm(16, 2);
+  s.mean_phase_duration = sim::millis(-5);
+  rows.push_back(s);
+  s = Scenario::churn_mix(16, 1);
+  s.churn_gap = -1;
+  rows.push_back(s);
+  s = Scenario::cluster_storm(16, 2);
+  s.population = s.draw_population();
+  s.platform_mix = {{platforms::PlatformId::kNative, 1.0}};  // none drawn
+  rows.push_back(s);
+  s = Scenario::cluster_storm(16, 2);
+  s.population = s.draw_population();
+  s.population[0].program = fleet::builtin_program_count();
   rows.push_back(s);
   for (const double rate : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
     s = Scenario::steady_state_mix(16);
@@ -389,9 +418,9 @@ TEST(FederationTest, NegativeTenantCountIsRejected) {
   s.arrival_window = std::numeric_limits<sim::Nanos>::max() / 8;
   rows.push_back(s);
 
-  // The draw's own refusal, not a later error such as the clock refusing
-  // an arrival that wrapped negative.
-  const auto rejected_by_draw = [](const auto& run) {
+  // The traffic check's own refusal, not a later error such as the clock
+  // refusing an arrival that wrapped negative or a negative phase cost.
+  const auto rejected_up_front = [](const auto& run) {
     try {
       run();
     } catch (const std::invalid_argument& e) {
@@ -401,16 +430,16 @@ TEST(FederationTest, NegativeTenantCountIsRejected) {
   };
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Scenario& row = rows[i];
-    EXPECT_TRUE(rejected_by_draw([&] { Cluster(row.cluster).run(row); }))
+    EXPECT_TRUE(rejected_up_front([&] { Cluster(row.cluster).run(row); }))
         << "row " << i;
-    EXPECT_TRUE(rejected_by_draw([&] {
+    EXPECT_TRUE(rejected_up_front([&] {
       run_federation(FederatedScenario::from_scenario(row, 2));
     })) << "row " << i;
   }
 }
 
 TEST(FederationTest, MalformedPlatformWeightIsRejected) {
-  // Every cell run reaches the engine's weight check, so the federation
+  // The federation checks the traffic's weights before it draws, so it
   // refuses the mix rather than drop the share from every cell.
   for (const double w : {-1.0, std::nan("")}) {
     Scenario s = Scenario::cluster_storm(64, 2);
