@@ -39,7 +39,6 @@ class KvStore {
 
   std::size_t size() const { return index_.size(); }
   std::uint64_t bytes_used() const { return bytes_used_; }
-  std::uint64_t memory_limit() const { return memory_limit_; }
   const KvStats& stats() const { return stats_; }
   double hit_ratio() const;
 

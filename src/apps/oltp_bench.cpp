@@ -29,14 +29,6 @@ int OltpResult::peak_threads() const {
   return best;
 }
 
-double OltpResult::peak_tps() const {
-  double best = 0.0;
-  for (const auto& p : curve) {
-    best = std::max(best, p.tps);
-  }
-  return best;
-}
-
 OltpBench::OltpBench(OltpSpec spec) : spec_(std::move(spec)) {}
 
 sim::Nanos OltpBench::txn_latency(platforms::Platform& platform, MiniSql& db,

@@ -40,7 +40,6 @@ struct OltpResult {
 
   /// Threads at which tps peaks.
   int peak_threads() const;
-  double peak_tps() const;
 };
 
 class OltpBench {

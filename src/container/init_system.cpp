@@ -5,20 +5,6 @@ namespace container {
 using sim::DurationDist;
 using sim::millis;
 
-std::string init_kind_name(InitKind k) {
-  switch (k) {
-    case InitKind::kTini:
-      return "tini";
-    case InitKind::kSystemd:
-      return "systemd";
-    case InitKind::kSystemdMini:
-      return "systemd(mini-os)";
-    case InitKind::kPatchedExit:
-      return "patched-exit";
-  }
-  return "unknown";
-}
-
 core::BootTimeline init_system_timeline(InitKind kind) {
   core::BootTimeline t;
   switch (kind) {

@@ -18,8 +18,6 @@ enum class InitKind {
   kPatchedExit, // the paper's patched init that exits immediately
 };
 
-std::string init_kind_name(InitKind k);
-
 /// Boot stages contributed by the guest's init system.
 core::BootTimeline init_system_timeline(InitKind kind);
 

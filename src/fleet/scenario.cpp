@@ -45,18 +45,6 @@ class WeightedPick {
 
 }  // namespace
 
-std::string arrival_pattern_name(ArrivalPattern p) {
-  switch (p) {
-    case ArrivalPattern::kStorm:
-      return "storm";
-    case ArrivalPattern::kPoisson:
-      return "poisson";
-    case ArrivalPattern::kRamp:
-      return "ramp";
-  }
-  return "unknown";
-}
-
 const ClusterTopology::Rack* ClusterTopology::rack(
     const std::string& name) const {
   for (const Rack& r : racks) {

@@ -108,8 +108,6 @@ enum class ArrivalPattern {
   kRamp,     // evenly spaced across the burst window
 };
 
-std::string arrival_pattern_name(ArrivalPattern p);
-
 /// One entry of the platform mix; weights are normalized by the engine.
 struct PlatformShare {
   platforms::PlatformId id;

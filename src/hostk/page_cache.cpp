@@ -260,9 +260,4 @@ void PageCache::drop_caches() {
   size_ = 0;
 }
 
-void PageCache::reset_stats() {
-  hits_ = 0;
-  misses_ = 0;
-}
-
 }  // namespace hostk

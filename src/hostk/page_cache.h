@@ -70,11 +70,6 @@ class PageCache {
   std::uint64_t size_pages() const { return size_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-  void reset_stats();
-
-  /// Extent count — an implementation health metric: sequential workloads
-  /// should keep this near the number of distinct files touched.
-  std::size_t extent_count() const { return index_.size(); }
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFF'FFFFu;

@@ -28,22 +28,6 @@ std::string platform_id_name(PlatformId id) {
   return "unknown";
 }
 
-std::string workload_class_name(WorkloadClass w) {
-  switch (w) {
-    case WorkloadClass::kCpu:
-      return "cpu";
-    case WorkloadClass::kMemory:
-      return "memory";
-    case WorkloadClass::kIo:
-      return "io";
-    case WorkloadClass::kNetwork:
-      return "network";
-    case WorkloadClass::kStartup:
-      return "startup";
-  }
-  return "unknown";
-}
-
 Platform::Platform(PlatformId id, std::string name, core::HostSystem& host)
     : id_(id), name_(std::move(name)), host_(&host) {}
 

@@ -51,8 +51,6 @@ struct Capabilities {
 /// Workload classes traced in the HAP experiment (Section 4).
 enum class WorkloadClass { kCpu, kMemory, kIo, kNetwork, kStartup };
 
-std::string workload_class_name(WorkloadClass w);
-
 class Platform {
  public:
   Platform(PlatformId id, std::string name, core::HostSystem& host);

@@ -10,10 +10,6 @@ using sim::DurationDist;
 using sim::micros;
 using sim::millis;
 
-std::string gvisor_platform_name(GvisorPlatform p) {
-  return p == GvisorPlatform::kPtrace ? "ptrace" : "kvm";
-}
-
 Sentry::Sentry(SentrySpec spec, hostk::HostKernel& host)
     : spec_(spec), host_(&host) {}
 

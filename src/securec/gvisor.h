@@ -21,8 +21,6 @@ namespace securec {
 /// The syscall interception mechanism.
 enum class GvisorPlatform { kPtrace, kKvm };
 
-std::string gvisor_platform_name(GvisorPlatform p);
-
 struct SentrySpec {
   GvisorPlatform platform = GvisorPlatform::kPtrace;
   /// Number of host syscalls the seccomp allowlist admits (~70 in runsc).

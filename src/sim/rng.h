@@ -66,7 +66,6 @@ class ZipfianGenerator {
   /// Sample an item index in [0, n). Hot items are small indices.
   std::uint64_t next(Rng& rng);
 
-  std::uint64_t item_count() const { return n_; }
   double theta() const { return theta_; }
 
  private:

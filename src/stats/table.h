@@ -18,8 +18,6 @@ class Table {
   /// Append a row; must match the header arity.
   void add_row(std::vector<std::string> cells);
 
-  std::size_t row_count() const { return rows_.size(); }
-  std::size_t column_count() const { return headers_.size(); }
   const std::vector<std::string>& headers() const { return headers_; }
   const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 

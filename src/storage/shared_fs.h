@@ -34,10 +34,6 @@ class SharedFs {
   /// Latency added by the protocol for one operation of `bytes`.
   sim::Nanos op_latency(std::uint64_t bytes, sim::Rng& rng) const;
 
-  /// Throughput ceiling imposed by the protocol, bytes/s (the reason
-  /// Figure 9 shows secure containers at half of native).
-  double bandwidth_cap_bytes_per_sec() const { return bandwidth_cap_; }
-
  private:
   SharedFs(SharedFsProtocol protocol, std::uint64_t msize,
            sim::Nanos rt_latency, double rt_sigma, double bandwidth_cap);
@@ -46,6 +42,8 @@ class SharedFs {
   std::uint64_t msize_;       // max payload per protocol message
   sim::Nanos rt_latency_;     // one message round trip
   double rt_sigma_;
+  /// Throughput ceiling imposed by the protocol, bytes/s (the reason
+  /// Figure 9 shows secure containers at half of native).
   double bandwidth_cap_;
 };
 

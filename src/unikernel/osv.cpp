@@ -7,18 +7,6 @@ namespace unikernel {
 using sim::DurationDist;
 using sim::millis;
 
-std::string load_result_name(LoadResult r) {
-  switch (r) {
-    case LoadResult::kOk:
-      return "ok";
-    case LoadResult::kNotRelocatable:
-      return "not-relocatable";
-    case LoadResult::kRequiresFork:
-      return "requires-fork";
-  }
-  return "unknown";
-}
-
 LoadResult ElfLinker::load(const AppImage& app) const {
   if (app.uses_fork) {
     return LoadResult::kRequiresFork;

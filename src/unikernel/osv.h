@@ -26,8 +26,6 @@ enum class LoadResult {
   kRequiresFork,     // multi-process applications are unsupported
 };
 
-std::string load_result_name(LoadResult r);
-
 /// How an application is packaged for OSv.
 struct AppImage {
   std::string name;

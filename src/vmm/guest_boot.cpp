@@ -7,20 +7,6 @@ namespace vmm {
 using sim::DurationDist;
 using sim::millis;
 
-std::string boot_protocol_name(BootProtocol p) {
-  switch (p) {
-    case BootProtocol::kBios:
-      return "bios";
-    case BootProtocol::kQboot:
-      return "qboot";
-    case BootProtocol::kLinux64Direct:
-      return "linux64-direct";
-    case BootProtocol::kMicroVm:
-      return "microvm";
-  }
-  return "unknown";
-}
-
 core::BootTimeline boot_protocol_timeline(BootProtocol p) {
   core::BootTimeline t;
   switch (p) {

@@ -21,8 +21,6 @@ enum class BootProtocol {
   kMicroVm,        // QEMU uVM machine model (direct-ish but quirky)
 };
 
-std::string boot_protocol_name(BootProtocol p);
-
 /// Firmware/pre-kernel boot stages for a protocol.
 core::BootTimeline boot_protocol_timeline(BootProtocol p);
 

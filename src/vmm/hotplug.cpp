@@ -7,22 +7,6 @@ using sim::DurationDist;
 using sim::micros;
 using sim::millis;
 
-std::string hotplug_status_name(HotplugStatus s) {
-  switch (s) {
-    case HotplugStatus::kOk:
-      return "ok";
-    case HotplugStatus::kUnsupported:
-      return "unsupported";
-    case HotplugStatus::kBadGranularity:
-      return "bad-granularity";
-    case HotplugStatus::kExceedsHostRam:
-      return "exceeds-host-ram";
-    case HotplugStatus::kNoStandbyVcpu:
-      return "no-standby-vcpu";
-  }
-  return "unknown";
-}
-
 HotplugController::HotplugController(Vm& vm, hostk::HostKernel& host,
                                      std::uint64_t host_ram_bytes)
     : vm_(&vm),

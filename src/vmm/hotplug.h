@@ -24,8 +24,6 @@ enum class HotplugStatus {
   kNoStandbyVcpu,     // online requested but nothing was hotplugged
 };
 
-std::string hotplug_status_name(HotplugStatus s);
-
 /// Drives hotplug requests through a VMM's API against one Vm.
 class HotplugController {
  public:

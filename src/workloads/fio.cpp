@@ -2,18 +2,6 @@
 
 namespace workloads {
 
-std::string fio_mode_name(FioMode m) {
-  switch (m) {
-    case FioMode::kSeqRead:
-      return "read";
-    case FioMode::kSeqWrite:
-      return "write";
-    case FioMode::kRandRead:
-      return "randread";
-  }
-  return "unknown";
-}
-
 Fio::Fio(FioSpec spec) : spec_(spec) {}
 
 FioSpec Fio::figure9_throughput(FioMode mode) {

@@ -20,8 +20,6 @@ namespace workloads {
 
 enum class FioMode { kSeqRead, kSeqWrite, kRandRead };
 
-std::string fio_mode_name(FioMode m);
-
 struct FioSpec {
   FioMode mode = FioMode::kSeqRead;
   std::uint32_t block_bytes = 128 << 10;
