@@ -289,9 +289,9 @@ struct CellSpec {
 /// The one place scenario input is checked. Every entry point runs these
 /// before it does any work — draw_population() the traffic half,
 /// FleetEngine::run both halves, Federation::run the traffic half (each
-/// cell's engine checks that cell's spec) — so malformed input throws
-/// std::invalid_argument naming the first bad field, never UB or another
-/// exception deep in a draw or the event loop.
+/// cell's engine checks that cell's spec) — so the input these check
+/// throws std::invalid_argument naming the first bad field, instead of UB
+/// or another exception deep in a draw or the event loop.
 ///
 /// Traffic: the arrival knobs, the three mixes, phases, churn, the retry
 /// knobs and any explicit population (sorted by arrival, platforms inside
