@@ -2,6 +2,7 @@
 // boot integration and HAP-visible workload recording.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "platforms/container_platforms.h"
@@ -200,6 +201,66 @@ TEST_F(PlatformFixture, PlatformIdNamesUnique) {
         PlatformId::kOsvFirecracker}) {
     EXPECT_TRUE(names.insert(platforms::platform_id_name(id)).second);
   }
+}
+
+// --- HAP trace draw sequences -------------------------------------------
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 0x100000001b3ull;
+}
+
+// Every platform's record_workload and boot_total RNG draws and ftrace
+// counts, with ftrace stopped and then started, folded into one value:
+// reports depend on both byte for byte, so a refactor of the boot or
+// workload paths must leave it unchanged.
+TEST(PlatformTraceTest, DrawSequenceDigestIsPinned) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const bool tracing : {false, true}) {
+    for (std::size_t i = 0; i < 10; ++i) {
+      core::HostSystem host;
+      const auto lineup = PlatformFactory::paper_lineup(host);
+      Platform& p = *lineup.at(i);
+      const hostk::Ftrace& ftrace = host.kernel().ftrace();
+      if (tracing) {
+        host.kernel().ftrace().start();
+      }
+      std::uint64_t seed = 1;
+      for (const auto w :
+           {WorkloadClass::kCpu, WorkloadClass::kMemory, WorkloadClass::kIo,
+            WorkloadClass::kNetwork, WorkloadClass::kStartup}) {
+        sim::Rng rng(seed++);
+        p.record_workload(w, rng);
+        h = fold(h, rng.next_u64());
+        h = fold(h, ftrace.total_invocations());
+      }
+      sim::Rng rng(seed);
+      sim::Clock clock;
+      h = fold(h, static_cast<std::uint64_t>(p.boot_total(clock, rng)));
+      h = fold(h, rng.next_u64());
+      h = fold(h, ftrace.total_invocations());
+    }
+  }
+  EXPECT_EQ(h, 0x6ee4dcd5c480bbdeull);
+}
+
+// Vm::record_steady_state and NetPath::record_traffic draw nothing while
+// ftrace is off, but direct HostKernel::invoke calls always draw. Reports
+// depend on this asymmetry, so it is pinned rather than removed.
+TEST(PlatformTraceTest, FtraceOffSkipsOnlyTheGatedDraws) {
+  const auto next_after_network = [](bool tracing) {
+    core::HostSystem host;
+    const auto qemu = PlatformFactory::create(PlatformId::kQemuKvm, host);
+    if (tracing) {
+      host.kernel().ftrace().start();
+    }
+    sim::Rng rng(7);
+    qemu->record_workload(WorkloadClass::kNetwork, rng);
+    return rng.next_u64();
+  };
+  const std::uint64_t untouched = sim::Rng(7).next_u64();
+  const std::uint64_t off = next_after_network(false);
+  EXPECT_NE(off, untouched);
+  EXPECT_NE(off, next_after_network(true));
 }
 
 }  // namespace
