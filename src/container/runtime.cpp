@@ -21,16 +21,6 @@ std::string storage_driver_name(StorageDriver d) {
 ContainerRuntime::ContainerRuntime(RuntimeSpec spec, hostk::HostKernel& host)
     : spec_(std::move(spec)), host_(&host) {}
 
-core::BootTimeline ContainerRuntime::daemon_timeline() const {
-  core::BootTimeline t;
-  // Figure 13: the Docker daemon adds ~250 ms over direct OCI invocation.
-  t.stage("daemon:cli-to-dockerd", DurationDist::lognormal(millis(48), 0.18));
-  t.stage("daemon:image-resolve", DurationDist::lognormal(millis(64), 0.20));
-  t.stage("daemon:network-allocate", DurationDist::lognormal(millis(86), 0.18));
-  t.stage("daemon:containerd-shim", DurationDist::lognormal(millis(52), 0.15));
-  return t;
-}
-
 core::BootTimeline ContainerRuntime::storage_timeline() const {
   core::BootTimeline t;
   switch (spec_.storage) {
@@ -50,10 +40,13 @@ core::BootTimeline ContainerRuntime::storage_timeline() const {
   return t;
 }
 
-core::BootTimeline ContainerRuntime::boot_timeline() const {
+const core::BootTimeline& ContainerRuntime::boot_timeline() const {
+  if (!timeline_.empty()) {
+    return timeline_;
+  }
   core::BootTimeline t;
   if (spec_.via_docker_daemon) {
-    t.append(daemon_timeline());
+    t.append(docker_daemon_timeline("containerd-shim"));
   }
   t.stage("runtime:invoke", DurationDist::lognormal(millis(14), 0.2));
   t.append(spec_.runtime_extra);
@@ -69,18 +62,11 @@ core::BootTimeline ContainerRuntime::boot_timeline() const {
   t.stage("runtime:execve", DurationDist::lognormal(millis(3.4), 0.2));
   t.append(init_system_timeline(spec_.init));
   t.stage("runtime:reap-and-teardown", init_system_shutdown(spec_.init));
-  return t;
+  timeline_ = std::move(t);
+  return timeline_;
 }
 
-const core::BootTimeline& ContainerRuntime::cached_timeline() const {
-  if (!timeline_cached_) {
-    timeline_cache_ = boot_timeline();
-    timeline_cached_ = true;
-  }
-  return timeline_cache_;
-}
-
-void ContainerRuntime::record_setup_syscalls(sim::Rng& rng) {
+void ContainerRuntime::record_boot(sim::Rng& rng) {
   // HAP-visible setup path.
   host_->invoke(Syscall::kClone3, rng, 1);
   spec_.namespaces.record_setup(*host_, rng);
@@ -94,24 +80,11 @@ void ContainerRuntime::record_setup_syscalls(sim::Rng& rng) {
   }
   host_->invoke(Syscall::kExecve, rng, 1);
   if (spec_.via_docker_daemon) {
-    // CLI <-> daemon RPC over the unix socket.
-    host_->invoke(Syscall::kSocket, rng, 1);
-    host_->invoke(Syscall::kConnect, rng, 1);
-    host_->invoke(Syscall::kSendmsg, rng, 4);
-    host_->invoke(Syscall::kRecvmsg, rng, 4);
+    record_docker_daemon_rpc(*host_, rng);
   }
-}
-
-core::BootResult ContainerRuntime::boot(sim::Clock& clock, sim::Rng& rng) {
-  record_setup_syscalls(rng);
-  const core::BootResult result = boot_timeline().run(rng);
-  clock.advance(result.total);
-  return result;
-}
-
-void ContainerRuntime::record_boot(sim::Clock& clock, sim::Rng& rng) {
-  record_setup_syscalls(rng);
-  clock.advance(cached_timeline().sample_total(rng));
+  // The duration is discarded, but sampling it keeps the tenant's RNG
+  // stream where a full boot leaves it.
+  boot_timeline().sample_total(rng);
 }
 
 sim::Nanos ContainerRuntime::exec_process(sim::Clock& clock, sim::Rng& rng) {
@@ -123,6 +96,22 @@ sim::Nanos ContainerRuntime::exec_process(sim::Clock& clock, sim::Rng& rng) {
       DurationDist::lognormal(millis(18), 0.2).sample(rng);
   clock.advance(cost);
   return cost;
+}
+
+core::BootTimeline docker_daemon_timeline(const std::string& shim) {
+  core::BootTimeline t;
+  t.stage("daemon:cli-to-dockerd", DurationDist::lognormal(millis(48), 0.18));
+  t.stage("daemon:image-resolve", DurationDist::lognormal(millis(64), 0.20));
+  t.stage("daemon:network-allocate", DurationDist::lognormal(millis(86), 0.18));
+  t.stage("daemon:" + shim, DurationDist::lognormal(millis(52), 0.15));
+  return t;
+}
+
+void record_docker_daemon_rpc(hostk::HostKernel& host, sim::Rng& rng) {
+  host.invoke(Syscall::kSocket, rng, 1);
+  host.invoke(Syscall::kConnect, rng, 1);
+  host.invoke(Syscall::kSendmsg, rng, 4);
+  host.invoke(Syscall::kRecvmsg, rng, 4);
 }
 
 // --- Catalog -----------------------------------------------------------

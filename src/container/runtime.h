@@ -49,31 +49,33 @@ class ContainerRuntime {
   const std::string& name() const { return spec_.name; }
 
   /// Full create-to-exit timeline (Figure 13's end-to-end convention).
-  core::BootTimeline boot_timeline() const;
+  /// Composed on the first call and kept (the spec is fixed once the
+  /// runtime is constructed).
+  const core::BootTimeline& boot_timeline() const;
 
-  /// Boot once: advances the clock, issues HAP-visible setup syscalls.
-  core::BootResult boot(sim::Clock& clock, sim::Rng& rng);
-
-  /// boot() without the per-stage BootResult: identical syscall trace and
-  /// RNG draws, but the composed timeline is cached (the spec is immutable
-  /// after construction) and only the total is sampled — the fleet
-  /// engine's per-boot fast path.
-  void record_boot(sim::Clock& clock, sim::Rng& rng);
+  /// One container creation as the host sees it: the HAP-visible setup
+  /// syscalls, then one sample of the boot's duration, which no caller
+  /// reads.
+  void record_boot(sim::Rng& rng);
 
   /// `docker exec`-style process injection (no new sandbox).
   sim::Nanos exec_process(sim::Clock& clock, sim::Rng& rng);
 
  private:
-  core::BootTimeline daemon_timeline() const;
   core::BootTimeline storage_timeline() const;
-  void record_setup_syscalls(sim::Rng& rng);
-  const core::BootTimeline& cached_timeline() const;
 
   RuntimeSpec spec_;
   hostk::HostKernel* host_;
-  mutable core::BootTimeline timeline_cache_;
-  mutable bool timeline_cached_ = false;
+  mutable core::BootTimeline timeline_;  // empty until first composed
 };
+
+/// The Docker daemon's client-server path ahead of the OCI runtime
+/// (Figure 13: ~250 ms over direct invocation). `shim` names the last
+/// stage, the containerd shim that launches the sandbox.
+core::BootTimeline docker_daemon_timeline(const std::string& shim);
+
+/// The CLI <-> dockerd RPC over the unix socket, as the host traces it.
+void record_docker_daemon_rpc(hostk::HostKernel& host, sim::Rng& rng);
 
 /// Runtime catalog for the container platforms of Figure 13.
 class RuntimeCatalog {

@@ -39,7 +39,7 @@ void record_shared_kernel_workload(Platform& p, hostk::HostKernel& k,
       k.invoke(Syscall::kEpollWait, rng, 16);
       break;
     case WorkloadClass::kStartup:
-      break;  // handled by the caller via record_boot_trace
+      break;  // Platform::record_workload records a boot trace instead
   }
   // cgroup accounting shows up on every class.
   k.invoke(Syscall::kCgroupWrite, rng, 1);
@@ -50,31 +50,23 @@ void record_shared_kernel_workload(Platform& p, hostk::HostKernel& k,
 DockerPlatform::DockerPlatform(core::HostSystem& host, bool via_daemon)
     : Platform(PlatformId::kDocker,
                via_daemon ? "docker" : "docker-oci", host),
-      via_daemon_(via_daemon),
       runtime_(via_daemon ? RuntimeCatalog::docker_daemon()
                           : RuntimeCatalog::runc_oci(),
                host.kernel()) {
-  set_capabilities({});
-  set_cpu_profile({});
   set_memory_profile(vmm::MemoryBackingCatalog::host_native().profile);
   set_net(net::NetPathCatalog::docker_bridge());
   set_block(storage::BlockPathCatalog::docker_bind_mount());
 }
 
-core::BootTimeline DockerPlatform::boot_timeline() const {
+core::BootTimeline DockerPlatform::compose_boot_timeline() const {
   return runtime_.boot_timeline();
 }
 
 void DockerPlatform::record_boot_trace(sim::Rng& rng) {
-  sim::Clock scratch;
-  runtime_.record_boot(scratch, rng);
+  runtime_.record_boot(rng);
 }
 
-void DockerPlatform::record_workload(WorkloadClass w, sim::Rng& rng) {
-  if (w == WorkloadClass::kStartup) {
-    record_boot_trace(rng);
-    return;
-  }
+void DockerPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
   record_shared_kernel_workload(*this, kernel(), w, rng);
 }
 
@@ -83,27 +75,20 @@ LxcPlatform::LxcPlatform(core::HostSystem& host, bool unprivileged)
       runtime_(unprivileged ? RuntimeCatalog::lxc_unprivileged()
                             : RuntimeCatalog::lxc(),
                host.kernel()) {
-  set_capabilities({});
-  set_cpu_profile({});
   set_memory_profile(vmm::MemoryBackingCatalog::host_native().profile);
   set_net(net::NetPathCatalog::lxc_bridge());
   set_block(storage::BlockPathCatalog::lxc_zfs());
 }
 
-core::BootTimeline LxcPlatform::boot_timeline() const {
+core::BootTimeline LxcPlatform::compose_boot_timeline() const {
   return runtime_.boot_timeline();
 }
 
 void LxcPlatform::record_boot_trace(sim::Rng& rng) {
-  sim::Clock scratch;
-  runtime_.record_boot(scratch, rng);
+  runtime_.record_boot(rng);
 }
 
-void LxcPlatform::record_workload(WorkloadClass w, sim::Rng& rng) {
-  if (w == WorkloadClass::kStartup) {
-    record_boot_trace(rng);
-    return;
-  }
+void LxcPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
   record_shared_kernel_workload(*this, kernel(), w, rng);
 }
 

@@ -13,16 +13,12 @@ class DockerPlatform : public Platform {
  public:
   DockerPlatform(core::HostSystem& host, bool via_daemon);
 
-  bool via_daemon() const { return via_daemon_; }
-
-  core::BootTimeline boot_timeline() const override;
-  void record_workload(WorkloadClass w, sim::Rng& rng) override;
-
  protected:
+  core::BootTimeline compose_boot_timeline() const override;
   void record_boot_trace(sim::Rng& rng) override;
+  void record_phase(WorkloadClass w, sim::Rng& rng) override;
 
  private:
-  bool via_daemon_;
   container::ContainerRuntime runtime_;
 };
 
@@ -32,11 +28,10 @@ class LxcPlatform : public Platform {
  public:
   LxcPlatform(core::HostSystem& host, bool unprivileged = false);
 
-  core::BootTimeline boot_timeline() const override;
-  void record_workload(WorkloadClass w, sim::Rng& rng) override;
-
  protected:
+  core::BootTimeline compose_boot_timeline() const override;
   void record_boot_trace(sim::Rng& rng) override;
+  void record_phase(WorkloadClass w, sim::Rng& rng) override;
 
  private:
   container::ContainerRuntime runtime_;

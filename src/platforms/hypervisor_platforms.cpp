@@ -68,7 +68,6 @@ std::unique_ptr<HypervisorPlatform> HypervisorPlatform::qemu(
   auto p = std::make_unique<HypervisorPlatform>(
       PlatformId::kQemuKvm, "qemu-kvm", host, vmm::VmmCatalog::qemu_kvm(),
       VmmFlavor::kQemu);
-  p->set_capabilities({});
   p->set_net(net::NetPathCatalog::qemu_tap());
   p->set_block(storage::BlockPathCatalog::qemu_virtio_blk());
   return p;
@@ -94,19 +93,17 @@ std::unique_ptr<HypervisorPlatform> HypervisorPlatform::cloud_hypervisor(
   auto p = std::make_unique<HypervisorPlatform>(
       PlatformId::kCloudHypervisor, "cloud-hypervisor", host,
       vmm::VmmCatalog::cloud_hypervisor(), VmmFlavor::kCloudHypervisor);
-  p->set_capabilities({});
   p->set_net(net::NetPathCatalog::cloud_hypervisor_tap());
   p->set_block(storage::BlockPathCatalog::cloud_hypervisor_virtio_blk());
   return p;
 }
 
-core::BootTimeline HypervisorPlatform::boot_timeline() const {
+core::BootTimeline HypervisorPlatform::compose_boot_timeline() const {
   return vm_.boot_timeline();
 }
 
 void HypervisorPlatform::record_boot_trace(sim::Rng& rng) {
-  sim::Clock scratch;
-  vm_.record_boot(scratch, rng);
+  vm_.record_boot(rng);
 }
 
 sim::Nanos HypervisorPlatform::sync_syscall_cost(sim::Rng& rng) const {
@@ -120,12 +117,8 @@ sim::Nanos HypervisorPlatform::sync_syscall_cost(sim::Rng& rng) const {
   return guest_cost;
 }
 
-void HypervisorPlatform::record_workload(WorkloadClass w, sim::Rng& rng) {
+void HypervisorPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
   auto& k = kernel();
-  if (w == WorkloadClass::kStartup) {
-    record_boot_trace(rng);
-    return;
-  }
   // Common to every class: the guest exits and the VMM event loop.
   const std::uint64_t exits =
       w == WorkloadClass::kCpu ? 24 : (w == WorkloadClass::kMemory ? 80 : 320);

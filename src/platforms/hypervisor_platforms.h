@@ -22,18 +22,14 @@ class HypervisorPlatform : public Platform {
   static std::unique_ptr<HypervisorPlatform> cloud_hypervisor(
       core::HostSystem& host);
 
-  vmm::Vm& vm() { return vm_; }
-  VmmFlavor flavor() const { return flavor_; }
-
-  core::BootTimeline boot_timeline() const override;
-  void record_workload(WorkloadClass w, sim::Rng& rng) override;
-
   /// Guest syscalls are served by the guest kernel; only a fraction exits
   /// to the host. Synchronization stays fully in-guest.
   sim::Nanos sync_syscall_cost(sim::Rng& rng) const override;
 
  protected:
+  core::BootTimeline compose_boot_timeline() const override;
   void record_boot_trace(sim::Rng& rng) override;
+  void record_phase(WorkloadClass w, sim::Rng& rng) override;
 
  private:
   vmm::Vm vm_;

@@ -12,14 +12,12 @@ using sim::millis;
 
 NativePlatform::NativePlatform(core::HostSystem& host)
     : Platform(PlatformId::kNative, "native", host) {
-  set_capabilities({});
-  set_cpu_profile({});
   set_memory_profile(vmm::MemoryBackingCatalog::host_native().profile);
   set_net(net::NetPathCatalog::native());
   set_block(storage::BlockPathCatalog::native());
 }
 
-core::BootTimeline NativePlatform::boot_timeline() const {
+core::BootTimeline NativePlatform::compose_boot_timeline() const {
   core::BootTimeline t;
   t.stage("native:fork-exec", DurationDist::lognormal(millis(2.1), 0.2));
   t.stage("native:exit", DurationDist::lognormal(millis(0.9), 0.25));
@@ -33,7 +31,7 @@ void NativePlatform::record_boot_trace(sim::Rng& rng) {
   kernel().invoke(Syscall::kWait4, rng, 1);
 }
 
-void NativePlatform::record_workload(WorkloadClass w, sim::Rng& rng) {
+void NativePlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
   auto& k = kernel();
   switch (w) {
     case WorkloadClass::kCpu:
@@ -68,8 +66,7 @@ void NativePlatform::record_workload(WorkloadClass w, sim::Rng& rng) {
       k.invoke(Syscall::kEpollWait, rng, 16);
       break;
     case WorkloadClass::kStartup:
-      record_boot_trace(rng);
-      break;
+      break;  // Platform::record_workload records a boot trace instead
   }
 }
 

@@ -11,11 +11,10 @@ class NativePlatform : public Platform {
  public:
   explicit NativePlatform(core::HostSystem& host);
 
-  core::BootTimeline boot_timeline() const override;
-  void record_workload(WorkloadClass w, sim::Rng& rng) override;
-
  protected:
+  core::BootTimeline compose_boot_timeline() const override;
   void record_boot_trace(sim::Rng& rng) override;
+  void record_phase(WorkloadClass w, sim::Rng& rng) override;
 };
 
 }  // namespace platforms

@@ -10,15 +10,8 @@ using hostk::Syscall;
 
 namespace {
 vmm::VmmSpec vmm_spec_for(OsvHypervisor h) {
-  switch (h) {
-    case OsvHypervisor::kQemu:
-      return vmm::VmmCatalog::osv_on_qemu();
-    case OsvHypervisor::kQemuMicroVm:
-      return vmm::VmmCatalog::osv_on_qemu_microvm();
-    case OsvHypervisor::kFirecracker:
-      return vmm::VmmCatalog::osv_on_firecracker();
-  }
-  return vmm::VmmCatalog::osv_on_qemu();
+  return h == OsvHypervisor::kFirecracker ? vmm::VmmCatalog::osv_on_firecracker()
+                                          : vmm::VmmCatalog::osv_on_qemu();
 }
 
 PlatformId id_for(OsvHypervisor h) {
@@ -27,22 +20,13 @@ PlatformId id_for(OsvHypervisor h) {
 }
 
 std::string name_for(OsvHypervisor h) {
-  switch (h) {
-    case OsvHypervisor::kQemu:
-      return "osv";
-    case OsvHypervisor::kQemuMicroVm:
-      return "osv-microvm";
-    case OsvHypervisor::kFirecracker:
-      return "osv-fc";
-  }
-  return "osv";
+  return h == OsvHypervisor::kFirecracker ? "osv-fc" : "osv";
 }
 }  // namespace
 
 OsvPlatform::OsvPlatform(core::HostSystem& host, OsvHypervisor hypervisor,
                          unikernel::AppImage app)
     : Platform(id_for(hypervisor), name_for(hypervisor), host),
-      hypervisor_(hypervisor),
       vm_(vmm_spec_for(hypervisor), host.kernel()),
       app_(std::move(app)) {
   Capabilities caps;
@@ -64,7 +48,7 @@ unikernel::LoadResult OsvPlatform::can_run(const unikernel::AppImage& app) const
   return linker_.load(app);
 }
 
-core::BootTimeline OsvPlatform::boot_timeline() const {
+core::BootTimeline OsvPlatform::compose_boot_timeline() const {
   core::BootTimeline t;
   t.append(vm_.boot_timeline());
   t.append(linker_.link_timeline(app_));
@@ -72,8 +56,7 @@ core::BootTimeline OsvPlatform::boot_timeline() const {
 }
 
 void OsvPlatform::record_boot_trace(sim::Rng& rng) {
-  sim::Clock scratch;
-  vm_.record_boot(scratch, rng);
+  vm_.record_boot(rng);
 }
 
 sim::Nanos OsvPlatform::sync_syscall_cost(sim::Rng& rng) const {
@@ -83,12 +66,8 @@ sim::Nanos OsvPlatform::sync_syscall_cost(sim::Rng& rng) const {
          sim::DurationDist::lognormal(sim::nanos(3800), 0.3).sample(rng);
 }
 
-void OsvPlatform::record_workload(WorkloadClass w, sim::Rng& rng) {
+void OsvPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
   auto& k = kernel();
-  if (w == WorkloadClass::kStartup) {
-    record_boot_trace(rng);
-    return;
-  }
   // Finding 27: OSv executes host kernel functions *sparingly* — guest
   // "syscalls" never leave the guest, and the minimal device set exits
   // rarely. Only a thin KVM_RUN + event-loop trickle reaches the host.

@@ -40,6 +40,13 @@ void Platform::set_block(storage::BlockPathSpec spec) {
       std::move(spec), host_->kernel(), host_->nvme(), host_->page_cache());
 }
 
+const core::BootTimeline& Platform::boot_timeline() const {
+  if (timeline_.empty()) {
+    timeline_ = compose_boot_timeline();
+  }
+  return timeline_;
+}
+
 core::BootResult Platform::boot(sim::Clock& clock, sim::Rng& rng) {
   record_boot_trace(rng);
   const core::BootResult result = boot_timeline().run(rng);
@@ -47,19 +54,19 @@ core::BootResult Platform::boot(sim::Clock& clock, sim::Rng& rng) {
   return result;
 }
 
-const core::BootTimeline& Platform::cached_timeline() {
-  if (!timeline_cached_) {
-    timeline_cache_ = boot_timeline();
-    timeline_cached_ = true;
-  }
-  return timeline_cache_;
-}
-
 sim::Nanos Platform::boot_total(sim::Clock& clock, sim::Rng& rng) {
   record_boot_trace(rng);
-  const sim::Nanos total = cached_timeline().sample_total(rng);
+  const sim::Nanos total = boot_timeline().sample_total(rng);
   clock.advance(total);
   return total;
+}
+
+void Platform::record_workload(WorkloadClass w, sim::Rng& rng) {
+  if (w == WorkloadClass::kStartup) {
+    record_boot_trace(rng);
+  } else {
+    record_phase(w, rng);
+  }
 }
 
 sim::Nanos Platform::sync_syscall_cost(sim::Rng& rng) const {

@@ -74,23 +74,25 @@ class Platform {
   storage::BlockPath* block() { return block_.get(); }
 
   /// The full end-to-end startup sequence (process creation to process
-  /// termination, the paper's Section 3.5 convention).
-  virtual core::BootTimeline boot_timeline() const = 0;
+  /// termination, the paper's Section 3.5 convention). Composed on the
+  /// first call and kept: a platform's configuration is fixed once it is
+  /// constructed, and construction composes nothing.
+  const core::BootTimeline& boot_timeline() const;
 
   /// Boot once: records HAP-visible setup syscalls and advances the clock
   /// by the sampled end-to-end duration.
   core::BootResult boot(sim::Clock& clock, sim::Rng& rng);
 
-  /// boot() without the per-stage BootResult: the composed timeline is
-  /// cached after the first call (platform configurations are immutable
-  /// after construction) and only the total is sampled. Identical RNG
-  /// draw sequence and syscall trace to boot() — the fleet engine boots
-  /// thousands of tenants through this.
+  /// boot() without the per-stage BootResult: only the total is sampled.
+  /// Identical RNG draw sequence and syscall trace to boot() — the fleet
+  /// engine boots thousands of tenants through this.
   sim::Nanos boot_total(sim::Clock& clock, sim::Rng& rng);
 
   /// Record the host-kernel activity of running one unit of a workload
-  /// class on this platform (ftrace must be started by the caller).
-  virtual void record_workload(WorkloadClass w, sim::Rng& rng) = 0;
+  /// class on this platform (ftrace must be started by the caller). A
+  /// kStartup unit is one boot trace (record_boot_trace); every other
+  /// class is a steady-state phase (record_phase).
+  void record_workload(WorkloadClass w, sim::Rng& rng);
 
   /// Guest-visible cost of one synchronization-class syscall (futex wake
   /// or similar): drives the application benchmarks' contention models.
@@ -104,14 +106,19 @@ class Platform {
   void set_net(net::NetPathSpec spec);
   void set_block(storage::BlockPathSpec spec);
 
-  /// HAP-visible boot-time syscalls; called by boot().
+  /// Composes the startup sequence boot_timeline() keeps.
+  virtual core::BootTimeline compose_boot_timeline() const = 0;
+
+  /// HAP-visible boot-time syscalls of one startup.
   virtual void record_boot_trace(sim::Rng& rng) = 0;
+
+  /// Host-kernel activity of one steady-state unit (any class but
+  /// kStartup).
+  virtual void record_phase(WorkloadClass w, sim::Rng& rng) = 0;
 
   hostk::HostKernel& kernel() { return host_->kernel(); }
 
  private:
-  const core::BootTimeline& cached_timeline();
-
   PlatformId id_;
   std::string name_;
   core::HostSystem* host_;
@@ -120,8 +127,7 @@ class Platform {
   mem::MemoryProfile memory_;
   std::unique_ptr<net::NetPath> net_;
   std::unique_ptr<storage::BlockPath> block_;
-  core::BootTimeline timeline_cache_;
-  bool timeline_cached_ = false;
+  mutable core::BootTimeline timeline_;  // empty until first composed
 };
 
 }  // namespace platforms

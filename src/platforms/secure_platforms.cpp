@@ -1,5 +1,6 @@
 #include "platforms/secure_platforms.h"
 
+#include "container/runtime.h"
 #include "net/net_path.h"
 #include "sim/distribution.h"
 #include "storage/block_path.h"
@@ -18,7 +19,6 @@ KataPlatform::KataPlatform(core::HostSystem& host,
                    ? "kata-virtiofs"
                    : "kata-containers",
                host),
-      shared_fs_(shared_fs),
       runtime_(securec::KataSpec{.shared_fs = shared_fs,
                                  .via_docker_daemon = via_daemon},
                host.kernel()) {
@@ -35,7 +35,7 @@ KataPlatform::KataPlatform(core::HostSystem& host,
                 : storage::BlockPathCatalog::kata_9p());
 }
 
-core::BootTimeline KataPlatform::boot_timeline() const {
+core::BootTimeline KataPlatform::compose_boot_timeline() const {
   return runtime_.boot_timeline();
 }
 
@@ -48,12 +48,8 @@ sim::Nanos KataPlatform::sync_syscall_cost(sim::Rng& rng) const {
   return DurationDist::lognormal(sim::nanos(1000), 0.2).sample(rng);
 }
 
-void KataPlatform::record_workload(WorkloadClass w, sim::Rng& rng) {
+void KataPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
   auto& k = kernel();
-  if (w == WorkloadClass::kStartup) {
-    record_boot_trace(rng);
-    return;
-  }
   // The QEMU instance under kata generates hypervisor-like activity...
   k.invoke(Syscall::kKvmRun, rng, w == WorkloadClass::kCpu ? 24 : 280);
   k.invoke(Syscall::kEpollWait, rng, 40);
@@ -102,7 +98,7 @@ void KataPlatform::record_workload(WorkloadClass w, sim::Rng& rng) {
     case WorkloadClass::kIo: {
       // Shared-fs traffic to serve the guest's disk I/O.
       const std::uint64_t trips =
-          shared_fs_ == storage::SharedFsProtocol::kNineP ? 96 : 24;
+          runtime_.spec().shared_fs == storage::SharedFsProtocol::kNineP ? 96 : 24;
       k.invoke(Syscall::kSendmsg, rng, trips);
       k.invoke(Syscall::kRecvmsg, rng, trips);
       k.invoke(Syscall::kPread64, rng, 64);
@@ -135,7 +131,6 @@ GvisorPlatform::GvisorPlatform(core::HostSystem& host,
       via_daemon_(via_daemon),
       sentry_(securec::SentrySpec{.platform = intercept}, host.kernel()),
       gofer_(host.kernel()) {
-  set_capabilities({});
   core::CpuProfile cpu;
   // The Sentry's Go-runtime threading and syscall interception make
   // synchronization-heavy multithreaded work expensive (Finding 21).
@@ -148,14 +143,10 @@ GvisorPlatform::GvisorPlatform(core::HostSystem& host,
   set_block(storage::BlockPathCatalog::gvisor_gofer_9p());
 }
 
-core::BootTimeline GvisorPlatform::boot_timeline() const {
+core::BootTimeline GvisorPlatform::compose_boot_timeline() const {
   core::BootTimeline t;
   if (via_daemon_) {
-    t.stage("daemon:cli-to-dockerd", DurationDist::lognormal(sim::millis(48), 0.18));
-    t.stage("daemon:image-resolve", DurationDist::lognormal(sim::millis(64), 0.20));
-    t.stage("daemon:network-allocate",
-            DurationDist::lognormal(sim::millis(86), 0.18));
-    t.stage("daemon:containerd-shim", DurationDist::lognormal(sim::millis(52), 0.15));
+    t.append(container::docker_daemon_timeline("containerd-shim"));
   }
   t.append(sentry_.boot_timeline());
   t.append(gofer_.boot_timeline());
@@ -175,12 +166,8 @@ sim::Nanos GvisorPlatform::sync_syscall_cost(sim::Rng& rng) const {
          DurationDist::lognormal(sim::nanos(900), 0.25).sample(rng);
 }
 
-void GvisorPlatform::record_workload(WorkloadClass w, sim::Rng& rng) {
+void GvisorPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
   auto& k = kernel();
-  if (w == WorkloadClass::kStartup) {
-    record_boot_trace(rng);
-    return;
-  }
   // Finding 26: the user-space kernel does not reduce host calls as much
   // as expected — the Sentry constantly uses futex/epoll/timers, and every
   // intercepted syscall bounces through ptrace or KVM.

@@ -17,18 +17,14 @@ class KataPlatform : public Platform {
                    storage::SharedFsProtocol::kNineP,
                bool via_daemon = false);
 
-  securec::KataRuntime& runtime() { return runtime_; }
-  storage::SharedFsProtocol shared_fs() const { return shared_fs_; }
-
-  core::BootTimeline boot_timeline() const override;
-  void record_workload(WorkloadClass w, sim::Rng& rng) override;
   sim::Nanos sync_syscall_cost(sim::Rng& rng) const override;
 
  protected:
+  core::BootTimeline compose_boot_timeline() const override;
   void record_boot_trace(sim::Rng& rng) override;
+  void record_phase(WorkloadClass w, sim::Rng& rng) override;
 
  private:
-  storage::SharedFsProtocol shared_fs_;
   securec::KataRuntime runtime_;
 };
 
@@ -42,14 +38,13 @@ class GvisorPlatform : public Platform {
                  bool via_daemon = false);
 
   securec::Sentry& sentry() { return sentry_; }
-  securec::Gofer& gofer() { return gofer_; }
 
-  core::BootTimeline boot_timeline() const override;
-  void record_workload(WorkloadClass w, sim::Rng& rng) override;
   sim::Nanos sync_syscall_cost(sim::Rng& rng) const override;
 
  protected:
+  core::BootTimeline compose_boot_timeline() const override;
   void record_boot_trace(sim::Rng& rng) override;
+  void record_phase(WorkloadClass w, sim::Rng& rng) override;
 
  private:
   bool via_daemon_;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "container/runtime.h"
 #include "sim/distribution.h"
 
 namespace securec {
@@ -43,11 +44,7 @@ KataRuntime::KataRuntime(KataSpec spec, hostk::HostKernel& host)
 core::BootTimeline KataRuntime::boot_timeline() const {
   core::BootTimeline t;
   if (spec_.via_docker_daemon) {
-    t.stage("daemon:cli-to-dockerd", DurationDist::lognormal(millis(48), 0.18));
-    t.stage("daemon:image-resolve", DurationDist::lognormal(millis(64), 0.20));
-    t.stage("daemon:network-allocate", DurationDist::lognormal(millis(86), 0.18));
-    t.stage("daemon:containerd-shim-kata-v2",
-            DurationDist::lognormal(millis(52), 0.15));
+    t.append(container::docker_daemon_timeline("containerd-shim-kata-v2"));
   }
   t.stage("kata:runtime-invoke", DurationDist::lognormal(millis(14), 0.18));
   // The VM: stripped kernel, Clear Linux mini-OS, systemd -> kata-agent.
@@ -74,10 +71,7 @@ void KataRuntime::record_boot(sim::Rng& rng) {
   host_->invoke(Syscall::kVsockRecv, rng, 6);
   host_->invoke(Syscall::kMount, rng, 2);  // shared rootfs mountpoint
   if (spec_.via_docker_daemon) {
-    host_->invoke(Syscall::kSocket, rng, 1);
-    host_->invoke(Syscall::kConnect, rng, 1);
-    host_->invoke(Syscall::kSendmsg, rng, 4);
-    host_->invoke(Syscall::kRecvmsg, rng, 4);
+    container::record_docker_daemon_rpc(*host_, rng);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "container/namespaces.h"
 #include "core/boot.h"
 #include "hostk/host_kernel.h"
+#include "sim/clock.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 #include "storage/shared_fs.h"

@@ -10,7 +10,10 @@ using sim::millis;
 Vm::Vm(VmmSpec spec, hostk::HostKernel& host)
     : spec_(std::move(spec)), host_(&host) {}
 
-core::BootTimeline Vm::boot_timeline() const {
+const core::BootTimeline& Vm::boot_timeline() const {
+  if (!timeline_.empty()) {
+    return timeline_;
+  }
   core::BootTimeline t;
   t.stage("vmm:process-spawn", spec_.process_spawn);
   t.stage("vmm:api-setup", spec_.api_setup);
@@ -23,20 +26,13 @@ core::BootTimeline Vm::boot_timeline() const {
                                  spec_.loader_bw_bytes_per_sec));
   t.append(container::init_system_timeline(spec_.init));
   t.stage("vmm:teardown", container::init_system_shutdown(spec_.init));
-  return t;
+  timeline_ = std::move(t);
+  return timeline_;
 }
 
-const core::BootTimeline& Vm::cached_timeline() const {
-  if (!timeline_cached_) {
-    timeline_cache_ = boot_timeline();
-    timeline_cached_ = true;
-  }
-  return timeline_cache_;
-}
-
-void Vm::record_setup_syscalls(sim::Rng& rng) {
+void Vm::record_boot(sim::Rng& rng) {
   // Host-visible setup syscalls (trace-relevant; their CPU time is part of
-  // the sampled stage durations, so they do not advance the clock here).
+  // the sampled stage durations).
   host_->invoke(Syscall::kKvmCreateVm, rng);
   host_->invoke(Syscall::kKvmCreateVcpu, rng,
                 static_cast<std::uint64_t>(spec_.vcpus));
@@ -52,20 +48,9 @@ void Vm::record_setup_syscalls(sim::Rng& rng) {
                 static_cast<std::uint64_t>(spec_.vcpus));
   // The boot itself: guest runs via KVM_RUN until init completes.
   host_->invoke(Syscall::kKvmRun, rng, 64);
-}
-
-core::BootResult Vm::boot(sim::Clock& clock, sim::Rng& rng) {
-  record_setup_syscalls(rng);
-  const core::BootResult result = boot_timeline().run(rng);
-  clock.advance(result.total);
-  booted_ = true;
-  return result;
-}
-
-void Vm::record_boot(sim::Clock& clock, sim::Rng& rng) {
-  record_setup_syscalls(rng);
-  clock.advance(cached_timeline().sample_total(rng));
-  booted_ = true;
+  // The duration is discarded, but sampling it keeps the tenant's RNG
+  // stream where a full boot leaves it.
+  boot_timeline().sample_total(rng);
 }
 
 void Vm::record_steady_state(std::uint64_t vm_exits, sim::Rng& rng) {

@@ -12,7 +12,6 @@
 #include "container/init_system.h"
 #include "core/boot.h"
 #include "hostk/host_kernel.h"
-#include "sim/clock.h"
 #include "vmm/device_model.h"
 #include "vmm/guest_boot.h"
 #include "vmm/vm_memory.h"
@@ -64,17 +63,14 @@ class Vm {
 
   /// The complete boot timeline: process creation through init completion
   /// and process termination (the paper's end-to-end convention).
-  core::BootTimeline boot_timeline() const;
+  /// Composed on the first call and kept (the spec is fixed once the Vm
+  /// is constructed).
+  const core::BootTimeline& boot_timeline() const;
 
-  /// Boot once: advances `clock` by the sampled end-to-end duration and
-  /// issues the KVM setup syscalls against the host (visible to ftrace).
-  core::BootResult boot(sim::Clock& clock, sim::Rng& rng);
-
-  /// boot() without the per-stage BootResult: identical syscall trace and
-  /// RNG draw sequence, but the composed timeline is cached (the spec is
-  /// immutable after construction) and only the total is sampled — the
-  /// fleet engine's per-boot fast path.
-  void record_boot(sim::Clock& clock, sim::Rng& rng);
+  /// One boot as the host sees it: the KVM setup syscalls (visible to
+  /// ftrace), then one sample of the boot's duration, which no caller
+  /// reads.
+  void record_boot(sim::Rng& rng);
 
   /// Memory profile the guest observes (Figures 6-8 inputs).
   const mem::MemoryProfile& memory_profile() const {
@@ -85,18 +81,10 @@ class Vm {
   /// VMM event loop over a steady-state window (HAP instrumentation).
   void record_steady_state(std::uint64_t vm_exits, sim::Rng& rng);
 
-  /// Whether booting happened at least once.
-  bool booted() const { return booted_; }
-
  private:
-  void record_setup_syscalls(sim::Rng& rng);
-  const core::BootTimeline& cached_timeline() const;
-
   VmmSpec spec_;
   hostk::HostKernel* host_;
-  bool booted_ = false;
-  mutable core::BootTimeline timeline_cache_;
-  mutable bool timeline_cached_ = false;
+  mutable core::BootTimeline timeline_;  // empty until first composed
 };
 
 }  // namespace vmm
