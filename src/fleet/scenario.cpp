@@ -130,6 +130,9 @@ void validate(const TrafficSpec& t) {
   // tenant to the platform instance its cell built for platform_mix.
   for (std::size_t i = 0; i < t.population.size(); ++i) {
     const TenantSeed& seed = t.population[i];
+    if (seed.arrival < 0) {
+      fail("explicit population arrivals must be non-negative");
+    }
     if (i > 0 && seed.arrival < t.population[i - 1].arrival) {
       fail("explicit population must be sorted by arrival");
     }
@@ -216,12 +219,26 @@ void validate(const CellSpec& c, int initial_hosts) {
       throw std::invalid_argument(
           "Fault: restart delay and jitter must be non-negative");
     }
-    if ((f.kind == Fault::Kind::kPartition || is_degrade_kind(f.kind)) &&
-        f.duration <= 0) {
+    const bool windowed =
+        f.kind == Fault::Kind::kPartition || is_degrade_kind(f.kind);
+    if (windowed && f.duration <= 0) {
       throw std::invalid_argument(
           f.kind == Fault::Kind::kPartition
               ? "Fault: partition duration must be positive"
               : "Fault: degrade-family fault duration must be positive");
+    }
+    // The window's end and a crash victim's latest re-arrival are int64
+    // nanoseconds; refuse schedules that would wrap them.
+    if (windowed && f.duration > kMaxNanos - f.time) {
+      throw std::invalid_argument(
+          "Fault: time + duration overflows int64 nanoseconds");
+    }
+    if ((f.kind == Fault::Kind::kCrash || f.kind == Fault::Kind::kCellOutage) &&
+        (f.restart_delay > kMaxNanos - f.time ||
+         f.restart_jitter > kMaxNanos - f.time - f.restart_delay)) {
+      throw std::invalid_argument(
+          "Fault: time + restart_delay + restart_jitter overflows int64 "
+          "nanoseconds");
     }
     if (f.kind == Fault::Kind::kDiskDegrade && !(f.degrade >= 1.0)) {
       throw std::invalid_argument(

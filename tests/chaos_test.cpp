@@ -7,6 +7,7 @@
 // chaos builtin across runs.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -158,6 +159,18 @@ TEST(ChaosTest, ValidateRejectsMalformedFaults) {
   s.faults = {crash_at(sim::millis(10), 0)};
   s.faults[0].restart_delay = -1;
   EXPECT_THROW(validate(s, 2), std::invalid_argument);
+  // A partition end or a latest re-arrival past INT64_MAX nanoseconds.
+  const sim::Nanos max = std::numeric_limits<sim::Nanos>::max();
+  std::vector<Fault> wrapping(3, crash_at(sim::millis(10), 0));
+  wrapping[0].kind = Fault::Kind::kPartition;
+  wrapping[0].duration = max;
+  wrapping[1].restart_delay = max;
+  wrapping[2].restart_jitter = max;
+  for (const Fault& f : wrapping) {
+    s.faults = {f};
+    EXPECT_THROW(validate(s, 2), std::invalid_argument);
+    EXPECT_THROW(run_cluster(s), std::invalid_argument);
+  }
 }
 
 TEST(ChaosTest, ValidateRejectsMalformedRacks) {

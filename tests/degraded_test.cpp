@@ -182,6 +182,11 @@ TEST(DegradedTest, ValidateRejectsMalformedDegradeShapes) {
   EXPECT_THROW(validate(s, 2), std::invalid_argument);
   s.faults = {mem_pressure_at(sim::millis(10), 0, -1)};
   EXPECT_THROW(validate(s, 2), std::invalid_argument);
+  // A window whose end is past INT64_MAX nanoseconds.
+  s.faults = {disk_degrade_at(std::numeric_limits<sim::Nanos>::max() - 5, 0,
+                              4.0, sim::millis(20))};
+  EXPECT_THROW(validate(s, 2), std::invalid_argument);
+  EXPECT_THROW(run_cluster(s), std::invalid_argument);
   // A partial partition pairing a host with itself cuts nothing.
   s.faults = {
       partial_partition_at(sim::millis(10), 1, 1, sim::millis(20))};

@@ -367,7 +367,7 @@ TEST(FederationTest, MalformedTrafficIsRejectedBeforeAnyDraw) {
   // every arrival input that would draw int64 nanoseconds negative or wrap
   // them, empty or zero-weight mixes, phase and churn lengths the tenant
   // clocks would refuse mid-run, and explicit populations naming a
-  // platform or program the run cannot build.
+  // platform or program the run cannot build or arriving before time 0.
   std::vector<Scenario> rows;
   Scenario s = Scenario::cluster_storm(16, 2);
   s.tenant_count = -1;
@@ -397,6 +397,10 @@ TEST(FederationTest, MalformedTrafficIsRejectedBeforeAnyDraw) {
   s = Scenario::cluster_storm(16, 2);
   s.population = s.draw_population();
   s.population[0].program = fleet::builtin_program_count();
+  rows.push_back(s);
+  s = Scenario::cluster_storm(16, 2);
+  s.population = s.draw_population();
+  s.population[0].arrival = -5;
   rows.push_back(s);
   for (const double rate : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
     s = Scenario::steady_state_mix(16);
