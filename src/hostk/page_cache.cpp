@@ -102,17 +102,21 @@ void PageCache::carve(std::uint32_t n, std::uint64_t lo, std::uint64_t hi) {
   free_node(n);
 }
 
-void PageCache::evict_lru() {
-  const std::uint32_t t = tail_;
-  Node& node = nodes_[t];
-  index_.erase({node.file, node.start});
-  ++node.start;
-  --size_;
-  if (node.start == node.end) {
-    unlink(t);
-    free_node(t);
-  } else {
-    index_[{node.file, node.start}] = t;
+void PageCache::evict_excess() {
+  while (size_ > capacity_pages_) {
+    const std::uint32_t t = tail_;
+    Node& node = nodes_[t];
+    const std::uint64_t excess = size_ - capacity_pages_;
+    index_.erase({node.file, node.start});
+    if (node.pages() <= excess) {
+      size_ -= node.pages();
+      unlink(t);
+      free_node(t);
+    } else {
+      node.start += excess;
+      size_ -= excess;
+      index_[{node.file, node.start}] = t;
+    }
   }
 }
 
@@ -170,9 +174,7 @@ void PageCache::insert(PageKey key) {
   }
   link_single_front(key);
   ++size_;
-  while (size_ > capacity_pages_) {
-    evict_lru();
-  }
+  evict_excess();
 }
 
 std::uint64_t PageCache::access_range(std::uint64_t file, std::uint64_t offset,
@@ -225,9 +227,7 @@ std::uint64_t PageCache::access_range(std::uint64_t file, std::uint64_t offset,
     // Evicting after the whole run (not per page) removes the same LRU
     // pages in the same order; the forming extent is never emptied because
     // eviction stops at capacity >= 1 and it sits at the head.
-    while (size_ > capacity_pages_) {
-      evict_lru();
-    }
+    evict_excess();
   }
   try_merge_with_next(forming);
   return miss_count;

@@ -102,8 +102,11 @@ class PageCache {
   /// callers move the pages elsewhere or adjust size_ themselves.
   void carve(std::uint32_t n, std::uint64_t lo, std::uint64_t hi);
 
-  /// Evict the single LRU page (the tail extent's first page).
-  void evict_lru();
+  /// Evict LRU pages until size_ fits the capacity: whole tail extents,
+  /// each trimmed from its first page, which is the order a per-page LRU
+  /// evicts in — so a miss run larger than the cache costs one step per
+  /// extent, not per page.
+  void evict_excess();
 
   /// Make (file, page) — currently inside extent n — the MRU page, like a
   /// per-page LRU's promote. Shared by access() hits and insert() refresh.

@@ -169,6 +169,19 @@ TEST(PageCacheModelTest, ZeroCapacityAlwaysMisses) {
   run_differential(0, 0xD15EA5E, 500);
 }
 
+TEST(PageCacheModelTest, MissRunFarLargerThanTheCacheEvictsByExtent) {
+  // 2^50 pages of one file through a 16-page cache: eviction trims whole
+  // extents, so this costs a few steps, not one per evicted page.
+  PageCache cache(16 * PageCache::kPageSize);
+  const std::uint64_t bytes = 1ull << 62;
+  EXPECT_EQ(cache.access_range(7, 0, bytes), 1ull << 50);
+  EXPECT_EQ(cache.misses(), 1ull << 50);
+  EXPECT_EQ(cache.size_pages(), 16u);
+  EXPECT_TRUE(cache.resident(7, bytes - 16 * PageCache::kPageSize,
+                             16 * PageCache::kPageSize));
+  EXPECT_FALSE(cache.resident(7, bytes - 17 * PageCache::kPageSize, 1));
+}
+
 TEST(PageCacheModelTest, CapacityRoundsDownToWholePages) {
   // 2.5 pages of capacity behaves exactly like 2 pages.
   run_differential(2 * PageCache::kPageSize + PageCache::kPageSize / 2,
