@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <set>
 
 #include "platforms/container_platforms.h"
@@ -241,6 +242,45 @@ TEST(PlatformTraceTest, DrawSequenceDigestIsPinned) {
     }
   }
   EXPECT_EQ(h, 0x6ee4dcd5c480bbdeull);
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// The same calls as DrawSequenceDigestIsPinned, but each is followed by a
+// real normal() before next_u64(): next_u64() alone cannot see the cached
+// Box-Muller variate a record path may leave behind, and a later sampled
+// cost reads that variate bit for bit.
+TEST(PlatformTraceTest, NextNormalAfterRecordIsPinned) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const bool tracing : {false, true}) {
+    for (std::size_t i = 0; i < 10; ++i) {
+      core::HostSystem host;
+      const auto lineup = PlatformFactory::paper_lineup(host);
+      Platform& p = *lineup.at(i);
+      if (tracing) {
+        host.kernel().ftrace().start();
+      }
+      std::uint64_t seed = 1;
+      for (const auto w :
+           {WorkloadClass::kCpu, WorkloadClass::kMemory, WorkloadClass::kIo,
+            WorkloadClass::kNetwork, WorkloadClass::kStartup}) {
+        sim::Rng rng(seed++);
+        p.record_workload(w, rng);
+        h = fold(h, bits_of(rng.normal()));
+        h = fold(h, rng.next_u64());
+      }
+      sim::Rng rng(seed);
+      sim::Clock clock;
+      h = fold(h, static_cast<std::uint64_t>(p.boot_total(clock, rng)));
+      h = fold(h, bits_of(rng.normal()));
+      h = fold(h, rng.next_u64());
+    }
+  }
+  EXPECT_EQ(h, 0x4052c3a0745fe6aaull);
 }
 
 // Vm::record_steady_state and NetPath::record_traffic draw nothing while
