@@ -32,9 +32,9 @@ core::BootTimeline Cgroup::setup_timeline() const {
 
 void Cgroup::record_setup(hostk::HostKernel& host, sim::Rng& rng) const {
   using hostk::Syscall;
-  host.invoke(Syscall::kCgroupWrite, rng, 1 + controller_writes());
-  host.invoke(Syscall::kOpenat, rng, 1 + controller_writes());
-  host.invoke(Syscall::kClose, rng, 1 + controller_writes());
+  host.record(Syscall::kCgroupWrite, rng, 1 + controller_writes());
+  host.record(Syscall::kOpenat, rng, 1 + controller_writes());
+  host.record(Syscall::kClose, rng, 1 + controller_writes());
 }
 
 bool Cgroup::try_charge_memory(std::uint64_t bytes) {

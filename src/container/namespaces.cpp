@@ -66,22 +66,22 @@ core::BootTimeline NamespaceSet::setup_timeline() const {
 
 void NamespaceSet::record_setup(hostk::HostKernel& host, sim::Rng& rng) const {
   using hostk::Syscall;
-  host.invoke(Syscall::kUnshare, rng, 1);
+  host.record(Syscall::kUnshare, rng, 1);
   for (const auto k : kinds_) {
     switch (k) {
       case NamespaceKind::kMnt:
-        host.invoke(Syscall::kMount, rng, 3);  // proc, sysfs, tmpfs
-        host.invoke(Syscall::kPivotRoot, rng, 1);
+        host.record(Syscall::kMount, rng, 3);  // proc, sysfs, tmpfs
+        host.record(Syscall::kPivotRoot, rng, 1);
         break;
       case NamespaceKind::kNet:
-        host.invoke(Syscall::kSocket, rng, 2);  // netlink config sockets
-        host.invoke(Syscall::kSetsockopt, rng, 2);
+        host.record(Syscall::kSocket, rng, 2);  // netlink config sockets
+        host.record(Syscall::kSetsockopt, rng, 2);
         break;
       case NamespaceKind::kPid:
-        host.invoke(Syscall::kProcRead, rng, 1);
+        host.record(Syscall::kProcRead, rng, 1);
         break;
       default:
-        host.invoke(Syscall::kSetns, rng, 1);
+        host.record(Syscall::kSetns, rng, 1);
         break;
     }
   }

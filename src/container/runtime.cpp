@@ -68,30 +68,30 @@ const core::BootTimeline& ContainerRuntime::boot_timeline() const {
 
 void ContainerRuntime::record_boot(sim::Rng& rng) {
   // HAP-visible setup path.
-  host_->invoke(Syscall::kClone3, rng, 1);
+  host_->record(Syscall::kClone3, rng, 1);
   spec_.namespaces.record_setup(*host_, rng);
   Cgroup cg("/" + spec_.name, spec_.cgroup_version, spec_.limits);
   cg.record_setup(*host_, rng);
-  host_->invoke(Syscall::kMount, rng,
+  host_->record(Syscall::kMount, rng,
                 spec_.storage == StorageDriver::kZfs ? 2 : 1);
   if (spec_.seccomp_filter) {
-    host_->invoke(Syscall::kPrctl, rng, 1);
-    host_->invoke(Syscall::kSeccompLoad, rng, 1);
+    host_->record(Syscall::kPrctl, rng, 1);
+    host_->record(Syscall::kSeccompLoad, rng, 1);
   }
-  host_->invoke(Syscall::kExecve, rng, 1);
+  host_->record(Syscall::kExecve, rng, 1);
   if (spec_.via_docker_daemon) {
     record_docker_daemon_rpc(*host_, rng);
   }
-  // The duration is discarded, but sampling it keeps the tenant's RNG
-  // stream where a full boot leaves it.
-  boot_timeline().sample_total(rng);
+  // No duration is needed, but skipping the boot's draws keeps the
+  // tenant's RNG stream where a full boot leaves it.
+  boot_timeline().skip_total(rng);
 }
 
 sim::Nanos ContainerRuntime::exec_process(sim::Clock& clock, sim::Rng& rng) {
-  host_->invoke(Syscall::kClone3, rng, 1);
-  host_->invoke(Syscall::kSetns, rng,
+  host_->record(Syscall::kClone3, rng, 1);
+  host_->record(Syscall::kSetns, rng,
                 static_cast<std::uint64_t>(spec_.namespaces.size()));
-  host_->invoke(Syscall::kExecve, rng, 1);
+  host_->record(Syscall::kExecve, rng, 1);
   const sim::Nanos cost =
       DurationDist::lognormal(millis(18), 0.2).sample(rng);
   clock.advance(cost);
@@ -108,10 +108,10 @@ core::BootTimeline docker_daemon_timeline(const std::string& shim) {
 }
 
 void record_docker_daemon_rpc(hostk::HostKernel& host, sim::Rng& rng) {
-  host.invoke(Syscall::kSocket, rng, 1);
-  host.invoke(Syscall::kConnect, rng, 1);
-  host.invoke(Syscall::kSendmsg, rng, 4);
-  host.invoke(Syscall::kRecvmsg, rng, 4);
+  host.record(Syscall::kSocket, rng, 1);
+  host.record(Syscall::kConnect, rng, 1);
+  host.record(Syscall::kSendmsg, rng, 4);
+  host.record(Syscall::kRecvmsg, rng, 4);
 }
 
 // --- Catalog -----------------------------------------------------------

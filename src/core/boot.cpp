@@ -33,6 +33,12 @@ sim::Nanos BootTimeline::sample_total(sim::Rng& rng) const {
   return total;
 }
 
+void BootTimeline::skip_total(sim::Rng& rng) const {
+  for (const auto& s : stages_) {
+    s.duration.skip(rng);
+  }
+}
+
 sim::Nanos BootTimeline::mean_total() const {
   sim::Nanos total = 0;
   for (const auto& s : stages_) {

@@ -50,6 +50,10 @@ class BootTimeline {
   /// (no string copies) — the fleet engine's per-boot fast path.
   sim::Nanos sample_total(sim::Rng& rng) const;
 
+  /// Consume exactly the RNG draws sample_total() would and compute
+  /// nothing: a boot trace keeps the stream where a real boot leaves it.
+  void skip_total(sim::Rng& rng) const;
+
   /// Sum of stage means (analytic expectation of the total).
   sim::Nanos mean_total() const;
 

@@ -382,10 +382,7 @@ HostKernel::Model::Model() {
           "kernfs_iop_lookup", "vfs_read"});
 }
 
-sim::Nanos HostKernel::invoke(Syscall sc, sim::Rng& rng, std::uint64_t count) {
-  if (count == 0) {
-    return 0;
-  }
+const SyscallSpec& HostKernel::trace(Syscall sc, std::uint64_t count) {
   const std::size_t i = index_of(sc);
   const auto& spec = model_->specs[i];
   if (ftrace_.recording()) {
@@ -393,7 +390,8 @@ sim::Nanos HostKernel::invoke(Syscall sc, sim::Rng& rng, std::uint64_t count) {
     if (cache.generation != ftrace_.generation()) {
       cache.slots.clear();
       for (const auto& hit : spec.functions) {
-        if (hit.count > 0) {  // record() never creates zero-count entries
+        // Ftrace::record() never creates zero-count entries.
+        if (hit.count > 0) {
           cache.slots.emplace_back(ftrace_.slot(hit.fn), hit.count);
         }
       }
@@ -403,9 +401,25 @@ sim::Nanos HostKernel::invoke(Syscall sc, sim::Rng& rng, std::uint64_t count) {
       *slot += mult * count;
     }
   }
+  return spec;
+}
+
+sim::Nanos HostKernel::invoke(Syscall sc, sim::Rng& rng, std::uint64_t count) {
+  if (count == 0) {
+    return 0;
+  }
+  ++sampled_calls_;
   // One stochastic sample scaled by count: keeps long batches cheap while
   // preserving run-to-run variance of the batch total.
-  return spec.cost.sample(rng) * static_cast<sim::Nanos>(count);
+  return trace(sc, count).cost.sample(rng) * static_cast<sim::Nanos>(count);
+}
+
+void HostKernel::record(Syscall sc, sim::Rng& rng, std::uint64_t count) {
+  if (count == 0) {
+    return;
+  }
+  ++recorded_calls_;
+  trace(sc, count).cost.skip(rng);
 }
 
 sim::Nanos HostKernel::invoke_on(sim::Clock& clock, Syscall sc, sim::Rng& rng,

@@ -3,7 +3,8 @@
 // All isolation platforms ultimately execute on one HostKernel instance.
 // Invoking a syscall (a) charges its modeled CPU cost and (b) records the
 // kernel functions its handler executes into the shared Ftrace — the raw
-// material of the paper's HAP study (Section 4).
+// material of the paper's HAP study (Section 4). Paths that only build the
+// trace record() instead: the same trace and RNG draws, no cost computed.
 #pragma once
 
 #include <array>
@@ -53,6 +54,17 @@ class HostKernel {
   /// execution context.
   sim::Nanos invoke(Syscall sc, sim::Rng& rng, std::uint64_t count = 1);
 
+  /// invoke() for a caller that has no use for the cost (the HAP record
+  /// paths): the same trace and the same RNG draws, but the cost sample
+  /// is skipped rather than computed. `count == 0` does nothing.
+  void record(Syscall sc, sim::Rng& rng, std::uint64_t count = 1);
+
+  /// Exact work counters: calls that sampled a cost (invoke, invoke_on)
+  /// and calls that only recorded (record). Calls with `count == 0` do
+  /// nothing and count in neither.
+  std::uint64_t sampled_calls() const { return sampled_calls_; }
+  std::uint64_t recorded_calls() const { return recorded_calls_; }
+
   /// Convenience: invoke and charge `clock` in one step.
   sim::Nanos invoke_on(sim::Clock& clock, Syscall sc, sim::Rng& rng,
                        std::uint64_t count = 1);
@@ -78,6 +90,10 @@ class HostKernel {
   };
   static const Model& shared_model();
 
+  /// The trace step invoke() and record() share: adds `count` hits of
+  /// every function in `sc`'s expansion while ftrace records.
+  const SyscallSpec& trace(Syscall sc, std::uint64_t count);
+
   /// Per-syscall cache of (counter slot, multiplicity) pairs into the
   /// ftrace's current window, rebuilt lazily when the window generation
   /// changes. Unordered-map node pointers are stable, and the rebuild
@@ -92,6 +108,8 @@ class HostKernel {
   const Model* model_;
   Ftrace ftrace_;
   std::array<TraceSlots, kSyscallCount> trace_slots_;
+  std::uint64_t sampled_calls_ = 0;
+  std::uint64_t recorded_calls_ = 0;
 };
 
 }  // namespace hostk

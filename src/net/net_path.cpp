@@ -1,6 +1,8 @@
 #include "net/net_path.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <vector>
 
 namespace net {
 
@@ -48,52 +50,50 @@ void NetPath::record_traffic(std::uint64_t bytes, const hostk::Nic& nic,
   // Syscall batching: ~16 MTU packets per sendmsg at iperf3 rates (GSO).
   const std::uint64_t pkts = std::max<std::uint64_t>(1, nic.packets_for(bytes));
   const std::uint64_t batches = std::max<std::uint64_t>(1, pkts / 16);
-  const auto& reg = host_->registry();
+  // Per-packet functions that run outside any syscall, resolved once: the
+  // registry is shared by every HostKernel, so the ids hold for any host.
+  const auto background = [this](std::initializer_list<const char*> names) {
+    std::vector<hostk::FunctionHit> hits;
+    for (const char* name : names) {
+      hits.push_back({host_->registry().id_of(name), 1});
+    }
+    return hits;
+  };
   switch (spec_.kind) {
     case PathKind::kNative:
-      host_->invoke(Syscall::kSendto, rng, batches);
-      host_->invoke(Syscall::kRecvfrom, rng, batches);
+      host_->record(Syscall::kSendto, rng, batches);
+      host_->record(Syscall::kRecvfrom, rng, batches);
       break;
-    case PathKind::kBridge:
-      host_->invoke(Syscall::kSendto, rng, batches);
-      host_->invoke(Syscall::kRecvfrom, rng, batches);
-      host_->record_background(
-          {{reg.id_of("veth_xmit"), 1},
-           {reg.id_of("br_handle_frame"), 1},
-           {reg.id_of("br_forward"), 1},
-           {reg.id_of("br_nf_pre_routing"), 1},
-           {reg.id_of("nf_hook_slow"), 1},
-           {reg.id_of("netif_rx_internal"), 1},
-           {reg.id_of("enqueue_to_backlog"), 1},
-           {reg.id_of("net_rx_action"), 1},
-           {reg.id_of("__napi_poll"), 1},
-           {reg.id_of("process_backlog"), 1}},
-          pkts);
+    case PathKind::kBridge: {
+      static const auto bridge = background(
+          {"veth_xmit", "br_handle_frame", "br_forward", "br_nf_pre_routing",
+           "nf_hook_slow", "netif_rx_internal", "enqueue_to_backlog",
+           "net_rx_action", "__napi_poll", "process_backlog"});
+      host_->record(Syscall::kSendto, rng, batches);
+      host_->record(Syscall::kRecvfrom, rng, batches);
+      host_->record_background(bridge, pkts);
       break;
-    case PathKind::kTapVirtio:
+    }
+    case PathKind::kTapVirtio: {
+      static const auto tap = background(
+          {"tun_get_user", "tun_net_xmit", "tap_do_read", "vhost_net_tx",
+           "vhost_net_rx", "vhost_poll_queue", "netif_receive_skb",
+           "napi_gro_receive"});
       // Guest kicks virtio queues (ioeventfd), host vhost thread moves
       // packets between the TAP device and the queue.
-      host_->invoke(Syscall::kKvmIoeventfd, rng, batches);
-      host_->invoke(Syscall::kReadv, rng, batches);   // tap read
-      host_->invoke(Syscall::kWritev, rng, batches);  // tap write
-      host_->record_background(
-          {{reg.id_of("tun_get_user"), 1},
-           {reg.id_of("tun_net_xmit"), 1},
-           {reg.id_of("tap_do_read"), 1},
-           {reg.id_of("vhost_net_tx"), 1},
-           {reg.id_of("vhost_net_rx"), 1},
-           {reg.id_of("vhost_poll_queue"), 1},
-           {reg.id_of("netif_receive_skb"), 1},
-           {reg.id_of("napi_gro_receive"), 1}},
-          pkts);
+      host_->record(Syscall::kKvmIoeventfd, rng, batches);
+      host_->record(Syscall::kReadv, rng, batches);   // tap read
+      host_->record(Syscall::kWritev, rng, batches);  // tap write
+      host_->record_background(tap, pkts);
       break;
+    }
     case PathKind::kNetstack:
       // The Sentry's Netstack terminates TCP itself and forwards raw
       // packets through its TAP-like endpoint with plain read/write.
-      host_->invoke(Syscall::kRead, rng, pkts);
-      host_->invoke(Syscall::kWrite, rng, pkts);
-      host_->invoke(Syscall::kEpollWait, rng, batches);
-      host_->invoke(Syscall::kFutexWake, rng, batches);
+      host_->record(Syscall::kRead, rng, pkts);
+      host_->record(Syscall::kWrite, rng, pkts);
+      host_->record(Syscall::kEpollWait, rng, batches);
+      host_->record(Syscall::kFutexWake, rng, batches);
       break;
   }
 }

@@ -16,34 +16,34 @@ void record_shared_kernel_workload(Platform& p, hostk::HostKernel& k,
                                    WorkloadClass w, sim::Rng& rng) {
   switch (w) {
     case WorkloadClass::kCpu:
-      k.invoke(Syscall::kClockGettime, rng, 32);
-      k.invoke(Syscall::kSchedYield, rng, 4);
-      k.invoke(Syscall::kFutexWait, rng, 2);
-      k.invoke(Syscall::kFutexWake, rng, 2);
+      k.record(Syscall::kClockGettime, rng, 32);
+      k.record(Syscall::kSchedYield, rng, 4);
+      k.record(Syscall::kFutexWait, rng, 2);
+      k.record(Syscall::kFutexWake, rng, 2);
       break;
     case WorkloadClass::kMemory:
-      k.invoke(Syscall::kMmap, rng, 16);
-      k.invoke(Syscall::kMadvise, rng, 8);
-      k.invoke(Syscall::kBrk, rng, 4);
-      k.invoke(Syscall::kMunmap, rng, 16);
+      k.record(Syscall::kMmap, rng, 16);
+      k.record(Syscall::kMadvise, rng, 8);
+      k.record(Syscall::kBrk, rng, 4);
+      k.record(Syscall::kMunmap, rng, 16);
       break;
     case WorkloadClass::kIo:
-      k.invoke(Syscall::kOpenat, rng, 4);
-      k.invoke(Syscall::kIoSubmit, rng, 64);
-      k.invoke(Syscall::kIoGetevents, rng, 64);
-      k.invoke(Syscall::kFsync, rng, 2);
-      k.invoke(Syscall::kClose, rng, 4);
+      k.record(Syscall::kOpenat, rng, 4);
+      k.record(Syscall::kIoSubmit, rng, 64);
+      k.record(Syscall::kIoGetevents, rng, 64);
+      k.record(Syscall::kFsync, rng, 2);
+      k.record(Syscall::kClose, rng, 4);
       break;
     case WorkloadClass::kNetwork:
       p.net().record_traffic(32ull << 20, p.host().nic(), rng);
-      k.invoke(Syscall::kEpollWait, rng, 16);
+      k.record(Syscall::kEpollWait, rng, 16);
       break;
     case WorkloadClass::kStartup:
       break;  // Platform::record_workload records a boot trace instead
   }
   // cgroup accounting shows up on every class.
-  k.invoke(Syscall::kCgroupWrite, rng, 1);
-  k.invoke(Syscall::kProcRead, rng, 1);
+  k.record(Syscall::kCgroupWrite, rng, 1);
+  k.record(Syscall::kProcRead, rng, 1);
 }
 }  // namespace
 

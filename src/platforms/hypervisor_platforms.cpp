@@ -15,39 +15,39 @@ namespace {
 // NOT go through here — its work-in-progress feature surface is the
 // reason Finding 25 measures so few host functions for it.
 void record_vmm_userspace_surface(hostk::HostKernel& k, sim::Rng& rng) {
-  k.invoke(Syscall::kOpenat, rng, 6);
-  k.invoke(Syscall::kClose, rng, 6);
-  k.invoke(Syscall::kFstat, rng, 4);
-  k.invoke(Syscall::kStatx, rng, 2);
-  k.invoke(Syscall::kMmap, rng, 8);
-  k.invoke(Syscall::kMunmap, rng, 4);
-  k.invoke(Syscall::kBrk, rng, 2);
-  k.invoke(Syscall::kMadvise, rng, 4);
-  k.invoke(Syscall::kSocket, rng, 1);   // monitor socket
-  k.invoke(Syscall::kAccept4, rng, 1);
-  k.invoke(Syscall::kSendmsg, rng, 2);
-  k.invoke(Syscall::kRecvmsg, rng, 2);
-  k.invoke(Syscall::kPipe2, rng, 1);
-  k.invoke(Syscall::kDup3, rng, 1);
-  k.invoke(Syscall::kFcntl, rng, 2);
-  k.invoke(Syscall::kGetdents64, rng, 1);
-  k.invoke(Syscall::kReadv, rng, 8);
-  k.invoke(Syscall::kWritev, rng, 8);
-  k.invoke(Syscall::kPread64, rng, 8);
-  k.invoke(Syscall::kPwrite64, rng, 8);
-  k.invoke(Syscall::kWait4, rng, 1);
-  k.invoke(Syscall::kTgkill, rng, 2);   // vCPU-thread kicks
-  k.invoke(Syscall::kRtSigreturn, rng, 2);
-  k.invoke(Syscall::kNanosleep, rng, 2);
-  k.invoke(Syscall::kProcRead, rng, 1);
-  k.invoke(Syscall::kIoctlTun, rng, 4);
+  k.record(Syscall::kOpenat, rng, 6);
+  k.record(Syscall::kClose, rng, 6);
+  k.record(Syscall::kFstat, rng, 4);
+  k.record(Syscall::kStatx, rng, 2);
+  k.record(Syscall::kMmap, rng, 8);
+  k.record(Syscall::kMunmap, rng, 4);
+  k.record(Syscall::kBrk, rng, 2);
+  k.record(Syscall::kMadvise, rng, 4);
+  k.record(Syscall::kSocket, rng, 1);   // monitor socket
+  k.record(Syscall::kAccept4, rng, 1);
+  k.record(Syscall::kSendmsg, rng, 2);
+  k.record(Syscall::kRecvmsg, rng, 2);
+  k.record(Syscall::kPipe2, rng, 1);
+  k.record(Syscall::kDup3, rng, 1);
+  k.record(Syscall::kFcntl, rng, 2);
+  k.record(Syscall::kGetdents64, rng, 1);
+  k.record(Syscall::kReadv, rng, 8);
+  k.record(Syscall::kWritev, rng, 8);
+  k.record(Syscall::kPread64, rng, 8);
+  k.record(Syscall::kPwrite64, rng, 8);
+  k.record(Syscall::kWait4, rng, 1);
+  k.record(Syscall::kTgkill, rng, 2);   // vCPU-thread kicks
+  k.record(Syscall::kRtSigreturn, rng, 2);
+  k.record(Syscall::kNanosleep, rng, 2);
+  k.record(Syscall::kProcRead, rng, 1);
+  k.record(Syscall::kIoctlTun, rng, 4);
   // Disk-image housekeeping: sparse allocation, flush barriers, and the
   // loop-device-backed rootfs path from Section 3.3.
-  k.invoke(Syscall::kFallocate, rng, 1);
-  k.invoke(Syscall::kFsync, rng, 2);
-  k.invoke(Syscall::kLseek, rng, 4);
-  k.invoke(Syscall::kIoctlLoop, rng, 2);
-  k.invoke(Syscall::kConnect, rng, 1);
+  k.record(Syscall::kFallocate, rng, 1);
+  k.record(Syscall::kFsync, rng, 2);
+  k.record(Syscall::kLseek, rng, 4);
+  k.record(Syscall::kIoctlLoop, rng, 2);
+  k.record(Syscall::kConnect, rng, 1);
 }
 }  // namespace
 
@@ -129,24 +129,24 @@ void HypervisorPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
       // The big general-purpose process: main_loop_wait over many fd
       // sources, timers, bottom-halves (Section 2.1.1).
       record_vmm_userspace_surface(k, rng);
-      k.invoke(Syscall::kEpollWait, rng, 48);
-      k.invoke(Syscall::kClockGettime, rng, 64);
-      k.invoke(Syscall::kNanosleep, rng, 4);
-      k.invoke(Syscall::kFutexWait, rng, 12);
-      k.invoke(Syscall::kFutexWake, rng, 12);
-      k.invoke(Syscall::kEventfd2, rng, 2);
+      k.record(Syscall::kEpollWait, rng, 48);
+      k.record(Syscall::kClockGettime, rng, 64);
+      k.record(Syscall::kNanosleep, rng, 4);
+      k.record(Syscall::kFutexWait, rng, 12);
+      k.record(Syscall::kFutexWake, rng, 12);
+      k.record(Syscall::kEventfd2, rng, 2);
       if (w == WorkloadClass::kIo) {
-        k.invoke(Syscall::kIoSubmit, rng, 96);
-        k.invoke(Syscall::kIoGetevents, rng, 96);
-        k.invoke(Syscall::kPread64, rng, 16);
-        k.invoke(Syscall::kPwrite64, rng, 16);
+        k.record(Syscall::kIoSubmit, rng, 96);
+        k.record(Syscall::kIoGetevents, rng, 96);
+        k.record(Syscall::kPread64, rng, 16);
+        k.record(Syscall::kPwrite64, rng, 16);
       }
       if (w == WorkloadClass::kNetwork) {
         net().record_traffic(32ull << 20, host().nic(), rng);
       }
       if (w == WorkloadClass::kMemory) {
-        k.invoke(Syscall::kMadvise, rng, 8);
-        k.invoke(Syscall::kMmap, rng, 4);
+        k.record(Syscall::kMadvise, rng, 8);
+        k.record(Syscall::kMmap, rng, 4);
       }
       break;
 
@@ -157,61 +157,61 @@ void HypervisorPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
       // namespace/cgroup/chroot surface that other hypervisors never
       // touch. Minimal device model != minimal host interface.
       record_vmm_userspace_surface(k, rng);
-      k.invoke(Syscall::kUnshare, rng, 1);    // jailer namespaces
-      k.invoke(Syscall::kPivotRoot, rng, 1);  // jailer chroot
-      k.invoke(Syscall::kMount, rng, 2);
-      k.invoke(Syscall::kCgroupWrite, rng, 3);
-      k.invoke(Syscall::kSeccompLoad, rng, 1);
-      k.invoke(Syscall::kSetns, rng, 1);
-      k.invoke(Syscall::kClone3, rng, 1);     // jailer -> firecracker
-      k.invoke(Syscall::kExecve, rng, 1);
-      k.invoke(Syscall::kKill, rng, 1);       // watchdog teardown path
-      k.invoke(Syscall::kEpollWait, rng, 160);
-      k.invoke(Syscall::kClockGettime, rng, 128);
-      k.invoke(Syscall::kEventfd2, rng, 4);
-      k.invoke(Syscall::kRead, rng, 96);   // eventfd + device queues
-      k.invoke(Syscall::kWrite, rng, 96);
-      k.invoke(Syscall::kFutexWait, rng, 24);
-      k.invoke(Syscall::kFutexWake, rng, 24);
-      k.invoke(Syscall::kNanosleep, rng, 8);
-      k.invoke(Syscall::kSchedYield, rng, 8);
-      k.invoke(Syscall::kMadvise, rng, 12);  // balloon/dirty tracking
-      k.invoke(Syscall::kMprotect, rng, 6);
-      k.invoke(Syscall::kMmap, rng, 6);
-      k.invoke(Syscall::kAccept4, rng, 1);  // API socket
-      k.invoke(Syscall::kRecvfrom, rng, 4);
-      k.invoke(Syscall::kSendto, rng, 4);
-      k.invoke(Syscall::kStatx, rng, 4);    // jailer chroot checks
-      k.invoke(Syscall::kGetdents64, rng, 2);
-      k.invoke(Syscall::kFcntl, rng, 4);
-      k.invoke(Syscall::kDup3, rng, 2);
-      k.invoke(Syscall::kPipe2, rng, 1);
-      k.invoke(Syscall::kPrctl, rng, 2);
-      k.invoke(Syscall::kTgkill, rng, 2);   // vCPU thread signaling
-      k.invoke(Syscall::kRtSigreturn, rng, 2);
-      k.invoke(Syscall::kProcRead, rng, 2);
+      k.record(Syscall::kUnshare, rng, 1);    // jailer namespaces
+      k.record(Syscall::kPivotRoot, rng, 1);  // jailer chroot
+      k.record(Syscall::kMount, rng, 2);
+      k.record(Syscall::kCgroupWrite, rng, 3);
+      k.record(Syscall::kSeccompLoad, rng, 1);
+      k.record(Syscall::kSetns, rng, 1);
+      k.record(Syscall::kClone3, rng, 1);     // jailer -> firecracker
+      k.record(Syscall::kExecve, rng, 1);
+      k.record(Syscall::kKill, rng, 1);       // watchdog teardown path
+      k.record(Syscall::kEpollWait, rng, 160);
+      k.record(Syscall::kClockGettime, rng, 128);
+      k.record(Syscall::kEventfd2, rng, 4);
+      k.record(Syscall::kRead, rng, 96);   // eventfd + device queues
+      k.record(Syscall::kWrite, rng, 96);
+      k.record(Syscall::kFutexWait, rng, 24);
+      k.record(Syscall::kFutexWake, rng, 24);
+      k.record(Syscall::kNanosleep, rng, 8);
+      k.record(Syscall::kSchedYield, rng, 8);
+      k.record(Syscall::kMadvise, rng, 12);  // balloon/dirty tracking
+      k.record(Syscall::kMprotect, rng, 6);
+      k.record(Syscall::kMmap, rng, 6);
+      k.record(Syscall::kAccept4, rng, 1);  // API socket
+      k.record(Syscall::kRecvfrom, rng, 4);
+      k.record(Syscall::kSendto, rng, 4);
+      k.record(Syscall::kStatx, rng, 4);    // jailer chroot checks
+      k.record(Syscall::kGetdents64, rng, 2);
+      k.record(Syscall::kFcntl, rng, 4);
+      k.record(Syscall::kDup3, rng, 2);
+      k.record(Syscall::kPipe2, rng, 1);
+      k.record(Syscall::kPrctl, rng, 2);
+      k.record(Syscall::kTgkill, rng, 2);   // vCPU thread signaling
+      k.record(Syscall::kRtSigreturn, rng, 2);
+      k.record(Syscall::kProcRead, rng, 2);
       if (w == WorkloadClass::kIo) {
-        k.invoke(Syscall::kPread64, rng, 128);
-        k.invoke(Syscall::kPwrite64, rng, 128);
-        k.invoke(Syscall::kFsync, rng, 8);
+        k.record(Syscall::kPread64, rng, 128);
+        k.record(Syscall::kPwrite64, rng, 128);
+        k.record(Syscall::kFsync, rng, 8);
       }
       if (w == WorkloadClass::kNetwork) {
         net().record_traffic(32ull << 20, host().nic(), rng);
-        k.invoke(Syscall::kReadv, rng, 64);
-        k.invoke(Syscall::kWritev, rng, 64);
+        k.record(Syscall::kReadv, rng, 64);
+        k.record(Syscall::kWritev, rng, 64);
       }
       break;
 
     case VmmFlavor::kCloudHypervisor:
       // Finding 25: surprisingly few host functions — the work-in-progress
       // VMM simply does not exercise much of the host surface yet.
-      k.invoke(Syscall::kEpollWait, rng, 24);
-      k.invoke(Syscall::kRead, rng, 16);
-      k.invoke(Syscall::kWrite, rng, 16);
-      k.invoke(Syscall::kClockGettime, rng, 16);
+      k.record(Syscall::kEpollWait, rng, 24);
+      k.record(Syscall::kRead, rng, 16);
+      k.record(Syscall::kWrite, rng, 16);
+      k.record(Syscall::kClockGettime, rng, 16);
       if (w == WorkloadClass::kIo) {
-        k.invoke(Syscall::kPread64, rng, 32);
-        k.invoke(Syscall::kPwrite64, rng, 32);
+        k.record(Syscall::kPread64, rng, 32);
+        k.record(Syscall::kPwrite64, rng, 32);
       }
       if (w == WorkloadClass::kNetwork) {
         net().record_traffic(32ull << 20, host().nic(), rng);

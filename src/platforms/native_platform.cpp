@@ -25,10 +25,10 @@ core::BootTimeline NativePlatform::compose_boot_timeline() const {
 }
 
 void NativePlatform::record_boot_trace(sim::Rng& rng) {
-  kernel().invoke(Syscall::kClone, rng, 1);
-  kernel().invoke(Syscall::kExecve, rng, 1);
-  kernel().invoke(Syscall::kExitGroup, rng, 1);
-  kernel().invoke(Syscall::kWait4, rng, 1);
+  kernel().record(Syscall::kClone, rng, 1);
+  kernel().record(Syscall::kExecve, rng, 1);
+  kernel().record(Syscall::kExitGroup, rng, 1);
+  kernel().record(Syscall::kWait4, rng, 1);
 }
 
 void NativePlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
@@ -37,33 +37,33 @@ void NativePlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
     case WorkloadClass::kCpu:
       // A compute loop barely touches the kernel: timer ticks and the
       // occasional yield.
-      k.invoke(Syscall::kClockGettime, rng, 32);
-      k.invoke(Syscall::kSchedYield, rng, 4);
-      k.invoke(Syscall::kFutexWait, rng, 2);
-      k.invoke(Syscall::kFutexWake, rng, 2);
+      k.record(Syscall::kClockGettime, rng, 32);
+      k.record(Syscall::kSchedYield, rng, 4);
+      k.record(Syscall::kFutexWait, rng, 2);
+      k.record(Syscall::kFutexWake, rng, 2);
       break;
     case WorkloadClass::kMemory:
-      k.invoke(Syscall::kMmap, rng, 16);
-      k.invoke(Syscall::kMadvise, rng, 8);
-      k.invoke(Syscall::kBrk, rng, 4);
-      k.invoke(Syscall::kMunmap, rng, 16);
-      k.invoke(Syscall::kMprotect, rng, 4);
+      k.record(Syscall::kMmap, rng, 16);
+      k.record(Syscall::kMadvise, rng, 8);
+      k.record(Syscall::kBrk, rng, 4);
+      k.record(Syscall::kMunmap, rng, 16);
+      k.record(Syscall::kMprotect, rng, 4);
       break;
     case WorkloadClass::kIo:
-      k.invoke(Syscall::kOpenat, rng, 4);
-      k.invoke(Syscall::kFallocate, rng, 1);
-      k.invoke(Syscall::kIoSubmit, rng, 64);
-      k.invoke(Syscall::kIoGetevents, rng, 64);
-      k.invoke(Syscall::kFsync, rng, 2);
-      k.invoke(Syscall::kClose, rng, 4);
-      k.invoke(Syscall::kFstat, rng, 4);
+      k.record(Syscall::kOpenat, rng, 4);
+      k.record(Syscall::kFallocate, rng, 1);
+      k.record(Syscall::kIoSubmit, rng, 64);
+      k.record(Syscall::kIoGetevents, rng, 64);
+      k.record(Syscall::kFsync, rng, 2);
+      k.record(Syscall::kClose, rng, 4);
+      k.record(Syscall::kFstat, rng, 4);
       break;
     case WorkloadClass::kNetwork:
       net().record_traffic(32ull << 20, host().nic(), rng);
-      k.invoke(Syscall::kSocket, rng, 1);
-      k.invoke(Syscall::kConnect, rng, 1);
-      k.invoke(Syscall::kSetsockopt, rng, 2);
-      k.invoke(Syscall::kEpollWait, rng, 16);
+      k.record(Syscall::kSocket, rng, 1);
+      k.record(Syscall::kConnect, rng, 1);
+      k.record(Syscall::kSetsockopt, rng, 2);
+      k.record(Syscall::kEpollWait, rng, 16);
       break;
     case WorkloadClass::kStartup:
       break;  // Platform::record_workload records a boot trace instead

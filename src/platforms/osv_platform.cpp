@@ -76,8 +76,8 @@ void OsvPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
     net().record_traffic(32ull << 20, host().nic(), rng);
   }
   if (w == WorkloadClass::kIo) {
-    k.invoke(Syscall::kPread64, rng, 24);
-    k.invoke(Syscall::kPwrite64, rng, 24);
+    k.record(Syscall::kPread64, rng, 24);
+    k.record(Syscall::kPwrite64, rng, 24);
   }
 }
 

@@ -51,70 +51,70 @@ sim::Nanos KataPlatform::sync_syscall_cost(sim::Rng& rng) const {
 void KataPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
   auto& k = kernel();
   // The QEMU instance under kata generates hypervisor-like activity...
-  k.invoke(Syscall::kKvmRun, rng, w == WorkloadClass::kCpu ? 24 : 280);
-  k.invoke(Syscall::kEpollWait, rng, 40);
-  k.invoke(Syscall::kClockGettime, rng, 48);
-  k.invoke(Syscall::kFutexWait, rng, 10);
-  k.invoke(Syscall::kFutexWake, rng, 10);
+  k.record(Syscall::kKvmRun, rng, w == WorkloadClass::kCpu ? 24 : 280);
+  k.record(Syscall::kEpollWait, rng, 40);
+  k.record(Syscall::kClockGettime, rng, 48);
+  k.record(Syscall::kFutexWait, rng, 10);
+  k.record(Syscall::kFutexWake, rng, 10);
   // ...the full VMM userspace surface (image files, guest RAM, monitor)...
-  k.invoke(Syscall::kOpenat, rng, 6);
-  k.invoke(Syscall::kClose, rng, 6);
-  k.invoke(Syscall::kFstat, rng, 4);
-  k.invoke(Syscall::kStatx, rng, 2);
-  k.invoke(Syscall::kMmap, rng, 6);
-  k.invoke(Syscall::kMunmap, rng, 3);
-  k.invoke(Syscall::kGetdents64, rng, 1);
-  k.invoke(Syscall::kSocket, rng, 1);
-  k.invoke(Syscall::kAccept4, rng, 1);
-  k.invoke(Syscall::kWait4, rng, 1);
-  k.invoke(Syscall::kTgkill, rng, 2);
-  k.invoke(Syscall::kRtSigreturn, rng, 2);
-  k.invoke(Syscall::kPipe2, rng, 1);
-  k.invoke(Syscall::kFcntl, rng, 1);
-  k.invoke(Syscall::kNanosleep, rng, 2);
-  k.invoke(Syscall::kIoctlTun, rng, 4);
+  k.record(Syscall::kOpenat, rng, 6);
+  k.record(Syscall::kClose, rng, 6);
+  k.record(Syscall::kFstat, rng, 4);
+  k.record(Syscall::kStatx, rng, 2);
+  k.record(Syscall::kMmap, rng, 6);
+  k.record(Syscall::kMunmap, rng, 3);
+  k.record(Syscall::kGetdents64, rng, 1);
+  k.record(Syscall::kSocket, rng, 1);
+  k.record(Syscall::kAccept4, rng, 1);
+  k.record(Syscall::kWait4, rng, 1);
+  k.record(Syscall::kTgkill, rng, 2);
+  k.record(Syscall::kRtSigreturn, rng, 2);
+  k.record(Syscall::kPipe2, rng, 1);
+  k.record(Syscall::kFcntl, rng, 1);
+  k.record(Syscall::kNanosleep, rng, 2);
+  k.record(Syscall::kIoctlTun, rng, 4);
   // ...and the container-runtime half: containerd-shim-kata-v2 process
   // management and image/rootfs plumbing (Finding 26: both worlds' host
   // footprints stack up).
-  k.invoke(Syscall::kClone3, rng, 1);
-  k.invoke(Syscall::kExecve, rng, 1);
-  k.invoke(Syscall::kConnect, rng, 1);
-  k.invoke(Syscall::kSendto, rng, 2);
-  k.invoke(Syscall::kRecvfrom, rng, 2);
-  k.invoke(Syscall::kEventfd2, rng, 1);
-  k.invoke(Syscall::kFallocate, rng, 1);
-  k.invoke(Syscall::kFsync, rng, 2);
-  k.invoke(Syscall::kLseek, rng, 2);
-  k.invoke(Syscall::kIoctlLoop, rng, 2);
+  k.record(Syscall::kClone3, rng, 1);
+  k.record(Syscall::kExecve, rng, 1);
+  k.record(Syscall::kConnect, rng, 1);
+  k.record(Syscall::kSendto, rng, 2);
+  k.record(Syscall::kRecvfrom, rng, 2);
+  k.record(Syscall::kEventfd2, rng, 1);
+  k.record(Syscall::kFallocate, rng, 1);
+  k.record(Syscall::kFsync, rng, 2);
+  k.record(Syscall::kLseek, rng, 2);
+  k.record(Syscall::kIoctlLoop, rng, 2);
   // ...plus the container-side plumbing on the host: shim, vsock control
   // traffic, cgroup accounting (Finding 26: secure containers are high).
-  k.invoke(Syscall::kVsockSend, rng, 6);
-  k.invoke(Syscall::kVsockRecv, rng, 6);
-  k.invoke(Syscall::kCgroupWrite, rng, 2);
-  k.invoke(Syscall::kProcRead, rng, 2);
-  k.invoke(Syscall::kKvmIrqLine, rng, 24);
-  k.invoke(Syscall::kKvmIoeventfd, rng, 24);
+  k.record(Syscall::kVsockSend, rng, 6);
+  k.record(Syscall::kVsockRecv, rng, 6);
+  k.record(Syscall::kCgroupWrite, rng, 2);
+  k.record(Syscall::kProcRead, rng, 2);
+  k.record(Syscall::kKvmIrqLine, rng, 24);
+  k.record(Syscall::kKvmIoeventfd, rng, 24);
   switch (w) {
     case WorkloadClass::kIo: {
       // Shared-fs traffic to serve the guest's disk I/O.
       const std::uint64_t trips =
           runtime_.spec().shared_fs == storage::SharedFsProtocol::kNineP ? 96 : 24;
-      k.invoke(Syscall::kSendmsg, rng, trips);
-      k.invoke(Syscall::kRecvmsg, rng, trips);
-      k.invoke(Syscall::kPread64, rng, 64);
-      k.invoke(Syscall::kPwrite64, rng, 64);
-      k.invoke(Syscall::kOpenat, rng, 8);
-      k.invoke(Syscall::kFstat, rng, 8);
+      k.record(Syscall::kSendmsg, rng, trips);
+      k.record(Syscall::kRecvmsg, rng, trips);
+      k.record(Syscall::kPread64, rng, 64);
+      k.record(Syscall::kPwrite64, rng, 64);
+      k.record(Syscall::kOpenat, rng, 8);
+      k.record(Syscall::kFstat, rng, 8);
       break;
     }
     case WorkloadClass::kNetwork:
       net().record_traffic(32ull << 20, host().nic(), rng);
-      k.invoke(Syscall::kReadv, rng, 48);
-      k.invoke(Syscall::kWritev, rng, 48);
+      k.record(Syscall::kReadv, rng, 48);
+      k.record(Syscall::kWritev, rng, 48);
       break;
     case WorkloadClass::kMemory:
-      k.invoke(Syscall::kMadvise, rng, 8);
-      k.invoke(Syscall::kMmap, rng, 6);
+      k.record(Syscall::kMadvise, rng, 8);
+      k.record(Syscall::kMmap, rng, 6);
       break;
     default:
       break;
@@ -175,36 +175,36 @@ void GvisorPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
   for (std::uint64_t i = 0; i < intercepts / 8; ++i) {
     sentry_.serve_internal(rng);
   }
-  k.invoke(Syscall::kFutexWait, rng, 48);
-  k.invoke(Syscall::kFutexWake, rng, 48);
-  k.invoke(Syscall::kEpollWait, rng, 32);
-  k.invoke(Syscall::kClockGettime, rng, 64);
-  k.invoke(Syscall::kNanosleep, rng, 8);
-  k.invoke(Syscall::kSchedYield, rng, 8);
-  k.invoke(Syscall::kMmap, rng, 8);      // Go runtime arena growth
-  k.invoke(Syscall::kMunmap, rng, 4);
-  k.invoke(Syscall::kMadvise, rng, 12);  // heap release
-  k.invoke(Syscall::kTgkill, rng, 4);    // goroutine preemption signals
-  k.invoke(Syscall::kRtSigreturn, rng, 4);
-  k.invoke(Syscall::kEventfd2, rng, 1);
-  k.invoke(Syscall::kPipe2, rng, 1);
+  k.record(Syscall::kFutexWait, rng, 48);
+  k.record(Syscall::kFutexWake, rng, 48);
+  k.record(Syscall::kEpollWait, rng, 32);
+  k.record(Syscall::kClockGettime, rng, 64);
+  k.record(Syscall::kNanosleep, rng, 8);
+  k.record(Syscall::kSchedYield, rng, 8);
+  k.record(Syscall::kMmap, rng, 8);      // Go runtime arena growth
+  k.record(Syscall::kMunmap, rng, 4);
+  k.record(Syscall::kMadvise, rng, 12);  // heap release
+  k.record(Syscall::kTgkill, rng, 4);    // goroutine preemption signals
+  k.record(Syscall::kRtSigreturn, rng, 4);
+  k.record(Syscall::kEventfd2, rng, 1);
+  k.record(Syscall::kPipe2, rng, 1);
   // Gofer-side host VFS work beyond plain reads.
-  k.invoke(Syscall::kFstat, rng, 4);
-  k.invoke(Syscall::kStatx, rng, 2);
-  k.invoke(Syscall::kGetdents64, rng, 2);
-  k.invoke(Syscall::kLseek, rng, 2);
-  k.invoke(Syscall::kFsync, rng, 1);
-  k.invoke(Syscall::kFallocate, rng, 1);
-  k.invoke(Syscall::kPread64, rng, 8);
-  k.invoke(Syscall::kPwrite64, rng, 8);
-  k.invoke(Syscall::kClose, rng, 4);
-  k.invoke(Syscall::kProcRead, rng, 2);
-  k.invoke(Syscall::kWait4, rng, 2);     // ptrace tracee management
-  k.invoke(Syscall::kKill, rng, 1);
-  k.invoke(Syscall::kClone3, rng, 1);    // Sentry task threads
-  k.invoke(Syscall::kExecve, rng, 1);    // runsc exec entry
-  k.invoke(Syscall::kBind, rng, 1);      // control server socket
-  k.invoke(Syscall::kListen, rng, 1);
+  k.record(Syscall::kFstat, rng, 4);
+  k.record(Syscall::kStatx, rng, 2);
+  k.record(Syscall::kGetdents64, rng, 2);
+  k.record(Syscall::kLseek, rng, 2);
+  k.record(Syscall::kFsync, rng, 1);
+  k.record(Syscall::kFallocate, rng, 1);
+  k.record(Syscall::kPread64, rng, 8);
+  k.record(Syscall::kPwrite64, rng, 8);
+  k.record(Syscall::kClose, rng, 4);
+  k.record(Syscall::kProcRead, rng, 2);
+  k.record(Syscall::kWait4, rng, 2);     // ptrace tracee management
+  k.record(Syscall::kKill, rng, 1);
+  k.record(Syscall::kClone3, rng, 1);    // Sentry task threads
+  k.record(Syscall::kExecve, rng, 1);    // runsc exec entry
+  k.record(Syscall::kBind, rng, 1);      // control server socket
+  k.record(Syscall::kListen, rng, 1);
   switch (w) {
     case WorkloadClass::kIo:
       for (int i = 0; i < 12; ++i) {
@@ -214,12 +214,12 @@ void GvisorPlatform::record_phase(WorkloadClass w, sim::Rng& rng) {
       break;
     case WorkloadClass::kNetwork:
       net().record_traffic(32ull << 20, host().nic(), rng);
-      k.invoke(Syscall::kIoctlTun, rng, 8);  // Netstack's TAP endpoint
-      k.invoke(Syscall::kSetsockopt, rng, 2);
+      k.record(Syscall::kIoctlTun, rng, 8);  // Netstack's TAP endpoint
+      k.record(Syscall::kSetsockopt, rng, 2);
       break;
     case WorkloadClass::kMemory:
-      k.invoke(Syscall::kMprotect, rng, 8);
-      k.invoke(Syscall::kBrk, rng, 2);
+      k.record(Syscall::kMprotect, rng, 8);
+      k.record(Syscall::kBrk, rng, 2);
       break;
     default:
       break;

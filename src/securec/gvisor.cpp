@@ -30,14 +30,14 @@ sim::Nanos Sentry::serve_internal(sim::Rng& rng) {
   // Reduced host footprint of the Sentry's own operation.
   if (host_->ftrace().recording()) {
     if (spec_.platform == GvisorPlatform::kPtrace) {
-      host_->invoke(Syscall::kPtraceSysemu, rng, 1);
-      host_->invoke(Syscall::kPtraceGetregs, rng, 1);
-      host_->invoke(Syscall::kWait4, rng, 1);
+      host_->record(Syscall::kPtraceSysemu, rng, 1);
+      host_->record(Syscall::kPtraceGetregs, rng, 1);
+      host_->record(Syscall::kWait4, rng, 1);
     } else {
-      host_->invoke(Syscall::kKvmRun, rng, 1);
+      host_->record(Syscall::kKvmRun, rng, 1);
     }
-    host_->invoke(Syscall::kFutexWake, rng, 1);
-    host_->invoke(Syscall::kClockGettime, rng, 1);
+    host_->record(Syscall::kFutexWake, rng, 1);
+    host_->record(Syscall::kClockGettime, rng, 1);
   }
   return cost;
 }
@@ -48,8 +48,8 @@ sim::Nanos Sentry::serve_via_gofer(std::uint64_t payload, sim::Rng& rng) {
   cost += ninep.op_latency(payload, rng);
   if (host_->ftrace().recording()) {
     // Sentry <-> Gofer socketpair traffic.
-    host_->invoke(Syscall::kSendmsg, rng, ninep.round_trips(payload));
-    host_->invoke(Syscall::kRecvmsg, rng, ninep.round_trips(payload));
+    host_->record(Syscall::kSendmsg, rng, ninep.round_trips(payload));
+    host_->record(Syscall::kRecvmsg, rng, ninep.round_trips(payload));
   }
   return cost;
 }
@@ -68,29 +68,27 @@ core::BootTimeline Sentry::boot_timeline() const {
 
 void Sentry::record_boot(sim::Rng& rng) {
   spec_.confinement.record_setup(*host_, rng);
-  host_->invoke(Syscall::kSeccompLoad, rng, 2);  // sentry + gofer filters
-  host_->invoke(Syscall::kPrctl, rng, 2);
-  host_->invoke(Syscall::kMmap, rng, 24);  // Go runtime arenas
-  host_->invoke(Syscall::kFutexWait, rng, 8);
+  host_->record(Syscall::kSeccompLoad, rng, 2);  // sentry + gofer filters
+  host_->record(Syscall::kPrctl, rng, 2);
+  host_->record(Syscall::kMmap, rng, 24);  // Go runtime arenas
+  host_->record(Syscall::kFutexWait, rng, 8);
   if (spec_.platform == GvisorPlatform::kKvm) {
-    host_->invoke(Syscall::kKvmCreateVm, rng, 1);
-    host_->invoke(Syscall::kKvmCreateVcpu, rng, 1);
+    host_->record(Syscall::kKvmCreateVm, rng, 1);
+    host_->record(Syscall::kKvmCreateVcpu, rng, 1);
   } else {
-    host_->invoke(Syscall::kPtraceSysemu, rng, 4);
+    host_->record(Syscall::kPtraceSysemu, rng, 4);
   }
 }
 
 Gofer::Gofer(hostk::HostKernel& host) : host_(&host) {}
 
-sim::Nanos Gofer::handle_request(std::uint64_t payload, sim::Rng& rng) {
+void Gofer::handle_request(std::uint64_t payload, sim::Rng& rng) {
   // The Gofer performs the real host VFS work on behalf of the Sentry.
-  sim::Nanos cost = 0;
-  cost += host_->invoke(Syscall::kRecvmsg, rng, 1);
-  cost += host_->invoke(Syscall::kOpenat, rng, 1);
-  cost += host_->invoke(Syscall::kRead, rng,
-                        std::max<std::uint64_t>(1, payload >> 16));
-  cost += host_->invoke(Syscall::kSendmsg, rng, 1);
-  return cost;
+  host_->record(Syscall::kRecvmsg, rng, 1);
+  host_->record(Syscall::kOpenat, rng, 1);
+  host_->record(Syscall::kRead, rng,
+                std::max<std::uint64_t>(1, payload >> 16));
+  host_->record(Syscall::kSendmsg, rng, 1);
 }
 
 core::BootTimeline Gofer::boot_timeline() const {

@@ -66,8 +66,9 @@ class Gofer {
  public:
   explicit Gofer(hostk::HostKernel& host);
 
-  /// One 9p request handled against the host VFS (open/read/write path).
-  sim::Nanos handle_request(std::uint64_t payload, sim::Rng& rng);
+  /// Record one 9p request handled against the host VFS (open/read/write
+  /// path). Trace-only: the Sentry side carries the guest-visible cost.
+  void handle_request(std::uint64_t payload, sim::Rng& rng);
 
   core::BootTimeline boot_timeline() const;
 

@@ -61,15 +61,15 @@ core::BootTimeline KataRuntime::boot_timeline() const {
 void KataRuntime::record_boot(sim::Rng& rng) {
   // QEMU's KVM setup happens on the host. In-guest namespace setup does
   // NOT touch the host kernel — that's Kata's defense-in-depth.
-  host_->invoke(Syscall::kKvmCreateVm, rng, 1);
-  host_->invoke(Syscall::kKvmCreateVcpu, rng, 4);
-  host_->invoke(Syscall::kKvmSetUserMemoryRegion, rng, 4);
-  host_->invoke(Syscall::kMmap, rng, 6);
-  host_->invoke(Syscall::kKvmIoeventfd, rng, 9);
-  host_->invoke(Syscall::kKvmRun, rng, 48);
-  host_->invoke(Syscall::kVsockSend, rng, 6);
-  host_->invoke(Syscall::kVsockRecv, rng, 6);
-  host_->invoke(Syscall::kMount, rng, 2);  // shared rootfs mountpoint
+  host_->record(Syscall::kKvmCreateVm, rng, 1);
+  host_->record(Syscall::kKvmCreateVcpu, rng, 4);
+  host_->record(Syscall::kKvmSetUserMemoryRegion, rng, 4);
+  host_->record(Syscall::kMmap, rng, 6);
+  host_->record(Syscall::kKvmIoeventfd, rng, 9);
+  host_->record(Syscall::kKvmRun, rng, 48);
+  host_->record(Syscall::kVsockSend, rng, 6);
+  host_->record(Syscall::kVsockRecv, rng, 6);
+  host_->record(Syscall::kMount, rng, 2);  // shared rootfs mountpoint
   if (spec_.via_docker_daemon) {
     container::record_docker_daemon_rpc(*host_, rng);
   }

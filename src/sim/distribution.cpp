@@ -53,6 +53,20 @@ Nanos DurationDist::sample(Rng& rng) const {
       impl_);
 }
 
+void DurationDist::skip(Rng& rng) const {
+  std::visit(
+      [&rng](const auto& d) {
+        using T = std::decay_t<decltype(d)>;
+        if constexpr (std::is_same_v<T, Normal> ||
+                      std::is_same_v<T, LogNormal>) {
+          rng.skip_normal();
+        } else if constexpr (std::is_same_v<T, Exponential>) {
+          rng.skip_exponential();
+        }
+      },
+      impl_);
+}
+
 Nanos DurationDist::mean() const {
   return std::visit(
       [](const auto& d) -> Nanos {

@@ -34,6 +34,11 @@ class DurationDist {
   /// Draw one sample.
   Nanos sample(Rng& rng) const;
 
+  /// Consume exactly the RNG draws sample() would and compute nothing:
+  /// trace-only paths keep a stream where a sampled path leaves it
+  /// without paying for a value they would discard.
+  void skip(Rng& rng) const;
+
   /// The distribution's theoretical mean (used by analytic summaries).
   Nanos mean() const;
 

@@ -61,21 +61,42 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(next_u64() % span);
 }
 
+double Rng::next_nonzero_double() {
+  double u = next_double();
+  while (u <= 1e-300) {
+    u = next_double();
+  }
+  return u;
+}
+
 double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
+  if (cached_u1_ > 0.0) {
+    // The sine variate of a skipped pair, finished now.
+    const double r = std::sqrt(-2.0 * std::log(cached_u1_));
+    const double theta = 2.0 * kPi * cached_;
+    cached_u1_ = 0.0;
+    return r * std::sin(theta);
   }
-  double u1 = next_double();
-  while (u1 <= 1e-300) {
-    u1 = next_double();
+  if (cached_u1_ < 0.0) {
+    cached_u1_ = 0.0;
+    return cached_;
   }
+  const double u1 = next_nonzero_double();
   const double u2 = next_double();
   const double r = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * kPi * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
+  cached_u1_ = -1.0;
+  cached_ = r * std::sin(theta);
   return r * std::cos(theta);
+}
+
+void Rng::skip_normal() {
+  if (cached_u1_ != 0.0) {
+    cached_u1_ = 0.0;
+  } else {
+    cached_u1_ = next_nonzero_double();
+    cached_ = next_double();
+  }
 }
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
@@ -86,22 +107,16 @@ double Rng::exponential(double lambda) {
   if (lambda <= 0.0) {
     throw std::invalid_argument("Rng::exponential: lambda must be positive");
   }
-  double u = next_double();
-  while (u <= 1e-300) {
-    u = next_double();
-  }
-  return -std::log(u) / lambda;
+  return -std::log(next_nonzero_double()) / lambda;
 }
+
+void Rng::skip_exponential() { next_nonzero_double(); }
 
 double Rng::pareto(double scale, double shape) {
   if (scale <= 0.0 || shape <= 0.0) {
     throw std::invalid_argument("Rng::pareto: scale and shape must be positive");
   }
-  double u = next_double();
-  while (u <= 1e-300) {
-    u = next_double();
-  }
-  return scale / std::pow(u, 1.0 / shape);
+  return scale / std::pow(next_nonzero_double(), 1.0 / shape);
 }
 
 bool Rng::chance(double p) { return next_double() < p; }

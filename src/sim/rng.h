@@ -29,8 +29,16 @@ class Rng {
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Standard normal via Box-Muller (cached second variate).
+  /// Standard normal via Box-Muller: each pair of draws yields two
+  /// variates, the cosine one now and the sine one (cached) next call.
   double normal();
+
+  /// Consume exactly the draws normal() would, without computing the
+  /// variate: the same next_u64() calls, the u1 <= 1e-300 retry included,
+  /// and a cached variate left exactly when normal() would leave one (the
+  /// next normal() returns it bit for bit). Trace-only paths use it to
+  /// keep a stream where a sampled path would leave it.
+  void skip_normal();
 
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
@@ -40,6 +48,9 @@ class Rng {
 
   /// Exponential with the given rate (lambda). Mean is 1/lambda.
   double exponential(double lambda);
+
+  /// Consume exactly the draws exponential() would, without the log.
+  void skip_exponential();
 
   /// Pareto (heavy tail) with scale x_m > 0 and shape alpha > 0.
   double pareto(double scale, double shape);
@@ -51,9 +62,18 @@ class Rng {
   Rng fork();
 
  private:
+  /// Uniform double in (1e-300, 1): redraws the values log() cannot take.
+  double next_nonzero_double();
+
   std::array<std::uint64_t, 4> state_;
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
+  // The cached second variate of a Box-Muller pair, in one of two forms.
+  // After normal(), cached_u1_ < 0 and cached_ is the finished variate.
+  // After skip_normal(), the pair is kept raw, u1 in cached_u1_ and u2 in
+  // cached_, and the next normal() finishes it: no log/sqrt/sin is paid
+  // unless the variate is read. A drawn u1 is never <= 1e-300, so
+  // cached_u1_ == 0 means nothing is cached (no flag: sizeof(Rng) == 48).
+  double cached_u1_ = 0.0;
+  double cached_ = 0.0;
 };
 
 /// Zipfian sampler over [0, n) with skew theta (YCSB uses theta = 0.99).

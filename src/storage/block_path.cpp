@@ -46,15 +46,15 @@ void BlockPath::record_io_syscalls(std::uint64_t bytes, bool is_write,
     return;
   }
   // libaio-style submission on the host side of the path.
-  kernel_->invoke(Syscall::kIoSubmit, rng, 1);
-  kernel_->invoke(Syscall::kIoGetevents, rng, 1);
+  kernel_->record(Syscall::kIoSubmit, rng, 1);
+  kernel_->record(Syscall::kIoGetevents, rng, 1);
   if (spec_.shared_fs == SharedFsProtocol::kNineP) {
     const std::uint64_t trips = shared_fs_.round_trips(bytes);
-    kernel_->invoke(Syscall::kSendmsg, rng, trips);
-    kernel_->invoke(Syscall::kRecvmsg, rng, trips);
+    kernel_->record(Syscall::kSendmsg, rng, trips);
+    kernel_->record(Syscall::kRecvmsg, rng, trips);
   }
   if (!spec_.direct_flag_propagates) {
-    kernel_->invoke(Syscall::kIoctlLoop, rng, 1);
+    kernel_->record(Syscall::kIoctlLoop, rng, 1);
   }
   (void)is_write;
 }

@@ -33,24 +33,24 @@ const core::BootTimeline& Vm::boot_timeline() const {
 void Vm::record_boot(sim::Rng& rng) {
   // Host-visible setup syscalls (trace-relevant; their CPU time is part of
   // the sampled stage durations).
-  host_->invoke(Syscall::kKvmCreateVm, rng);
-  host_->invoke(Syscall::kKvmCreateVcpu, rng,
+  host_->record(Syscall::kKvmCreateVm, rng);
+  host_->record(Syscall::kKvmCreateVcpu, rng,
                 static_cast<std::uint64_t>(spec_.vcpus));
   // One memory slot per GiB of guest RAM (coarse but realistic).
-  host_->invoke(Syscall::kKvmSetUserMemoryRegion, rng,
+  host_->record(Syscall::kKvmSetUserMemoryRegion, rng,
                 std::max<std::uint64_t>(1, spec_.guest_ram_bytes >> 30));
-  host_->invoke(Syscall::kMmap, rng,
+  host_->record(Syscall::kMmap, rng,
                 std::max<std::uint64_t>(1, spec_.guest_ram_bytes >> 30));
-  host_->invoke(Syscall::kEventfd2, rng, spec_.devices.device_count());
-  host_->invoke(Syscall::kKvmIoeventfd, rng, spec_.devices.device_count());
-  host_->invoke(Syscall::kEpollCtl, rng, spec_.devices.device_count());
-  host_->invoke(Syscall::kKvmSetRegs, rng,
+  host_->record(Syscall::kEventfd2, rng, spec_.devices.device_count());
+  host_->record(Syscall::kKvmIoeventfd, rng, spec_.devices.device_count());
+  host_->record(Syscall::kEpollCtl, rng, spec_.devices.device_count());
+  host_->record(Syscall::kKvmSetRegs, rng,
                 static_cast<std::uint64_t>(spec_.vcpus));
   // The boot itself: guest runs via KVM_RUN until init completes.
-  host_->invoke(Syscall::kKvmRun, rng, 64);
-  // The duration is discarded, but sampling it keeps the tenant's RNG
-  // stream where a full boot leaves it.
-  boot_timeline().sample_total(rng);
+  host_->record(Syscall::kKvmRun, rng, 64);
+  // No duration is needed, but skipping the boot's draws keeps the
+  // tenant's RNG stream where a full boot leaves it.
+  boot_timeline().skip_total(rng);
 }
 
 void Vm::record_steady_state(std::uint64_t vm_exits, sim::Rng& rng) {
@@ -59,11 +59,11 @@ void Vm::record_steady_state(std::uint64_t vm_exits, sim::Rng& rng) {
   }
   // Each guest exit re-enters through ioctl(KVM_RUN); the VMM event loop
   // polls its registered fds and timers (Section 2.1.1's main_loop_wait).
-  host_->invoke(Syscall::kKvmRun, rng, vm_exits);
-  host_->invoke(Syscall::kEpollWait, rng, std::max<std::uint64_t>(1, vm_exits / 8));
-  host_->invoke(Syscall::kClockGettime, rng,
+  host_->record(Syscall::kKvmRun, rng, vm_exits);
+  host_->record(Syscall::kEpollWait, rng, std::max<std::uint64_t>(1, vm_exits / 8));
+  host_->record(Syscall::kClockGettime, rng,
                 std::max<std::uint64_t>(1, vm_exits / 4));
-  host_->invoke(Syscall::kKvmIrqLine, rng, std::max<std::uint64_t>(1, vm_exits / 3));
+  host_->record(Syscall::kKvmIrqLine, rng, std::max<std::uint64_t>(1, vm_exits / 3));
 }
 
 // --- Catalog -----------------------------------------------------------

@@ -2,6 +2,9 @@
 // runtimes and the hypervisor/OSv orderings of Figures 13-15.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "container/init_system.h"
 #include "container/runtime.h"
 #include "core/boot.h"
@@ -47,6 +50,25 @@ TEST(BootTimelineTest, AppendComposes) {
   a.append(b);
   EXPECT_EQ(a.stages().size(), 2u);
   EXPECT_EQ(a.mean_total(), 3);
+}
+
+TEST(BootTimelineTest, SkipTotalConsumesTheDrawsOfSampleTotal) {
+  // A boot trace skips the total it would discard; the stream it leaves,
+  // cached normal variate included, must be the one a real boot leaves.
+  hostk::HostKernel host;
+  const Vm vm(VmmCatalog::qemu_kvm(), host);  // lognormal and constant stages
+  const BootTimeline& t = vm.boot_timeline();
+  ASSERT_GT(t.stages().size(), 5u);
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    sim::Rng sampled(seed);
+    sim::Rng skipped(seed);
+    t.sample_total(sampled);
+    t.skip_total(skipped);
+    const double a = sampled.normal();
+    const double b = skipped.normal();
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << seed;
+    EXPECT_EQ(sampled.next_u64(), skipped.next_u64()) << seed;
+  }
 }
 
 TEST(DeviceModelTest, CountsMatchPaper) {

@@ -20,6 +20,7 @@
 #include "fleet/placement.h"
 #include "fleet/report.h"
 #include "fleet/scenario.h"
+#include "hostk/host_kernel.h"
 
 namespace {
 
@@ -461,6 +462,21 @@ TEST(ChurnTest, ChurnOnClusterIsDeterministic) {
   const auto b = run_cluster(s);
   EXPECT_EQ(a.to_text(), b.to_text());
   EXPECT_EQ(a.churn_rearrivals, 128);
+}
+
+TEST(ClusterTest, StatisticalStormRecordsAndSamplesNoHostKernelCost) {
+  // Statistical tenants only build the HAP trace (boot traces, phase and
+  // teardown records), and nothing reads a trace-only cost: every host
+  // records and none samples.
+  const Scenario s =
+      Scenario::cluster_storm(2000, 4, PlacementKind::kKsmAffinity);
+  Cluster cluster(s.cluster);
+  cluster.run(s);
+  for (int i = 0; i < cluster.host_count(); ++i) {
+    const hostk::HostKernel& kernel = cluster.host(i).kernel();
+    EXPECT_EQ(kernel.sampled_calls(), 0u) << "host " << i;
+    EXPECT_GT(kernel.recorded_calls(), 0u) << "host " << i;
+  }
 }
 
 // --- Determinism across every policy ---------------------------------------

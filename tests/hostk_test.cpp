@@ -2,8 +2,12 @@
 // block device, NIC.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "hostk/block_device.h"
 #include "hostk/ftrace.h"
@@ -142,6 +146,45 @@ TEST(HostKernelTest, ZeroCountIsFree) {
   HostKernel hk;
   sim::Rng rng(1);
   EXPECT_EQ(hk.invoke(Syscall::kRead, rng, 0), 0);
+}
+
+TEST(HostKernelTest, RecordTracesAndDrawsLikeInvoke) {
+  // Every syscall, invoked on one kernel and recorded on another: the same
+  // per-function counts in the same first-touch order, and the same RNG
+  // stream afterwards (the next normal() bit for bit, then next_u64()).
+  HostKernel invoked;
+  HostKernel recorded;
+  invoked.ftrace().start();
+  recorded.ftrace().start();
+  for (std::size_t i = 0; i < hostk::kSyscallCount; ++i) {
+    const auto sc = static_cast<Syscall>(i);
+    sim::Rng a(i + 1);
+    sim::Rng b(i + 1);
+    invoked.invoke(sc, a, 3);
+    recorded.record(sc, b, 3);
+    const double na = a.normal();
+    const double nb = b.normal();
+    EXPECT_EQ(std::memcmp(&na, &nb, sizeof na), 0) << hostk::syscall_name(sc);
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << hostk::syscall_name(sc);
+  }
+  using Counts = std::vector<std::pair<hostk::FunctionId, std::uint64_t>>;
+  const auto& ci = invoked.ftrace().counts();
+  const auto& cr = recorded.ftrace().counts();
+  EXPECT_EQ(Counts(ci.begin(), ci.end()), Counts(cr.begin(), cr.end()));
+  EXPECT_EQ(invoked.sampled_calls(), hostk::kSyscallCount);
+  EXPECT_EQ(invoked.recorded_calls(), 0u);
+  EXPECT_EQ(recorded.sampled_calls(), 0u);
+  EXPECT_EQ(recorded.recorded_calls(), hostk::kSyscallCount);
+}
+
+TEST(HostKernelTest, ZeroCountRecordTracesAndDrawsNothing) {
+  HostKernel hk;
+  hk.ftrace().start();
+  sim::Rng rng(1);
+  hk.record(Syscall::kRead, rng, 0);
+  EXPECT_EQ(hk.ftrace().distinct_functions(), 0u);
+  EXPECT_EQ(rng.next_u64(), sim::Rng(1).next_u64());
+  EXPECT_EQ(hk.recorded_calls(), 0u);
 }
 
 TEST(HostKernelTest, KernelsShareOneRegistryButKeepTheirOwnFtrace) {

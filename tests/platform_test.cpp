@@ -283,6 +283,32 @@ TEST(PlatformTraceTest, NextNormalAfterRecordIsPinned) {
   EXPECT_EQ(h, 0x4052c3a0745fe6aaull);
 }
 
+// Trace paths record and never sample a HostKernel cost: every lineup
+// platform's record_workload and boot_total, for every class and with
+// ftrace off and on, leave sampled_calls() where it was.
+TEST(PlatformTraceTest, RecordPathsSampleNoHostKernelCost) {
+  for (const bool tracing : {false, true}) {
+    core::HostSystem host;
+    const hostk::HostKernel& kernel = host.kernel();
+    if (tracing) {
+      host.kernel().ftrace().start();
+    }
+    sim::Rng rng(3);
+    for (const auto& p : PlatformFactory::paper_lineup(host)) {
+      const std::uint64_t recorded = kernel.recorded_calls();
+      for (const auto w :
+           {WorkloadClass::kCpu, WorkloadClass::kMemory, WorkloadClass::kIo,
+            WorkloadClass::kNetwork, WorkloadClass::kStartup}) {
+        p->record_workload(w, rng);
+      }
+      sim::Clock clock;
+      p->boot_total(clock, rng);
+      EXPECT_EQ(kernel.sampled_calls(), 0u) << p->name();
+      EXPECT_GT(kernel.recorded_calls(), recorded) << p->name();
+    }
+  }
+}
+
 // Vm::record_steady_state and NetPath::record_traffic draw nothing while
 // ftrace is off, but direct HostKernel::invoke calls always draw. Reports
 // depend on this asymmetry, so it is pinned rather than removed.

@@ -215,6 +215,19 @@ TEST(ProgramTest, LogWriterLightsUpFsyncKernelFunctionsOverControl) {
   EXPECT_GT(prog_hits, ctrl_hits + 1000u);
 }
 
+TEST(ProgramTest, ProgramStormSamplesHostKernelCosts) {
+  // Programs charge each op's sampled HostKernel cost to the tenant, so a
+  // program storm samples; statistical tenants on the same hosts record.
+  const Scenario s = Scenario::program_storm(200, 2);
+  Cluster cluster(s.cluster);
+  cluster.run(s);
+  std::uint64_t sampled = 0;
+  for (int i = 0; i < cluster.host_count(); ++i) {
+    sampled += cluster.host(i).kernel().sampled_calls();
+  }
+  EXPECT_GT(sampled, 0u);
+}
+
 // --- Chaos composition -------------------------------------------------------
 
 TEST(ProgramTest, PartitionStallsInFlightProgramNetworkOps) {

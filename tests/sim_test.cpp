@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -238,6 +240,69 @@ TEST(DurationDistTest, ExponentialMeanMatches) {
     sum += static_cast<double>(d.sample(rng));
   }
   EXPECT_NEAR(sum / n / sim::micros(50), 1.0, 0.03);
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(RngTest, SkipNormalConsumesTheDrawsOfNormal) {
+  // From a fresh pair and from a cached second variate alike, the next
+  // normal() after a skip must be the one after a real draw, bit for bit.
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    Rng drawn(seed);
+    Rng skipped(seed);
+    for (int i = 0; i < 5; ++i) {
+      drawn.normal();
+      skipped.skip_normal();
+      ASSERT_EQ(bits_of(drawn.normal()), bits_of(skipped.normal()));
+      ASSERT_EQ(drawn.next_u64(), skipped.next_u64());
+    }
+  }
+}
+
+TEST(RngTest, StaysSixWords) {
+  // Every tenant and tenant seed holds one Rng: the Box-Muller cache's
+  // two forms share two doubles, with no flag word beside them.
+  EXPECT_EQ(sizeof(Rng), 48u);
+}
+
+TEST(RngTest, SkipExponentialConsumesTheDrawsOfExponential) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    Rng drawn(seed);
+    Rng skipped(seed);
+    drawn.exponential(2.0);
+    skipped.skip_exponential();
+    EXPECT_EQ(drawn.next_u64(), skipped.next_u64());
+  }
+}
+
+TEST(DurationDistTest, SkipConsumesTheDrawsOfSample) {
+  const DurationDist dists[] = {
+      DurationDist::constant(sim::micros(5)),
+      DurationDist::normal(sim::micros(5), sim::micros(1)),
+      DurationDist::lognormal(sim::micros(5), 0.2),
+      DurationDist::exponential(sim::micros(5)),
+  };
+  for (const bool cached : {false, true}) {
+    for (std::size_t k = 0; k < std::size(dists); ++k) {
+      for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+        Rng sampled(seed);
+        if (cached) {
+          sampled.normal();  // leaves the pair's second variate cached
+        }
+        Rng skipped = sampled;
+        dists[k].sample(sampled);
+        dists[k].skip(skipped);
+        EXPECT_EQ(bits_of(sampled.normal()), bits_of(skipped.normal()))
+            << "dist " << k << " cached " << cached << " seed " << seed;
+        EXPECT_EQ(sampled.next_u64(), skipped.next_u64())
+            << "dist " << k << " cached " << cached << " seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(DurationDistTest, InvalidParametersThrow) {
