@@ -80,6 +80,11 @@ std::uint64_t program_file_id(std::uint64_t tenant, int program,
                 : kProgramFileBase + tenant;
 }
 
+// Each tenant's private run starts at (tenant << 24) fleet pages, and
+// validate() caps guest RAM so the largest guest fills that span exactly.
+static_assert(kMaxGuestRamBytes / kFleetPageBytes == 1ull << 24,
+              "the largest valid guest must fit one tenant's private span");
+
 /// Digest runs for one hypervisor tenant's guest RAM at kFleetPageBytes
 /// granularity: a merged-everywhere zero-page run, a per-image run that
 /// merges across tenants of the same platform, and a tenant-private run.

@@ -118,6 +118,10 @@ void validate(const TrafficSpec& t) {
     fail("ramp arrival_window * (tenant_count - 1) overflows int64 "
          "nanoseconds");
   }
+  if (t.guest_ram_bytes > kMaxGuestRamBytes) {
+    fail("guest_ram_bytes must be at most 32 TiB, the private KSM digest "
+         "span of one tenant");
+  }
   // Phase lengths and churn gaps are charged to tenant clocks, which refuse
   // a negative cost mid-run.
   if (t.mean_phase_duration < 0) {

@@ -182,7 +182,8 @@ struct TrafficKnobs {
   std::uint64_t io_bytes_per_phase = 32ull << 20;
 
   // --- Per-tenant memory ---------------------------------------------------
-  /// Guest RAM reserved per hypervisor-backed tenant.
+  /// Guest RAM reserved per hypervisor-backed tenant, at most
+  /// kMaxGuestRamBytes.
   std::uint64_t guest_ram_bytes = 512ull << 20;
   /// Boot image pulled through the host page cache on every boot.
   std::uint64_t image_bytes = 128ull << 20;
@@ -294,9 +295,15 @@ struct CellSpec {
 /// or another exception deep in a draw or the event loop.
 ///
 /// Traffic: the arrival knobs, the three mixes, phases, churn, the retry
-/// knobs and any explicit population (sorted by arrival, platforms inside
-/// platform_mix, programs that exist).
+/// knobs, guest RAM and any explicit population (sorted by arrival,
+/// platforms inside platform_mix, programs that exist).
 void validate(const TrafficSpec& traffic);
+
+/// Largest guest_ram_bytes validate() accepts: 32 TiB, the private KSM
+/// digest span each tenant owns (2^24 fleet pages of 2 MiB). A larger
+/// guest's private pages would alias its neighbours', and admission's
+/// byte sums would near uint64 wrap.
+constexpr std::uint64_t kMaxGuestRamBytes = 1ull << 45;
 
 /// Cell, against an initial topology of `initial_hosts` hosts: autoscale,
 /// host events, racks (whether or not a fault names them) and faults.

@@ -366,8 +366,9 @@ TEST(FederationTest, MalformedTrafficIsRejectedBeforeAnyDraw) {
   // fleet::validate before they draw or route a tenant: a negative count,
   // every arrival input that would draw int64 nanoseconds negative or wrap
   // them, empty or zero-weight mixes, phase and churn lengths the tenant
-  // clocks would refuse mid-run, and explicit populations naming a
-  // platform or program the run cannot build or arriving before time 0.
+  // clocks would refuse mid-run, guest RAM past one tenant's private KSM
+  // span, and explicit populations naming a platform or program the run
+  // cannot build or arriving before time 0.
   std::vector<Scenario> rows;
   Scenario s = Scenario::cluster_storm(16, 2);
   s.tenant_count = -1;
@@ -420,6 +421,9 @@ TEST(FederationTest, MalformedTrafficIsRejectedBeforeAnyDraw) {
   s = Scenario::cluster_storm(16, 2);
   s.arrival = fleet::ArrivalPattern::kRamp;
   s.arrival_window = std::numeric_limits<sim::Nanos>::max() / 8;
+  rows.push_back(s);
+  s = Scenario::cluster_storm(16, 2);
+  s.guest_ram_bytes = (1ull << 45) + (2ull << 20);  // past one private span
   rows.push_back(s);
 
   // The traffic check's own refusal, not a later error such as the clock
