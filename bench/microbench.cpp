@@ -1,17 +1,20 @@
 // google-benchmark microbenchmarks of the framework's own primitives:
-// RNG, statistics, ftrace recording, syscall dispatch, page cache, B+tree
-// and KV-store operations. These guard the simulator's performance (the
-// figure harnesses run hundreds of thousands of modeled operations).
+// RNG, statistics, ftrace recording, syscall dispatch, HAP workload
+// records, page cache, B+tree and KV-store operations. These guard the
+// simulator's performance (the figure harnesses run hundreds of thousands
+// of modeled operations).
 #include <benchmark/benchmark.h>
 
 #include "apps/btree.h"
 #include "apps/kv_store.h"
 #include "apps/ycsb.h"
+#include "core/host_system.h"
 #include "fleet/event_queue.h"
 #include "fleet/placement.h"
 #include "hostk/host_kernel.h"
 #include "hostk/page_cache.h"
 #include "mem/ksm.h"
+#include "platforms/factory.h"
 #include "sim/rng.h"
 #include "stats/sample_set.h"
 #include "stats/summary.h"
@@ -241,6 +244,27 @@ void BM_EventQueueHold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueHold)->Arg(1'000)->Arg(30'000)->Arg(100'000);
+
+/// One HAP record with ftrace on, the unit the fleet engine pays per
+/// tenant phase: firecracker's kCpu phase (storm-ksm's per-phase record)
+/// and docker's kStartup unit (its teardown record, one boot trace).
+void BM_RecordWorkload(benchmark::State& state, platforms::PlatformId id,
+                       platforms::WorkloadClass w) {
+  core::HostSystem host;
+  const auto platform = platforms::PlatformFactory::create(id, host);
+  host.kernel().ftrace().start();
+  sim::Rng rng(31);
+  for (auto _ : state) {
+    platform->record_workload(w, rng);
+  }
+  benchmark::DoNotOptimize(host.kernel().ftrace().total_invocations());
+}
+BENCHMARK_CAPTURE(BM_RecordWorkload, firecracker_cpu,
+                  platforms::PlatformId::kFirecracker,
+                  platforms::WorkloadClass::kCpu);
+BENCHMARK_CAPTURE(BM_RecordWorkload, docker_startup,
+                  platforms::PlatformId::kDocker,
+                  platforms::WorkloadClass::kStartup);
 
 void BM_KvStoreGet(benchmark::State& state) {
   apps::KvStore store(64ull << 20);
