@@ -8,6 +8,21 @@ namespace net {
 
 using hostk::Syscall;
 
+namespace {
+// Per-packet functions a datapath runs outside any syscall. Callers resolve
+// them once, in a function-local static: the registry is shared by every
+// HostKernel, so the ids hold for any host.
+std::vector<hostk::FunctionHit> background_hits(
+    const hostk::KernelFunctionRegistry& reg,
+    std::initializer_list<const char*> names) {
+  std::vector<hostk::FunctionHit> hits;
+  for (const char* name : names) {
+    hits.push_back({reg.id_of(name), 1});
+  }
+  return hits;
+}
+}  // namespace
+
 NetPath::NetPath(NetPathSpec spec, hostk::HostKernel& host)
     : spec_(std::move(spec)), host_(&host) {}
 
@@ -50,35 +65,28 @@ void NetPath::record_traffic(std::uint64_t bytes, const hostk::Nic& nic,
   // Syscall batching: ~16 MTU packets per sendmsg at iperf3 rates (GSO).
   const std::uint64_t pkts = std::max<std::uint64_t>(1, nic.packets_for(bytes));
   const std::uint64_t batches = std::max<std::uint64_t>(1, pkts / 16);
-  // Per-packet functions that run outside any syscall, resolved once: the
-  // registry is shared by every HostKernel, so the ids hold for any host.
-  const auto background = [this](std::initializer_list<const char*> names) {
-    std::vector<hostk::FunctionHit> hits;
-    for (const char* name : names) {
-      hits.push_back({host_->registry().id_of(name), 1});
-    }
-    return hits;
-  };
+  const auto& reg = host_->registry();
   switch (spec_.kind) {
     case PathKind::kNative:
       host_->record(Syscall::kSendto, rng, batches);
       host_->record(Syscall::kRecvfrom, rng, batches);
       break;
     case PathKind::kBridge: {
-      static const auto bridge = background(
-          {"veth_xmit", "br_handle_frame", "br_forward", "br_nf_pre_routing",
-           "nf_hook_slow", "netif_rx_internal", "enqueue_to_backlog",
-           "net_rx_action", "__napi_poll", "process_backlog"});
+      static const auto bridge = background_hits(
+          reg, {"veth_xmit", "br_handle_frame", "br_forward",
+                "br_nf_pre_routing", "nf_hook_slow", "netif_rx_internal",
+                "enqueue_to_backlog", "net_rx_action", "__napi_poll",
+                "process_backlog"});
       host_->record(Syscall::kSendto, rng, batches);
       host_->record(Syscall::kRecvfrom, rng, batches);
       host_->record_background(bridge, pkts);
       break;
     }
     case PathKind::kTapVirtio: {
-      static const auto tap = background(
-          {"tun_get_user", "tun_net_xmit", "tap_do_read", "vhost_net_tx",
-           "vhost_net_rx", "vhost_poll_queue", "netif_receive_skb",
-           "napi_gro_receive"});
+      static const auto tap = background_hits(
+          reg, {"tun_get_user", "tun_net_xmit", "tap_do_read",
+                "vhost_net_tx", "vhost_net_rx", "vhost_poll_queue",
+                "netif_receive_skb", "napi_gro_receive"});
       // Guest kicks virtio queues (ioeventfd), host vhost thread moves
       // packets between the TAP device and the queue.
       host_->record(Syscall::kKvmIoeventfd, rng, batches);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -175,6 +176,12 @@ TEST(RngTest, ForkedStreamsAreIndependent) {
   EXPECT_NE(child.next_u64(), parent_copy.next_u64());
 }
 
+TEST(RngTest, StaysSixWords) {
+  // Every tenant and tenant seed holds one Rng: the Box-Muller cache's
+  // two forms share two doubles, with no flag word beside them.
+  EXPECT_EQ(sizeof(Rng), 48u);
+}
+
 TEST(ZipfianTest, HotKeysDominate) {
   Rng rng(2024);
   ZipfianGenerator zipf(10'000, 0.99);
@@ -248,58 +255,33 @@ std::uint64_t bits_of(double v) {
   return b;
 }
 
-TEST(RngTest, SkipNormalConsumesTheDrawsOfNormal) {
-  // From a fresh pair and from a cached second variate alike, the next
-  // normal() after a skip must be the one after a real draw, bit for bit.
-  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    Rng drawn(seed);
-    Rng skipped(seed);
-    for (int i = 0; i < 5; ++i) {
-      drawn.normal();
-      skipped.skip_normal();
-      ASSERT_EQ(bits_of(drawn.normal()), bits_of(skipped.normal()));
-      ASSERT_EQ(drawn.next_u64(), skipped.next_u64());
-    }
-  }
-}
-
-TEST(RngTest, StaysSixWords) {
-  // Every tenant and tenant seed holds one Rng: the Box-Muller cache's
-  // two forms share two doubles, with no flag word beside them.
-  EXPECT_EQ(sizeof(Rng), 48u);
-}
-
-TEST(RngTest, SkipExponentialConsumesTheDrawsOfExponential) {
-  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    Rng drawn(seed);
-    Rng skipped(seed);
-    drawn.exponential(2.0);
-    skipped.skip_exponential();
-    EXPECT_EQ(drawn.next_u64(), skipped.next_u64());
-  }
-}
-
 TEST(DurationDistTest, SkipConsumesTheDrawsOfSample) {
+  // skip() must leave the stream sample() leaves, cached Box-Muller
+  // variate included: the next normal() bit for bit, then next_u64().
+  // Streams start empty, holding a drawn pair's finished variate, or
+  // holding a skipped pair's raw draws.
   const DurationDist dists[] = {
       DurationDist::constant(sim::micros(5)),
       DurationDist::normal(sim::micros(5), sim::micros(1)),
       DurationDist::lognormal(sim::micros(5), 0.2),
       DurationDist::exponential(sim::micros(5)),
   };
-  for (const bool cached : {false, true}) {
+  for (int start = 0; start < 3; ++start) {
     for (std::size_t k = 0; k < std::size(dists); ++k) {
       for (std::uint64_t seed = 1; seed <= 32; ++seed) {
         Rng sampled(seed);
-        if (cached) {
-          sampled.normal();  // leaves the pair's second variate cached
+        if (start == 1) {
+          sampled.normal();
+        } else if (start == 2) {
+          sampled.skip_normal();
         }
         Rng skipped = sampled;
         dists[k].sample(sampled);
         dists[k].skip(skipped);
         EXPECT_EQ(bits_of(sampled.normal()), bits_of(skipped.normal()))
-            << "dist " << k << " cached " << cached << " seed " << seed;
+            << "dist " << k << " start " << start << " seed " << seed;
         EXPECT_EQ(sampled.next_u64(), skipped.next_u64())
-            << "dist " << k << " cached " << cached << " seed " << seed;
+            << "dist " << k << " start " << start << " seed " << seed;
       }
     }
   }
