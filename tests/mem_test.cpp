@@ -1,6 +1,7 @@
 // Tests for the memory-hierarchy and KSM models.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "mem/hierarchy.h"
@@ -305,6 +306,66 @@ TEST(KsmTest, TopDigestIsTrackedLikeAnyOther) {
   ksm.scan();
   EXPECT_EQ(ksm.backing_pages(), 0u);
   EXPECT_EQ(ksm.stable_tree_intervals(), 0u);
+}
+
+TEST(KsmTest, RandomizedAgainstPerDigestReference) {
+  // Random advise/remove churn over six VMs, checked after every operation
+  // against a brute-force refcount per digest built from the live VMs'
+  // runs. Some runs start just below the top digest and may wrap.
+  constexpr mem::PageDigest kMax = ~mem::PageDigest{0};
+  sim::Rng rng(0x5EED'D16E57ull);
+  for (int round = 0; round < 200; ++round) {
+    Ksm ksm;
+    std::map<std::uint64_t, std::vector<mem::PageRun>> live;
+    for (int op = 0; op < 30; ++op) {
+      const std::uint64_t vm = rng.next_u64() % 6;
+      if (rng.chance(0.3)) {
+        ksm.remove(vm);
+        live.erase(vm);
+      } else {
+        std::vector<mem::PageRun> runs;
+        const int n = 1 + static_cast<int>(rng.next_u64() % 3);
+        for (int r = 0; r < n; ++r) {
+          if (rng.chance(0.15)) {
+            runs.push_back({kMax - rng.next_u64() % 6, rng.next_u64() % 12});
+          } else {
+            runs.push_back({rng.next_u64() % 96, rng.next_u64() % 32});
+          }
+        }
+        ksm.advise_runs(vm, runs);
+        live[vm] = runs;
+      }
+      ksm.scan();
+
+      std::map<mem::PageDigest, std::uint64_t> refs;
+      for (const auto& [id, runs] : live) {
+        for (const mem::PageRun& run : runs) {
+          for (std::uint64_t i = 0; i < run.count; ++i) {
+            ++refs[run.base_digest + i];  // wraps past the top digest
+          }
+        }
+      }
+      std::uint64_t advised = 0;
+      std::uint64_t shared = 0;
+      std::size_t intervals = 0;
+      const std::pair<const mem::PageDigest, std::uint64_t>* prev = nullptr;
+      for (const auto& entry : refs) {
+        advised += entry.second;
+        shared += entry.second >= 2 ? entry.second : 0;
+        // A maximal run of consecutive digests with equal refs is one
+        // interval; the top digest always has its own.
+        if (entry.first == kMax || prev == nullptr ||
+            prev->first + 1 != entry.first || prev->second != entry.second) {
+          ++intervals;
+        }
+        prev = &entry;
+      }
+      ASSERT_EQ(ksm.advised_pages(), advised) << round << "/" << op;
+      ASSERT_EQ(ksm.backing_pages(), refs.size()) << round << "/" << op;
+      ASSERT_EQ(ksm.shared_pages(), shared) << round << "/" << op;
+      ASSERT_EQ(ksm.stable_tree_intervals(), intervals) << round << "/" << op;
+    }
+  }
 }
 
 // --- probe_runs: read-only admission trials -------------------------------
