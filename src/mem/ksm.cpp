@@ -1,11 +1,52 @@
 #include "mem/ksm.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace mem {
 
-void Ksm::add_range(PageDigest lo, PageDigest hi, bool add) {
-  if (lo >= hi) {
+namespace {
+
+constexpr PageDigest kMax = ~PageDigest{0};
+
+/// The one refcount rule: move `len` digests from `before` to `after`
+/// references. 0->1 adds a backing page, 1->2 makes both copies shared and
+/// n->n+1 adds one shared copy; a drop runs the same rule backwards, and
+/// unsigned wraparound makes its subtraction exact.
+void account(std::uint64_t& distinct, std::uint64_t& shared,
+             std::uint64_t before, std::uint64_t after, std::uint64_t len) {
+  const auto shared_copies = [](std::uint64_t r) { return r >= 2 ? r : 0; };
+  distinct += (std::uint64_t{after > 0} - std::uint64_t{before > 0}) * len;
+  shared += (shared_copies(after) - shared_copies(before)) * len;
+}
+
+/// The one top-digest split. Intervals use exclusive ends, which cannot
+/// express 2^64, so a run reaching digest 2^64-1 yields [base, MAX), the
+/// MAX digest itself (through `top`) and any wrapped remainder [0, rest).
+/// `range` only ever sees non-empty pieces.
+template <typename Range, typename Top>
+void for_each_piece(const PageRun& run, Range&& range, Top&& top) {
+  if (run.count == 0) {
     return;
   }
+  const PageDigest lo = run.base_digest;
+  if (run.count - 1 < kMax - lo) {
+    range(lo, lo + run.count);
+    return;
+  }
+  if (lo < kMax) {
+    range(lo, kMax);
+  }
+  top();
+  const std::uint64_t rest = run.count - (kMax - lo) - 1;
+  if (rest > 0) {
+    range(PageDigest{0}, rest);
+  }
+}
+
+}  // namespace
+
+void Ksm::add_range(PageDigest lo, PageDigest hi, bool add) {
   auto it = tree_.lower_bound(lo);
   // Split a predecessor interval straddling lo so lo becomes a boundary.
   if (it != tree_.begin()) {
@@ -24,9 +65,8 @@ void Ksm::add_range(PageDigest lo, PageDigest hi, bool add) {
       // Gap [cur, next_start): digests with no backing yet. Dropping refs
       // in a gap cannot happen for well-formed clients; tolerate it.
       if (add) {
-        it = tree_.insert(it, {cur, Interval{next_start, 1}});
-        distinct_ += next_start - cur;
-        ++it;
+        account(distinct_, shared_, 0, 1, next_start - cur);
+        it = std::next(tree_.insert(it, {cur, Interval{next_start, 1}}));
       }
       cur = next_start;
       continue;
@@ -37,30 +77,15 @@ void Ksm::add_range(PageDigest lo, PageDigest hi, bool add) {
       it->second.end = hi;
       tree_.insert(std::next(it), {hi, tail});
     }
-    const PageDigest len = it->second.end - cur;
     const std::uint64_t r = it->second.refs;
+    const std::uint64_t after = add ? r + 1 : r - 1;
+    account(distinct_, shared_, r, after, it->second.end - cur);
     cur = it->second.end;
-    if (add) {
-      if (r == 1) {
-        shared_ += 2 * len;  // first duplicate: both copies become shared
-      } else if (r >= 2) {
-        shared_ += len;
-      }
-      it->second.refs = r + 1;
-      ++it;
+    if (after == 0) {
+      it = tree_.erase(it);
     } else {
-      if (r == 2) {
-        shared_ -= 2 * len;  // back to a single copy: no longer shared
-      } else if (r >= 3) {
-        shared_ -= len;
-      }
-      if (r <= 1) {
-        distinct_ -= len;
-        it = tree_.erase(it);
-      } else {
-        it->second.refs = r - 1;
-        ++it;
-      }
+      it->second.refs = after;
+      ++it;
     }
   }
 }
@@ -98,162 +123,75 @@ void Ksm::advise(std::uint64_t vm_id, const std::vector<PageDigest>& pages) {
   advise_runs(vm_id, std::move(runs));
 }
 
-void Ksm::touch_max_digest(bool add) {
-  if (add) {
-    if (max_digest_refs_ == 0) {
-      ++distinct_;
-    } else if (max_digest_refs_ == 1) {
-      shared_ += 2;
-    } else {
-      shared_ += 1;
-    }
-    ++max_digest_refs_;
-  } else {
-    if (max_digest_refs_ == 0) {
-      return;  // tolerate, mirroring add_range's gap handling
-    }
-    --max_digest_refs_;
-    if (max_digest_refs_ == 0) {
-      --distinct_;
-    } else if (max_digest_refs_ == 1) {
-      shared_ -= 2;
-    } else {
-      shared_ -= 1;
-    }
-  }
-}
-
 void Ksm::apply_run(const PageRun& run, bool add) {
-  constexpr PageDigest kMax = ~PageDigest{0};
-  const PageDigest lo = run.base_digest;
-  std::uint64_t count = run.count;
-  if (count == 0) {
-    return;
-  }
-  if (count - 1 >= kMax - lo) {
-    // Run reaches digest 2^64-1 (and may wrap): peel off the pieces the
-    // exclusive-end interval map cannot express.
-    const std::uint64_t below_max = kMax - lo;  // pages in [lo, kMax)
-    add_range(lo, kMax, add);
-    coalesce(lo, kMax);
-    touch_max_digest(add);
-    const std::uint64_t rest = count - below_max - 1;  // wrapped onto [0, ...)
-    if (rest > 0) {
-      add_range(0, rest, add);
-      coalesce(0, rest);
-    }
-    return;
-  }
-  add_range(lo, lo + count, add);
-  coalesce(lo, lo + count);
+  for_each_piece(
+      run,
+      [&](PageDigest lo, PageDigest hi) {
+        add_range(lo, hi, add);
+        coalesce(lo, hi);
+      },
+      [&] {
+        // A drop at 0 references is tolerated, like a gap in add_range.
+        if (add || max_digest_refs_ > 0) {
+          const std::uint64_t r = max_digest_refs_;
+          max_digest_refs_ = add ? r + 1 : r - 1;
+          account(distinct_, shared_, r, max_digest_refs_, 1);
+        }
+      });
 }
 
 Ksm::ProbeDelta Ksm::probe_runs(const std::vector<PageRun>& runs) const {
-  constexpr PageDigest kMax = ~PageDigest{0};
-  ProbeDelta delta;
-  // Overlay of references this probe has "virtually" added, so
-  // self-overlapping runs see each other exactly as sequential apply_run
-  // calls would. Interval::refs counts probe-added references only.
-  std::map<PageDigest, Interval> overlay;
-  std::uint64_t probe_max_refs = 0;
-
-  // Add one virtual reference on [a, b), splitting the overlay like
-  // add_range splits the tree.
-  const auto overlay_add = [&overlay](PageDigest a, PageDigest b) {
-    auto it = overlay.upper_bound(a);
-    if (it != overlay.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end > a) {
-        if (prev->first < a) {
-          const Interval tail{prev->second.end, prev->second.refs};
-          prev->second.end = a;
-          it = overlay.insert(it, {a, tail});
-        } else {
-          it = prev;
-        }
-        // The caller only adds within one uniform piece, so [a, b) cannot
-        // straddle an overlay boundary beyond a split at b.
-        if (it->second.end > b) {
-          const Interval tail{it->second.end, it->second.refs};
-          it->second.end = b;
-          overlay.insert(std::next(it), {b, tail});
-        }
-        ++it->second.refs;
-        return;
-      }
-    }
-    overlay.insert({a, Interval{b, 1}});
-  };
-
-  // Account one piece [cur, next) whose combined (tree + overlay) refcount
-  // before this reference is r — the same 0->1 / 1->2 / n->n+1 transitions
-  // add_range applies to the cached counters.
-  const auto account = [&delta](std::uint64_t r, PageDigest len) {
-    if (r == 0) {
-      delta.backing_delta += len;
-    } else if (r == 1) {
-      delta.shared_delta += 2 * len;
-    } else {
-      delta.shared_delta += len;
-    }
-  };
-
-  const auto probe_range = [&](PageDigest lo, PageDigest hi) {
-    PageDigest cur = lo;
-    while (cur < hi) {
-      // Existing refs and the next uniformity boundary from the tree.
-      std::uint64_t tree_refs = 0;
-      PageDigest boundary = hi;
-      auto it = tree_.upper_bound(cur);
-      if (it != tree_.begin()) {
-        const auto prev = std::prev(it);
-        if (prev->second.end > cur) {
-          tree_refs = prev->second.refs;
-          boundary = std::min(boundary, prev->second.end);
-        }
-      }
-      if (tree_refs == 0 && it != tree_.end()) {
-        boundary = std::min(boundary, it->first);
-      }
-      // Same from the overlay.
-      std::uint64_t ov_refs = 0;
-      auto ov = overlay.upper_bound(cur);
-      if (ov != overlay.begin()) {
-        const auto prev = std::prev(ov);
-        if (prev->second.end > cur) {
-          ov_refs = prev->second.refs;
-          boundary = std::min(boundary, prev->second.end);
-        }
-      }
-      if (ov_refs == 0 && ov != overlay.end()) {
-        boundary = std::min(boundary, ov->first);
-      }
-      account(tree_refs + ov_refs, boundary - cur);
-      overlay_add(cur, boundary);
-      cur = boundary;
-    }
-  };
-
+  // A +1 edge where each of the probe's pieces starts and a -1 edge where
+  // it ends; the top digest only counts the runs that reach it.
+  std::vector<std::pair<PageDigest, int>> edges;
+  edges.reserve(4 * runs.size());
+  std::uint64_t top_refs = 0;
   for (const auto& run : runs) {
-    const PageDigest lo = run.base_digest;
-    const std::uint64_t count = run.count;
-    if (count == 0) {
+    for_each_piece(
+        run,
+        [&edges](PageDigest lo, PageDigest hi) {
+          edges.emplace_back(lo, 1);
+          edges.emplace_back(hi, -1);
+        },
+        [&top_refs] { ++top_refs; });
+  }
+  std::sort(edges.begin(), edges.end());
+
+  // Between consecutive edge positions the probe adds m references. r ->
+  // r + m is the closed form of m sequential apply_run steps (the rule is
+  // a difference of per-refcount terms), so self-overlapping runs count
+  // exactly as advise_runs would count them.
+  ProbeDelta delta;
+  account(delta.backing_delta, delta.shared_delta, max_digest_refs_,
+          max_digest_refs_ + top_refs, 1);
+  std::uint64_t m = 0;
+  for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
+    m += static_cast<std::uint64_t>(edges[i].second);
+    const PageDigest lo = edges[i].first;
+    const PageDigest hi = edges[i + 1].first;
+    if (m == 0 || lo == hi) {
       continue;
     }
-    if (count - 1 >= kMax - lo) {
-      // Mirror apply_run's 2^64-1 decomposition: [lo, kMax), the top
-      // digest itself, then the wrapped remainder.
-      const std::uint64_t below_max = kMax - lo;
-      probe_range(lo, kMax);
-      account(max_digest_refs_ + probe_max_refs, 1);
-      ++probe_max_refs;
-      const std::uint64_t rest = count - below_max - 1;
-      if (rest > 0) {
-        probe_range(0, rest);
+    // Walk the tree's uniform pieces over [lo, hi); gaps hold 0 refs.
+    auto it = tree_.upper_bound(lo);
+    if (it != tree_.begin() && std::prev(it)->second.end > lo) {
+      --it;
+    }
+    for (PageDigest cur = lo; cur < hi;) {
+      if (it != tree_.end() && it->second.end <= cur) {
+        ++it;  // only once its interval is used up and the segment goes on
       }
-      continue;
+      std::uint64_t r = 0;
+      PageDigest next = hi;
+      if (it != tree_.end() && it->first <= cur) {
+        r = it->second.refs;
+        next = std::min(hi, it->second.end);
+      } else if (it != tree_.end()) {
+        next = std::min(hi, it->first);
+      }
+      account(delta.backing_delta, delta.shared_delta, r, r + m, next - cur);
+      cur = next;
     }
-    probe_range(lo, lo + count);
   }
   return delta;
 }

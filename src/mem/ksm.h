@@ -54,11 +54,13 @@ class Ksm {
 
   /// Read-only admission trial: the exact backing/shared-page delta that
   /// advise_runs(new_vm, runs) followed by scan() would cause, without
-  /// touching the stable tree. Handles self-overlapping runs and the
-  /// digest 2^64-1 decomposition exactly like advise_runs (differential
-  /// test in tests/mem_test.cpp). The VM must not already be registered
-  /// (advise_runs on a registered VM first drops its old runs, which a
-  /// const probe cannot model).
+  /// touching the stable tree. A sorted sweep over the edges of the runs'
+  /// pieces (apply_run's splitter) gives the m references each digest
+  /// segment gains; each covered segment walks the tree once and applies
+  /// r -> r + m, the closed form of m sequential adds, so self-overlapping
+  /// runs count exactly (differential tests in tests/mem_test.cpp). The VM
+  /// must not already be registered (advise_runs on a registered VM first
+  /// drops its old runs, which a const probe cannot model).
   ProbeDelta probe_runs(const std::vector<PageRun>& runs) const;
 
   /// Register a VM's pages as digest runs (the fleet-scale fast path).
@@ -118,9 +120,9 @@ class Ksm {
     std::uint64_t refs = 0;
   };
 
-  /// Add (+1) or drop (-1) one reference for every digest in [lo, hi),
-  /// splitting intervals at the boundaries and updating the cached
-  /// advised/backing/shared counters as refcounts cross 0<->1 and 1<->2.
+  /// Add (+1) or drop (-1) one reference for every digest in the
+  /// non-empty [lo, hi), splitting intervals at the boundaries and moving
+  /// the cached backing/shared counters by the refcount rule.
   void add_range(PageDigest lo, PageDigest hi, bool add);
 
   /// Re-merge adjacent intervals around [lo, hi] whose refcounts ended up
@@ -129,11 +131,10 @@ class Ksm {
   void coalesce(PageDigest lo, PageDigest hi);
 
   /// Apply one run's references. Intervals use exclusive ends, which cannot
-  /// express 2^64 — so a run reaching the top digest is decomposed into
-  /// [base, MAX), the MAX digest itself (dedicated refcount), and any
-  /// wrapped remainder, keeping advised/backing/shared exactly in sync.
+  /// express 2^64, so the run splitter cuts a run reaching the top digest
+  /// into [base, MAX), the MAX digest itself (its own refcount, moved by
+  /// the same rule) and any wrapped remainder [0, rest).
   void apply_run(const PageRun& run, bool add);
-  void touch_max_digest(bool add);
 
   std::map<PageDigest, Interval> tree_;  // digest interval -> refs
   std::uint64_t max_digest_refs_ = 0;    // refs on digest 2^64-1 (see above)
