@@ -351,23 +351,17 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   t.holds_resources = true;
   note_peaks(sh);
 
-  // Boot: the platform's sampled end-to-end sequence plus pulling the boot
-  // image through the shard's host page cache, both stretched by CPU
-  // contention across that host's fleet share. Runs that can shard defer
-  // the physics to a kBootPhys event at the same instant: the contention
-  // factor is captured here, the sampling and cache/NVMe charges happen
-  // when that event pops (see deferred_boot_).
-  if (deferred_boot_) {
-    t.boot_factor = sh.cpu_factor();
-    queue_.push(t.clock.now(), t.id, EventKind::kBootPhys, t.epoch);
-    return;
-  }
-  const sim::Nanos done = boot_physics(sh, t, s, sh.cpu_factor());
-  queue_.push(done, t.id, EventKind::kBootDone, t.epoch);
+  // Boot: the contention factor is captured here; the physics runs in a
+  // kBootPhys event at the same instant (handle_boot_phys).
+  t.boot_factor = sh.cpu_factor();
+  queue_.push(t.clock.now(), t.id, EventKind::kBootPhys, t.epoch);
 }
 
-sim::Nanos FleetEngine::boot_physics(Shard& sh, Tenant& t, const Scenario& s,
-                                     double factor) {
+void FleetEngine::handle_boot_phys(Tenant& t, const Scenario& s) {
+  // The platform's sampled end-to-end boot sequence plus pulling the boot
+  // image through the shard's host page cache, both stretched by the CPU
+  // contention factor captured at the admitting arrival.
+  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
   const sim::Nanos arrival = t.clock.now();
   t.platform->boot_total(t.clock, t.rng);
   const sim::Nanos boot_ns = t.clock.now() - arrival;
@@ -380,7 +374,7 @@ sim::Nanos FleetEngine::boot_physics(Shard& sh, Tenant& t, const Scenario& s,
   }
 
   auto total = static_cast<sim::Nanos>(
-      static_cast<double>(boot_ns + image_ns) * factor);
+      static_cast<double>(boot_ns + image_ns) * t.boot_factor);
   // Boots that actually pulled the image run the pull at degraded NVMe
   // speed inside a disk-degrade window, and wait out any partition window
   // on this host; a fully cache-resident boot touches neither the device
@@ -391,13 +385,7 @@ sim::Nanos FleetEngine::boot_physics(Shard& sh, Tenant& t, const Scenario& s,
   }
   t.clock.advance_to(arrival + total);
   t.outcome.boot_latency = total;
-  return arrival + total;
-}
-
-void FleetEngine::handle_boot_phys(Tenant& t, const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
-  const sim::Nanos done = boot_physics(sh, t, s, t.boot_factor);
-  queue_.push(done, t.id, EventKind::kBootDone, t.epoch);
+  queue_.push(arrival + total, t.id, EventKind::kBootDone, t.epoch);
 }
 
 void FleetEngine::handle_boot_done(Tenant& t, const Scenario& s) {
@@ -1386,11 +1374,6 @@ FleetReport FleetEngine::run(const Scenario& s) {
   peak_audit_failed_ = false;
   latched_tail_ = false;
   latched_tail_time_ = 0;
-  // Runs that can shard (now or mid-run) defer boot physics to kBootPhys
-  // events; plain single-host runs keep the inline flow the pinned goldens
-  // expect. The flag is fixed per run.
-  deferred_boot_ = shards_.size() > 1 || s.autoscale.enabled ||
-                   !s.host_events.empty() || !s.faults.empty();
   live_hosts_ = static_cast<int>(shards_.size());
   stats_by_id_.fill(nullptr);
   pstats_by_id_.fill(nullptr);

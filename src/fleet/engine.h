@@ -123,7 +123,7 @@ class FleetEngine {
     /// the sample the start measured. Excludes the op's think gap.
     sim::Nanos prog_service = 0;
     /// CPU contention factor captured at the admitting arrival, applied by
-    /// the deferred kBootPhys event (cluster-capable runs only).
+    /// the boot's kBootPhys event.
     double boot_factor = 1.0;
     /// Lifecycle generation; bumped by every re-arrival (requeue_arrival)
     /// so events still queued for the previous lifecycle are dropped.
@@ -192,15 +192,6 @@ class FleetEngine {
   /// trace-visible startup-class interaction and a 2-8 ms gap, then the
   /// kTeardown event.
   void begin_teardown(Tenant& t);
-
-  /// The boot's shard-local physics: platform boot sampling, the image
-  /// pull through the shard's page cache / NVMe, contention stretching by
-  /// `factor`. Advances t.clock, sets t.outcome.boot_latency, returns the
-  /// completion instant. Shared verbatim by the inline single-host path
-  /// (factor = the shard's live cpu_factor) and the deferred kBootPhys
-  /// path (factor captured at the arrival).
-  sim::Nanos boot_physics(Shard& sh, Tenant& t, const Scenario& s,
-                          double factor);
 
   /// Begin tenant t's next workload phase: account its demand, charge its
   /// cost, and schedule the completion event.
@@ -430,14 +421,6 @@ class FleetEngine {
 
   bool peak_audit_ = false;
   bool peak_audit_failed_ = false;
-
-  /// Cluster-capable runs (more than one shard, autoscale, host events or
-  /// faults) split each boot into a kBootPhys event at the admitting
-  /// instant; plain single-host runs boot inline, as the goldens pin. The
-  /// split fixes when a boot's sampling and image pull run relative to
-  /// same-instant events, and every kBootPhys counts in events_processed,
-  /// so cluster reports depend on it byte for byte.
-  bool deferred_boot_ = false;
 };
 
 }  // namespace fleet

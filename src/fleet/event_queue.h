@@ -26,9 +26,8 @@ namespace fleet {
 
 enum class EventKind {
   kArrival,        // tenant requests admission and starts booting
-  kBootPhys,       // deferred boot physics: sampling + image pull on the
-                   //   admitted shard (cluster-capable runs only; plain
-                   //   single-host runs boot inline at the arrival)
+  kBootPhys,       // boot physics: sampling + image pull on the admitted
+                   //   shard, at the admitting arrival's instant
   kBootDone,       // boot sequence finished; workload phases begin
   kPhaseDone,      // one workload phase finished
   kProgramStep,    // one syscall-program op finished (program-mix tenants)

@@ -274,18 +274,19 @@ TEST(FleetLatchTest, PostLatchArrivalsStopPayingEventCost) {
   const auto report = run_fresh(latched_density_sweep());
   EXPECT_EQ(report.admitted, 197);
   EXPECT_EQ(report.rejected, 203);
-  // The eager engine processed 1188 events here (one per post-latch
-  // arrival); the bulk-rejected tail must not scale events with the
-  // tenant count. 197 admitted * 5 lifecycle events + the walk-rejected
-  // arrivals before the latch tripped.
-  EXPECT_EQ(report.events_processed, 986u);
+  // The eager engine paid one event per post-latch arrival; the
+  // bulk-rejected tail must not scale events with the tenant count.
+  // 197 admitted * 6 lifecycle events (arrival, boot physics, boot done,
+  // two phases, teardown) + the one walk-rejected arrival that tripped
+  // the latch.
+  EXPECT_EQ(report.events_processed, 1183u);
   // Scaling the tenant count only grows the bulk-rejected tail: admitted
   // and events stay flat while rejected absorbs the growth.
   auto bigger = latched_density_sweep();
   bigger.tenant_count = 800;
   const auto big = run_fresh(bigger);
   EXPECT_EQ(big.admitted, 197);
-  EXPECT_EQ(big.events_processed, 986u);
+  EXPECT_EQ(big.events_processed, 1183u);
   EXPECT_EQ(big.rejected, 603);
 }
 
