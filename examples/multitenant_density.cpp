@@ -114,9 +114,10 @@ int main() {
   // set against host RAM.
   auto sweep = fleet::Scenario::density_sweep(128);
   sweep.guest_ram_bytes = kGuestRamMb << 20;
-  sweep.host_ram_override_bytes = kHostRamMb << 20;
   sweep.arrival_window = sim::millis(150);  // arrivals outpace teardowns
-  core::HostSystem sweep_host;
+  core::HostSystemSpec sweep_spec;
+  sweep_spec.ram_bytes = kHostRamMb << 20;
+  core::HostSystem sweep_host(sweep_spec);
   fleet::FleetEngine engine(sweep_host);
   const auto report = engine.run(sweep);
   std::printf(

@@ -1188,8 +1188,7 @@ void FleetEngine::init_shard(Shard& sh, int index, const Scenario& s) {
   sh.net_active = 0;
   sh.cpu_demand = 0.0;
   sh.non_ksm_resident = 0;
-  sh.ram_cap = s.host_ram_override_bytes != 0 ? s.host_ram_override_bytes
-                                              : sh.host->spec().ram_bytes;
+  sh.ram_cap = sh.host->spec().ram_bytes;
   sh.tenants_by_platform.clear();
   sh.rollup = HostRollup{};
   sh.rollup.host = index;

@@ -239,15 +239,14 @@ FederationReport Federation::run(const FederatedScenario& fs) {
   }
 
   // Admission-effective aggregate RAM per cell, for the router's
-  // projections (mirrors FleetEngine::init_shard's per-host cap).
+  // projections (the per-host RAM Cluster::spec_for gives each host,
+  // which FleetEngine::init_shard reads as the admission cap).
   std::vector<std::uint64_t> cell_cap(static_cast<std::size_t>(cell_n));
   for (int k = 0; k < cell_n; ++k) {
     const CellSpec& spec = topology_.cells[static_cast<std::size_t>(k)].spec;
-    const std::uint64_t per_host =
-        spec.host_ram_override_bytes != 0
-            ? spec.host_ram_override_bytes
-            : (spec.cluster.ram_bytes != 0 ? spec.cluster.ram_bytes
-                                           : core::HostSystemSpec{}.ram_bytes);
+    const std::uint64_t per_host = spec.cluster.ram_bytes != 0
+                                       ? spec.cluster.ram_bytes
+                                       : core::HostSystemSpec{}.ram_bytes;
     cell_cap[static_cast<std::size_t>(k)] =
         per_host * static_cast<std::uint64_t>(
                        std::max(1, spec.cluster.host_count));

@@ -112,8 +112,8 @@ struct HostView : HostState {
 /// from routed-tenant estimates, never a peek inside the cell's engine.
 struct CellState {
   int index = 0;
-  /// Aggregate RAM across the cell's initial hosts (admission-effective:
-  /// honors host_ram_override_bytes).
+  /// Aggregate RAM across the cell's initial hosts: ClusterTopology::
+  /// ram_bytes, or the HostSystemSpec default, per host.
   std::uint64_t ram_cap_bytes = 0;
   /// Projected resident bytes of every tenant currently routed here.
   std::uint64_t resident_bytes = 0;

@@ -282,9 +282,6 @@ struct CellSpec {
   /// Density-sweep mode: stop admitting at the first tenant whose projected
   /// resident set exceeds host RAM, and record it.
   bool stop_at_first_oom = false;
-  /// Host RAM cap for the density check, applied to every host; 0 means
-  /// use each HostSystem's spec.
-  std::uint64_t host_ram_override_bytes = 0;
 };
 
 /// The one place scenario input is checked. Every entry point runs these

@@ -173,7 +173,7 @@ FederatedScenario tiny_plus_roomy(int tenants) {
   Scenario base = Scenario::cluster_storm(tenants, 1, PlacementKind::kLeastLoaded);
   FederatedScenario fs = FederatedScenario::from_scenario(
       base, 2, RoutingKind::kRoundRobin);
-  fs.topology.cells[0].spec.host_ram_override_bytes = 3ull << 30;
+  fs.topology.cells[0].spec.cluster.ram_bytes = 3ull << 30;
   fs.topology.cells[0].region = "edge";
   fs.topology.cells[1].spec.cluster.host_count = 4;
   fs.topology.cells[1].region = "core";
@@ -191,7 +191,7 @@ TEST(FederationTest, RefusedTenantsSpillToTheNextRankedCell) {
 
   // Differential: the tiny cell alone rejects what the federation saves.
   Scenario alone = Scenario::cluster_storm(96, 1, PlacementKind::kLeastLoaded);
-  alone.host_ram_override_bytes = 3ull << 30;
+  alone.cluster.ram_bytes = 3ull << 30;
   Cluster cluster(alone.cluster);
   const FleetReport lone = cluster.run(alone);
   EXPECT_GT(lone.rejected, 0);

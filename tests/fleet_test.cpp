@@ -19,8 +19,13 @@ using fleet::FleetEngine;
 using fleet::FleetReport;
 using fleet::Scenario;
 
-FleetReport run_fresh(const Scenario& s) {
-  core::HostSystem host;
+/// One run on a fresh host; `host_ram_bytes` is the admission cap.
+FleetReport run_fresh(
+    const Scenario& s,
+    std::uint64_t host_ram_bytes = core::HostSystemSpec{}.ram_bytes) {
+  core::HostSystemSpec spec;
+  spec.ram_bytes = host_ram_bytes;
+  core::HostSystem host(spec);
   FleetEngine engine(host);
   return engine.run(s);
 }
@@ -159,12 +164,12 @@ TEST(FleetEngineTest, ContentionStretchesTheStorm) {
 TEST(FleetEngineTest, DensitySweepFindsTheRamWall) {
   auto sweep = Scenario::density_sweep(256);
   // Shrink the host so the wall is hit quickly in both configurations.
-  sweep.host_ram_override_bytes = 32ull << 30;
+  constexpr std::uint64_t kHostRam = 32ull << 30;
   sweep.arrival_window = sim::millis(200);  // arrivals beat teardowns
-  const auto with_ksm = run_fresh(sweep);
+  const auto with_ksm = run_fresh(sweep, kHostRam);
   auto no_ksm = sweep;
   no_ksm.enable_ksm = false;
-  const auto without_ksm = run_fresh(no_ksm);
+  const auto without_ksm = run_fresh(no_ksm, kHostRam);
 
   EXPECT_GE(with_ksm.first_oom_tenant, 0);
   EXPECT_GE(without_ksm.first_oom_tenant, 0);
@@ -177,9 +182,8 @@ TEST(FleetEngineTest, DensitySweepFindsTheRamWall) {
 
 TEST(FleetEngineTest, PeakResidentStaysUnderTheCap) {
   auto sweep = Scenario::density_sweep(128);
-  sweep.host_ram_override_bytes = 24ull << 30;
   sweep.arrival_window = sim::millis(100);
-  const auto report = run_fresh(sweep);
+  const auto report = run_fresh(sweep, 24ull << 30);
   EXPECT_LE(report.peak_resident_bytes, 24ull << 30);
   EXPECT_GT(report.peak_resident_bytes, 0u);
 }
@@ -191,8 +195,7 @@ TEST(FleetEngineTest, MixedFleetRespectsTheCapToo) {
   auto mix = Scenario::steady_state_mix(64);
   mix.arrival = ArrivalPattern::kStorm;  // arrivals beat teardowns
   mix.arrival_window = sim::millis(50);
-  mix.host_ram_override_bytes = 8ull << 30;
-  const auto report = run_fresh(mix);
+  const auto report = run_fresh(mix, 8ull << 30);
   EXPECT_LE(report.peak_resident_bytes, 8ull << 30);
   EXPECT_GT(report.rejected, 0);  // the small cap must actually bind
 }
