@@ -145,8 +145,8 @@ void BM_KsmProbeRuns(benchmark::State& state) {
 }
 BENCHMARK(BM_KsmProbeRuns)->Arg(100)->Arg(2'000);
 
-/// The pre-probe admission trial: mutate the tree, scan, roll back, scan —
-/// what every refusing candidate host used to pay per arrival.
+/// The KSM mutation pair every admitted hypervisor tenant pays: advise_runs
+/// + scan at admission, remove + scan at teardown.
 void BM_KsmAdviseScanRemove(benchmark::State& state) {
   mem::Ksm ksm = fleet_like_tree(static_cast<int>(state.range(0)));
   const auto runs = candidate_runs(1'000'000);
