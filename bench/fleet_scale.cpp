@@ -82,7 +82,7 @@ struct Record {
   std::string config;  // JSON object
   std::vector<double> wall_ms;  // sorted, one per repeat
   std::uint64_t events = 0;
-  std::string counters;  // JSON object
+  Obj counters;
   std::string behavior;  // JSON object
 
   double median_ms() const { return wall_ms[wall_ms.size() / 2]; }
@@ -100,7 +100,7 @@ double pct(const stats::SampleSet& s, double p) {
 /// report's own rendering, the autoscale, recovery, program and degrade
 /// fields appear only when the run produced them.
 void describe(const fleet::FleetReport& r, Record* rec) {
-  Obj counters;
+  Obj& counters = rec->counters;
   Obj behavior;
   counters.count("admitted", r.admitted)
       .count("tenants_admitted", r.tenants_admitted())
@@ -169,16 +169,14 @@ void describe(const fleet::FleetReport& r, Record* rec) {
         .count("affected", affected);
     behavior.real("added_p99_worst_ms", worst_added, 3);
   }
-  rec->counters = counters.str();
   rec->behavior = behavior.str();
 }
 
 void describe(const fleet::FederationReport& r, Record* rec) {
-  rec->counters = Obj().count("admitted", r.admitted)
-                      .count("rejected", r.rejected)
-                      .count("completed", r.completed)
-                      .count("spills", r.spills)
-                      .str();
+  rec->counters.count("admitted", r.admitted)
+      .count("rejected", r.rejected)
+      .count("completed", r.completed)
+      .count("spills", r.spills);
   rec->behavior =
       Obj().real("makespan_ms", sim::to_millis(r.makespan), 2).str();
 }
@@ -203,6 +201,10 @@ Record measure(const std::string& block, const std::string& config, Run run) {
       text = report.to_text();
       rec.events = report.events_processed;
       describe(report, &rec);
+      rec.counters
+          .count("ksm_probes", static_cast<long long>(report.ksm_probes))
+          .count("ksm_probe_memo_hits",
+                 static_cast<long long>(report.ksm_probe_memo_hits));
     } else if (report.to_text() != text ||
                report.events_processed != rec.events) {
       std::fprintf(stderr,
@@ -227,7 +229,7 @@ std::string to_json(const Record& r) {
       .raw("wall_ms", wall)
       .count("events", static_cast<long long>(r.events))
       .real("events_per_sec", r.events_per_sec(), 0)
-      .raw("counters", r.counters)
+      .raw("counters", r.counters.str())
       .raw("behavior", r.behavior)
       .str();
 }

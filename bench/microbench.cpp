@@ -218,6 +218,43 @@ void BM_RankHostsHeapWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_RankHostsHeapWalk)->Arg(4)->Arg(64)->Arg(1024);
 
+/// The ksm-affinity walk as storm-ksm drives it: each arrival walks the
+/// heap of one of its four platforms, pops 8 candidates (storm-ksm tries
+/// 7.8 per arrival) and republishes the first with more CPU demand, which
+/// repositions that host in every platform's heap.
+void BM_AffinityWalk(benchmark::State& state) {
+  sim::Rng rng(21);
+  const auto policy = fleet::make_placement(fleet::PlacementKind::kKsmAffinity);
+  std::vector<fleet::HostState> hosts;
+  for (const fleet::HostState& h :
+       bench_host_views(static_cast<int>(state.range(0)), rng)) {
+    hosts.push_back(h);
+  }
+  const platforms::PlatformId storm_platforms[] = {
+      platforms::PlatformId::kDocker, platforms::PlatformId::kFirecracker,
+      platforms::PlatformId::kQemuKvm, platforms::PlatformId::kOsvFirecracker};
+  policy->reset();
+  for (const auto& h : hosts) {
+    policy->target_updated(h);
+    for (const auto id : storm_platforms) {
+      policy->platform_count_changed(h.index, id,
+                                     static_cast<int>(rng.next_u64() % 500));
+    }
+  }
+  std::size_t arrival = 0;
+  for (auto _ : state) {
+    policy->walk_begin(fleet::PlacementRequest{storm_platforms[arrival++ % 4]});
+    const int first = policy->walk_next();
+    for (int k = 1; k < 8; ++k) {
+      benchmark::DoNotOptimize(policy->walk_next());
+    }
+    fleet::HostState& h = hosts[static_cast<std::size_t>(first)];
+    h.pressure.cpu_demand += 1.0;
+    policy->target_updated(h);
+  }
+}
+BENCHMARK(BM_AffinityWalk)->Arg(4)->Arg(64);
+
 /// The engine's event queue held at a fixed depth: each iteration pops the
 /// earliest event and pushes it back an exponential gap later. 30,000 and
 /// 100,000 are the peak queue depths of isobench's program-storm and

@@ -90,8 +90,8 @@ static_assert(kMaxGuestRamBytes / kFleetPageBytes == 1ull << 24,
 /// merges across tenants of the same platform, and a tenant-private run.
 /// Three PageRuns describe the whole guest — no per-page vector ever
 /// materializes, and the KSM stable tree ingests each run as one interval.
-/// Fills `out` (recycled across admission trials; the retry walk probes
-/// the same runs against every candidate host).
+/// Fills `out` (recycled storage), only for a real probe or an admission:
+/// a candidate whose answer the shard's probe memo replays builds no runs.
 void guest_page_runs(std::vector<mem::PageRun>& out, std::uint64_t tenant,
                      PlatformId platform, std::uint64_t guest_ram_bytes,
                      std::uint64_t image_bytes) {
@@ -229,32 +229,54 @@ void FleetEngine::fleet_apply(const Shard& sh, const FleetDelta& before) {
   fleet_ksm_shared_ += sh.ksm.shared_pages() - before.shared;
 }
 
+std::uint64_t FleetEngine::ksm_backing_delta(Shard& sh, const Tenant& t,
+                                             const Scenario& s) {
+  // Replaying a stored delta is exact: the zero run is global, the image
+  // run depends only on the platform, and the private run covers a span
+  // no live tree holds (guest_page_runs), while guest RAM and image size
+  // are fixed for the run. So only the tree and the platform decide the
+  // delta, and the tree's version moves on its every change.
+  const auto probe = [&] {
+    guest_page_runs(run_scratch_, t.id, t.platform_id, s.guest_ram_bytes,
+                    s.image_bytes);
+    return sh.ksm.probe_runs(run_scratch_).backing_delta;
+  };
+  ProbeMemo& memo = sh.probe_memo[static_cast<std::size_t>(t.platform_id)];
+  const std::uint64_t version = sh.ksm.version();
+  if (memo.version == version) {
+    ++report_.ksm_probe_memo_hits;
+    if (peak_audit_ && probe() != memo.backing_delta) {
+      peak_audit_failed_ = true;  // a replayed answer a real probe denies
+    }
+    return memo.backing_delta;
+  }
+  ++report_.ksm_probes;
+  memo = ProbeMemo{version, probe()};
+  return memo.backing_delta;
+}
+
 bool FleetEngine::admit(Shard& sh, Tenant& t, const Scenario& s) {
-  const FleetDelta before = fleet_before(sh);
   const std::uint64_t overhead = platform_overhead_bytes(t.platform_id);
-  if (is_hypervisor_backed(t.platform_id) && s.enable_ksm) {
+  const bool ksm = is_hypervisor_backed(t.platform_id) && s.enable_ksm;
+  if (ksm) {
     // Fast-fail before the probe: advising only ever adds backing pages,
     // so a host that cannot even fit the overhead on top of its current
     // resident set cannot pass the probe check either.
     if (sh.resident_bytes() + overhead > sh.ram_cap) {
       return false;
     }
-    // Read-only admission trial: probe the exact backing-page delta the
-    // guest's digest runs would cause. Only the host that admits pays the
-    // advise+scan tree mutation — a refusing candidate's stable tree is
-    // never touched (the old path paid a full advise+scan / remove+scan
-    // rollback cycle per refusal).
-    guest_page_runs(run_scratch_, t.id, t.platform_id, s.guest_ram_bytes,
-                    s.image_bytes);
-    const mem::Ksm::ProbeDelta delta = sh.ksm.probe_runs(run_scratch_);
-    if (sh.resident_bytes() + delta.backing_delta * kFleetPageBytes +
-            overhead > sh.ram_cap) {
+    // Read-only admission trial: the exact backing-page delta the guest's
+    // digest runs would cause, probed or replayed from the memo. Only the
+    // host that admits pays the advise+scan tree mutation — a refusing
+    // candidate's stable tree is never touched. The fit check reads the
+    // live resident bytes: docker admissions, unmerge storms and
+    // window-end scans move them without changing the tree.
+    const std::uint64_t backing_delta = ksm_backing_delta(sh, t, s);
+    if (sh.resident_bytes() + backing_delta * kFleetPageBytes + overhead >
+        sh.ram_cap) {
       return false;
     }
-    sh.ksm.advise_runs(t.id, run_scratch_);
-    sh.ksm.scan();
     t.resident_bytes = overhead;
-    t.ksm_registered = true;
   } else {
     // Hypervisor guests without KSM reserve full guest RAM; namespace-
     // backed tenants only pay their process RSS.
@@ -264,6 +286,14 @@ bool FleetEngine::admit(Shard& sh, Tenant& t, const Scenario& s) {
     if (sh.resident_bytes() + t.resident_bytes > sh.ram_cap) {
       return false;
     }
+  }
+  const FleetDelta before = fleet_before(sh);
+  if (ksm) {
+    guest_page_runs(run_scratch_, t.id, t.platform_id, s.guest_ram_bytes,
+                    s.image_bytes);
+    sh.ksm.advise_runs(t.id, run_scratch_);
+    sh.ksm.scan();
+    t.ksm_registered = true;
   }
   sh.non_ksm_resident += t.resident_bytes;
   fleet_apply(sh, before);
@@ -299,7 +329,9 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
       first_choice = host;
     }
     last_tried = host;
-    t.platform = candidate.platforms.at(t.platform_id).get();
+    // Never null: validate() keeps every tenant's platform in the mix.
+    t.platform =
+        candidate.platforms[static_cast<std::size_t>(t.platform_id)].get();
     if (admit(candidate, t, s)) {
       admitted_host = host;
     }
@@ -345,7 +377,7 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   ++sh.rollup.admitted;
   ++active_;
   ++sh.active;
-  ++sh.tenants_by_platform[t.platform_id];
+  ++sh.tenants_by_platform[static_cast<std::size_t>(t.platform_id)];
   notify_platform_count(sh, t.platform_id);
   charge(sh, t, Tenant::InFlight::kBoot, kBootVcpus, false);
   t.holds_resources = true;
@@ -709,7 +741,7 @@ void FleetEngine::release_tenant(Shard& sh, Tenant& t) {
   sh.non_ksm_resident -= t.resident_bytes;
   t.resident_bytes = 0;
   --sh.active;
-  --sh.tenants_by_platform[t.platform_id];
+  --sh.tenants_by_platform[static_cast<std::size_t>(t.platform_id)];
   t.holds_resources = false;
   --active_;
   notify_platform_count(sh, t.platform_id);
@@ -735,8 +767,8 @@ void FleetEngine::notify_platform_count(Shard& sh, platforms::PlatformId id) {
   if (policy_ == nullptr || !sh.live) {
     return;
   }
-  policy_->platform_count_changed(sh.rollup.host, id,
-                                  sh.tenants_by_platform[id]);
+  policy_->platform_count_changed(
+      sh.rollup.host, id, sh.tenants_by_platform[static_cast<std::size_t>(id)]);
 }
 
 void FleetEngine::handle_teardown(Tenant& t, const Scenario& s) {
@@ -1070,14 +1102,16 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
   }
   // The host state dies wholesale: cold page cache, empty stable tree,
   // every activity counter zeroed. fleet_apply folds the loss into the
-  // incremental fleet counters exactly (set_peak_audit checks this).
+  // incremental fleet counters exactly (set_peak_audit checks this). A
+  // fresh tree restarts its version, so the probe memo goes with it.
   sh.ksm = mem::Ksm{};
+  sh.probe_memo = {};
   sh.host->page_cache().drop_caches();
   sh.non_ksm_resident = 0;
   sh.active = 0;
   sh.net_active = 0;
   sh.cpu_demand = 0.0;
-  sh.tenants_by_platform.clear();
+  sh.tenants_by_platform = {};
   fleet_apply(sh, before);
 }
 
@@ -1182,21 +1216,22 @@ sim::Nanos FleetEngine::phase_cost(Tenant& t, WorkloadClass w,
 
 void FleetEngine::init_shard(Shard& sh, int index, const Scenario& s) {
   sh.live = true;
-  sh.ksm = mem::Ksm{};
-  sh.platforms.clear();
+  sh.ksm = mem::Ksm{};  // a fresh tree restarts its version: forget memos
+  sh.probe_memo = {};
+  sh.platforms = {};
   sh.active = 0;
   sh.net_active = 0;
   sh.cpu_demand = 0.0;
   sh.non_ksm_resident = 0;
   sh.ram_cap = sh.host->spec().ram_bytes;
-  sh.tenants_by_platform.clear();
+  sh.tenants_by_platform = {};
   sh.rollup = HostRollup{};
   sh.rollup.host = index;
   // One shared platform instance per distinct id in the mix.
   for (const auto& share : s.platform_mix) {
-    if (sh.platforms.find(share.id) == sh.platforms.end()) {
-      sh.platforms[share.id] =
-          platforms::PlatformFactory::create(share.id, *sh.host);
+    auto& platform = sh.platforms[static_cast<std::size_t>(share.id)];
+    if (platform == nullptr) {
+      platform = platforms::PlatformFactory::create(share.id, *sh.host);
     }
   }
 }
@@ -1419,7 +1454,8 @@ FleetReport FleetEngine::run(const Scenario& s) {
     t.platform_id = seed.platform_id;
     // Named from shard 0's instance here; re-bound to the placed shard's
     // instance at every (re-)arrival.
-    t.platform = shards_.front().platforms.at(t.platform_id).get();
+    const auto slot = static_cast<std::size_t>(t.platform_id);
+    t.platform = shards_.front().platforms[slot].get();
     t.rng = seed.rng;
     t.clock = sim::Clock(seed.arrival);
     t.rounds_left = s.churn_rounds;

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "core/host_system.h"
@@ -75,8 +74,10 @@ class FleetEngine {
 
   /// Test hook: re-derive the fleet-resident and fleet-KSM sums from every
   /// shard at each peak check and compare them against the incremental
-  /// counters note_peaks actually uses. A mismatch latches peak_audit_ok()
-  /// to false. Costs O(M) per admission again, so tests only.
+  /// counters note_peaks actually uses, and re-run the real KSM probe
+  /// behind every admission answer replayed from a shard's probe memo. A
+  /// mismatch latches peak_audit_ok() to false. Costs O(M) per admission
+  /// and a probe per memo hit again, so tests only.
   void set_peak_audit(bool on) { peak_audit_ = on; }
   bool peak_audit_ok() const { return !peak_audit_failed_; }
 
@@ -135,6 +136,16 @@ class FleetEngine {
     int crash_fault = -1;
   };
 
+  /// One platform's KSM admission answer on one shard: the backing-page
+  /// delta mem::Ksm::probe_runs returned for that platform's guest runs at
+  /// stable-tree version `version`. The delta depends only on the tree and
+  /// the platform (ksm_backing_delta says why), so it holds until the
+  /// version moves.
+  struct ProbeMemo {
+    std::uint64_t version = ~std::uint64_t{0};  // never a live version
+    std::uint64_t backing_delta = 0;
+  };
+
   /// Per-host mechanism state: one HostSystem plus everything the engine
   /// charges against it. Single-host runs have exactly one shard.
   struct Shard {
@@ -143,8 +154,13 @@ class FleetEngine {
     /// emits it again; its rollup stays in the report.
     bool live = true;
     mem::Ksm ksm;
-    std::unordered_map<platforms::PlatformId,
-                       std::unique_ptr<platforms::Platform>>
+    /// The last KSM probe's answer per platform, valid while the stable
+    /// tree's version still matches (see admit).
+    std::array<ProbeMemo, platforms::kPlatformIdCount> probe_memo{};
+    /// One shared instance per platform in the scenario mix; null for the
+    /// rest (validate keeps every tenant's platform in the mix).
+    std::array<std::unique_ptr<platforms::Platform>,
+               platforms::kPlatformIdCount>
         platforms;
     int active = 0;      // admitted, not yet torn down
     int net_active = 0;  // tenants currently in a network phase
@@ -153,7 +169,7 @@ class FleetEngine {
     std::uint64_t ram_cap = 0;
     /// Active tenants per platform, pushed to the policy through
     /// platform_count_changed.
-    std::unordered_map<platforms::PlatformId, int> tenants_by_platform;
+    std::array<int, platforms::kPlatformIdCount> tenants_by_platform{};
     HostRollup rollup;
     std::uint64_t cache_hits0 = 0;   // host-model counters at run start
     std::uint64_t cache_misses0 = 0;
@@ -246,8 +262,18 @@ class FleetEngine {
 
   /// Admission control against the tenant's shard: would its resident set
   /// still fit? Read-only on rejection — KSM fit is decided by
-  /// mem::Ksm::probe_runs, and only an accepted host mutates its tree.
+  /// mem::Ksm::probe_runs, and only an accepted host mutates its tree. The
+  /// probe's backing delta is memoised per shard and platform until the
+  /// shard's stable tree next changes, so a candidate refused again pays a
+  /// memo read; the guest's digest runs are built only for a real probe or
+  /// an admission, and the fit check always reads the live resident bytes.
   bool admit(Shard& sh, Tenant& t, const Scenario& s);
+
+  /// The backing pages t's guest runs would add to sh's stable tree:
+  /// sh's memo for t's platform while the tree's version still matches,
+  /// else a real probe whose answer the memo keeps.
+  std::uint64_t ksm_backing_delta(Shard& sh, const Tenant& t,
+                                  const Scenario& s);
 
   /// Push one live shard's current state to the policy (no-op without
   /// one). Called after every event that changed the shard.
@@ -344,12 +370,7 @@ class FleetEngine {
   /// by_platform stats resolved once per PlatformId (ids and names are 1:1
   /// per run), so boots and phases skip the string-keyed map lookup.
   /// std::map nodes are pointer-stable.
-  static constexpr std::size_t kPlatformIdSlots = 16;
-  static_assert(static_cast<std::size_t>(
-                    platforms::PlatformId::kOsvFirecracker) <
-                    kPlatformIdSlots,
-                "grow kPlatformIdSlots when adding PlatformId enumerators");
-  std::array<PlatformFleetStats*, kPlatformIdSlots> stats_by_id_{};
+  std::array<PlatformFleetStats*, platforms::kPlatformIdCount> stats_by_id_{};
 
   /// by_program stats resolved once per built-in program id, mirroring
   /// stats_by_id_ for program boots and ops.

@@ -1,6 +1,7 @@
 #include "fleet/federation.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <exception>
@@ -258,7 +259,7 @@ FederationReport Federation::run(const FederatedScenario& fs) {
   struct Projection {
     std::uint64_t resident = 0;
     int count = 0;
-    std::map<platforms::PlatformId, int> by_platform;
+    std::array<int, platforms::kPlatformIdCount> by_platform{};
   };
   std::vector<Projection> proj(static_cast<std::size_t>(cell_n));
 
@@ -314,7 +315,7 @@ FederationReport Federation::run(const FederatedScenario& fs) {
     }
     const platforms::PlatformId platform =
         population[static_cast<std::size_t>(gid)].platform_id;
-    int& pc = p.by_platform[platform];
+    int& pc = p.by_platform[static_cast<std::size_t>(platform)];
     pc += direction;
     router->target_updated(CellState{k, cell_cap[static_cast<std::size_t>(k)],
                                      p.resident, p.count});
@@ -466,6 +467,9 @@ FederationReport Federation::run(const FederatedScenario& fs) {
     fr.completed += reports[static_cast<std::size_t>(k)].completed;
     fr.events_processed +=
         reports[static_cast<std::size_t>(k)].events_processed;
+    fr.ksm_probes += reports[static_cast<std::size_t>(k)].ksm_probes;
+    fr.ksm_probe_memo_hits +=
+        reports[static_cast<std::size_t>(k)].ksm_probe_memo_hits;
     fr.makespan =
         std::max(fr.makespan, reports[static_cast<std::size_t>(k)].makespan);
     r.report = std::move(reports[static_cast<std::size_t>(k)]);

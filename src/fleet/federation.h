@@ -137,6 +137,8 @@ class FederationReport {
   int spills = 0;
   sim::Nanos makespan = 0;              // max over cells
   std::uint64_t events_processed = 0;   // summed over final cell runs
+  std::uint64_t ksm_probes = 0;         // summed over final cell runs
+  std::uint64_t ksm_probe_memo_hits = 0;  // summed over final cell runs
 
   // Cell outages resolve at the federation level: in-cell the victims are
   // lost (no survivors), globally they re-route.

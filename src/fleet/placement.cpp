@@ -1,8 +1,9 @@
 #include "fleet/placement.h"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "fleet/indexed_heap.h"
 
@@ -160,7 +161,9 @@ class RoundRobinRanking final : public Base {
 /// boot image caches merge. With no co-tenant anywhere this degrades to
 /// most-free-RAM, which also spreads the first tenant of each platform
 /// onto the emptiest target before piles start forming. One heap per
-/// platform, built at that platform's first walk.
+/// platform, built at that platform's first walk; counts and heaps are
+/// indexed by PlatformId, so a heap comparison reads its platform's count
+/// vector directly.
 template <typename Base>
 class AffinityRanking final : public IncrementalRanking<Base> {
  public:
@@ -170,37 +173,35 @@ class AffinityRanking final : public IncrementalRanking<Base> {
 
   void platform_count_changed(int target, platforms::PlatformId platform,
                               int count) override {
-    auto& per_target = counts_[platform];
+    auto& per_target = counts_[slot(platform)];
     if (per_target.size() <= static_cast<std::size_t>(target)) {
       per_target.resize(static_cast<std::size_t>(target) + 1, 0);
     }
     per_target[static_cast<std::size_t>(target)] = count;
-    const auto it = heaps_.find(platform);
-    if (it != heaps_.end() && it->second.contains(target)) {
-      it->second.update(target);
+    auto& heap = heaps_[slot(platform)];
+    if (heap && heap->contains(target)) {
+      heap->update(target);
     }
   }
 
   void walk_begin(const PlacementRequest& req) override {
     if (!this->popped_.empty()) {  // only after a walk: its heap exists
-      this->restore_popped(heaps_.at(walk_platform_));
+      this->restore_popped(*heaps_[slot(walk_platform_)]);
     }
     walk_platform_ = req.platform_id;
-    auto it = heaps_.find(walk_platform_);
-    if (it == heaps_.end()) {
-      it = heaps_.emplace(walk_platform_, IndexedHeap<Cmp>(
-                                              Cmp{this, walk_platform_}))
-               .first;
+    auto& heap = heaps_[slot(walk_platform_)];
+    if (!heap) {
+      heap.emplace(Cmp{this, &counts_[slot(walk_platform_)]});
       for (std::size_t i = 0; i < this->live_.size(); ++i) {
         if (this->live_[i] != 0) {
-          it->second.push(static_cast<int>(i));
+          heap->push(static_cast<int>(i));
         }
       }
     }
   }
 
   int walk_next() override {
-    return this->pop_candidate(heaps_.at(walk_platform_));
+    return this->pop_candidate(*heaps_[slot(walk_platform_)]);
   }
 
   void rank(const PlacementRequest&, const std::vector<View>& views,
@@ -214,54 +215,63 @@ class AffinityRanking final : public IncrementalRanking<Base> {
   }
 
  private:
+  /// Orders one platform's heap: `counts` is that platform's per-target
+  /// tenant count, shorter than the target list until every target's
+  /// count has been pushed (a missing entry counts 0).
   struct Cmp {
     const AffinityRanking* self;
-    platforms::PlatformId platform;
+    const std::vector<int>* counts;
     bool operator()(int a, int b) const {
-      const int ca = self->count_for(platform, a);
-      const int cb = self->count_for(platform, b);
+      const int ca = count_of(a);
+      const int cb = count_of(b);
       if (ca != cb) {
         return ca > cb;
       }
       return MostFreeRam{}(self->state_of(a), self->state_of(b));
     }
+    int count_of(int target) const {
+      const auto i = static_cast<std::size_t>(target);
+      return i < counts->size() ? (*counts)[i] : 0;
+    }
   };
 
-  int count_for(platforms::PlatformId platform, int target) const {
-    const auto it = counts_.find(platform);
-    if (it == counts_.end() ||
-        it->second.size() <= static_cast<std::size_t>(target)) {
-      return 0;
-    }
-    return it->second[static_cast<std::size_t>(target)];
+  static std::size_t slot(platforms::PlatformId platform) {
+    return static_cast<std::size_t>(platform);
   }
 
   void reset_orderings() override {
-    heaps_.clear();
-    counts_.clear();
+    for (auto& heap : heaps_) {
+      heap.reset();
+    }
+    for (auto& per_target : counts_) {
+      per_target.clear();
+    }
   }
   void target_added(int target) override {
-    for (auto& [platform, heap] : heaps_) {
-      heap.push(target);
+    for (auto& heap : heaps_) {
+      if (heap) {
+        heap->push(target);
+      }
     }
   }
   void target_changed(int target) override {
-    for (auto& [platform, heap] : heaps_) {
-      if (heap.contains(target)) {
-        heap.update(target);
+    for (auto& heap : heaps_) {
+      if (heap && heap->contains(target)) {
+        heap->update(target);
       }
     }
   }
   void target_dropped(int target) override {
-    for (auto& [platform, heap] : heaps_) {
-      if (heap.contains(target)) {
-        heap.erase(target);
+    for (auto& heap : heaps_) {
+      if (heap && heap->contains(target)) {
+        heap->erase(target);
       }
     }
   }
 
-  std::unordered_map<platforms::PlatformId, std::vector<int>> counts_;
-  std::unordered_map<platforms::PlatformId, IndexedHeap<Cmp>> heaps_;
+  std::array<std::vector<int>, platforms::kPlatformIdCount> counts_;
+  std::array<std::optional<IndexedHeap<Cmp>>, platforms::kPlatformIdCount>
+      heaps_;
   platforms::PlatformId walk_platform_ = platforms::PlatformId::kNative;
 };
 

@@ -33,9 +33,12 @@
 // The built-in cell routings are the first three rules over cells (see
 // RoutingKind). Each rule has one implementation, templated over the
 // domain; the load-aware rules walk indexed heaps, O(log N) per candidate
-// tried. Each rule also states its order as rank(), a sort of a snapshot
-// of every live target; the tests pin the walk against it, and no arrival
-// pays for that sort.
+// tried, and the affinity rules keep their per-platform counts and heaps
+// in arrays indexed by PlatformId. Each rule also states its order as
+// rank(), a sort of a snapshot of every live target; the tests pin the
+// walk against it, and no arrival pays for that sort. A candidate the
+// walk emits again after it refused costs the engine a KSM probe memo read
+// until that host's stable tree changes (FleetEngine::admit).
 #pragma once
 
 #include <algorithm>

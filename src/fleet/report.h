@@ -176,6 +176,14 @@ class FleetReport {
   /// to_text(), whose output is a compatibility surface.
   std::uint64_t events_processed = 0;
 
+  /// KSM admission trials: real mem::Ksm::probe_runs calls, and answers a
+  /// shard's probe memo replayed because its stable tree had not changed
+  /// since that platform's last probe (FleetEngine::admit). Exact work
+  /// counters, not rendered by to_text(); the peak audit's re-probes are
+  /// not counted, so they read the same with it on.
+  std::uint64_t ksm_probes = 0;
+  std::uint64_t ksm_probe_memo_hits = 0;
+
   /// Re-arrivals scheduled by tenant churn loops (scenario.churn_rounds).
   int churn_rearrivals = 0;
 

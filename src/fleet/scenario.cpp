@@ -89,6 +89,13 @@ void validate(const TrafficSpec& t) {
     }
   };
   check_weights(t.platform_mix, "platform_mix");
+  // Per-platform state is indexed by PlatformId (placement, admission, the
+  // router's projections), so an id outside the enum must stop here.
+  for (const PlatformShare& share : t.platform_mix) {
+    if (static_cast<std::size_t>(share.id) >= platforms::kPlatformIdCount) {
+      fail("platform_mix names an unknown platform id");
+    }
+  }
   check_weights(t.workload_mix, "workload_mix");
   check_weights(t.program_mix, "program_mix");
   const auto known_program = [](int program) {

@@ -204,6 +204,7 @@ void Ksm::advise_runs(std::uint64_t vm_id, std::vector<PageRun> runs) {
   }
   clients_[vm_id] = std::move(runs);
   scanned_ = false;
+  ++version_;
 }
 
 void Ksm::remove(std::uint64_t vm_id) {
@@ -214,6 +215,7 @@ void Ksm::remove(std::uint64_t vm_id) {
       advised_ -= r.count;
     }
     clients_.erase(it);
+    ++version_;
   }
   scanned_ = false;
 }

@@ -106,6 +106,12 @@ class Ksm {
   /// is shared with at least one other VM after the last scan.
   std::uint64_t shared_pages() const { return scanned_ ? shared_ : 0; }
 
+  /// Stable-tree version: advise_runs() and a remove() of a registered VM,
+  /// the only calls that change the tree, move it, so probe_runs() gives
+  /// the same answer for the same runs while it stays put. scan() and
+  /// unmerge() only switch the accounting view and leave it alone.
+  std::uint64_t version() const { return version_; }
+
   /// Interval count of the stable tree — an implementation health metric:
   /// bounded by the number of distinct run boundaries alive, not by churn.
   std::size_t stable_tree_intervals() const {
@@ -143,6 +149,7 @@ class Ksm {
   std::uint64_t distinct_ = 0;  // total interval length (backing pages)
   std::uint64_t shared_ = 0;    // sum of len*refs over intervals with refs>1
   bool scanned_ = false;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace mem

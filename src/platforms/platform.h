@@ -9,6 +9,7 @@
 // configurations the paper evaluates.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -35,6 +36,13 @@ enum class PlatformId {
   kOsvQemu,
   kOsvFirecracker,
 };
+
+/// Number of PlatformId enumerators: the size of every table indexed by
+/// PlatformId. Derived from the last enumerator, so one appended after
+/// kOsvFirecracker must take its place here (fleet::validate refuses ids
+/// at or past this count).
+inline constexpr std::size_t kPlatformIdCount =
+    static_cast<std::size_t>(PlatformId::kOsvFirecracker) + 1;
 
 std::string platform_id_name(PlatformId id);
 

@@ -236,6 +236,76 @@ TEST(ClusterTest, IncrementalFleetCountersMatchSummedForm) {
   EXPECT_GT(r.admitted, 0);
 }
 
+TEST(ClusterTest, KsmProbeMemoAgreesWithARealProbeOnEveryTreeChange) {
+  // Each shard replays its last KSM probe answer per platform until its
+  // stable tree changes; set_peak_audit re-runs the real probe behind
+  // every replayed answer and latches a mismatch. A ksm-affinity storm on
+  // RAM-tight hosts spills, so refusing hosts are asked again. Around it,
+  // every path that changes a tree or resets it: admissions, teardowns
+  // and churn re-arrivals, a drain's migrations, a crash that wipes one
+  // shard, a host added mid-run, and an unmerge storm whose spike and
+  // window-end scan move resident bytes but not the tree. The churn gap
+  // outlasts the first wave, so hosts that refused in the storm empty out
+  // before the re-arrivals ask them again: a memo that missed a teardown
+  // would replay a delta from before the host lost its co-tenants.
+  Scenario s = Scenario::cluster_storm(300, 4, PlacementKind::kKsmAffinity);
+  s.cluster.ram_bytes = 8ull << 30;
+  s.churn_rounds = 1;
+  s.churn_gap = sim::millis(400);
+  fleet::Fault pressure;
+  pressure.kind = fleet::Fault::Kind::kMemPressure;
+  pressure.time = sim::millis(30);
+  pressure.host = 0;
+  pressure.duration = sim::millis(40);
+  fleet::Fault crash;
+  crash.kind = fleet::Fault::Kind::kCrash;
+  crash.time = sim::millis(50);
+  crash.host = 1;
+  s.faults = {pressure, crash};
+  HostEvent add;
+  add.time = sim::millis(60);
+  add.kind = HostEvent::Kind::kAdd;
+  HostEvent drain;
+  drain.time = sim::millis(90);
+  drain.kind = HostEvent::Kind::kDrain;
+  drain.host = 2;
+  s.host_events = {add, drain};
+
+  const auto run = [&s](bool audit, bool* audit_ok) {
+    Cluster cluster(s.cluster);
+    const auto policy = make_placement(s.placement);
+    std::vector<core::HostSystem*> hosts;
+    for (int i = 0; i < cluster.host_count(); ++i) {
+      hosts.push_back(&cluster.host(i));
+    }
+    FleetEngine engine(hosts, policy.get(), &cluster);
+    engine.set_peak_audit(audit);
+    FleetReport r = engine.run(s);
+    *audit_ok = engine.peak_audit_ok();
+    return r;
+  };
+  bool audit_ok = false;
+  const FleetReport r = run(true, &audit_ok);
+  EXPECT_TRUE(audit_ok);
+  EXPECT_GT(r.spills, 0);
+  EXPECT_GT(r.churn_rearrivals, 0);
+  EXPECT_GT(r.crash_victims, 0);
+  EXPECT_GT(r.drain_migrations, 0);
+  ASSERT_EQ(r.degraded.size(), 1u);
+  EXPECT_GT(r.degraded[0].resident_spike_bytes, 0u);
+  ASSERT_EQ(r.autoscale_timeline.size(), 2u);
+  EXPECT_EQ(r.autoscale_timeline[0].action, "add");
+  EXPECT_GT(r.ksm_probe_memo_hits, 0u);
+  EXPECT_EQ(r.ksm_probes, 320u);
+  EXPECT_EQ(r.ksm_probe_memo_hits, 86u);
+  // The audit's re-probes are not counted and change no decision.
+  bool unaudited_ok = false;
+  const FleetReport plain = run(false, &unaudited_ok);
+  EXPECT_EQ(plain.ksm_probes, r.ksm_probes);
+  EXPECT_EQ(plain.ksm_probe_memo_hits, r.ksm_probe_memo_hits);
+  EXPECT_EQ(plain.to_text(), r.to_text());
+}
+
 // Forwards every call to the scenario's built-in policy and keeps the last
 // HostState the engine pushed for each host.
 class RecordingPolicy : public fleet::PlacementPolicy {

@@ -459,4 +459,27 @@ TEST(FederationTest, MalformedPlatformWeightIsRejected) {
   }
 }
 
+TEST(FederationTest, UnknownPlatformIdIsRejectedBeforeRouting) {
+  // Placement, admission and the router index per-platform state by
+  // PlatformId, so the traffic check itself refuses an id outside the enum,
+  // before a cluster builds a platform or the router ranks a cell.
+  const auto rejected_up_front = [](const auto& run) {
+    try {
+      run();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).rfind("TrafficSpec: ", 0) == 0;
+    }
+    return false;
+  };
+  for (const int id : {-1, static_cast<int>(platforms::kPlatformIdCount)}) {
+    Scenario s = Scenario::cluster_storm(64, 2, PlacementKind::kKsmAffinity);
+    s.platform_mix.push_back({static_cast<platforms::PlatformId>(id), 1.0});
+    EXPECT_TRUE(rejected_up_front([&] { Cluster(s.cluster).run(s); })) << id;
+    EXPECT_TRUE(rejected_up_front([&] {
+      run_federation(FederatedScenario::from_scenario(
+          s, 2, RoutingKind::kPlatformAffinity));
+    })) << id;
+  }
+}
+
 }  // namespace
