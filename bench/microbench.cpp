@@ -7,6 +7,7 @@
 
 #include "apps/btree.h"
 #include "apps/kv_store.h"
+#include "apps/memcached_bench.h"
 #include "apps/ycsb.h"
 #include "core/host_system.h"
 #include "fleet/event_queue.h"
@@ -315,6 +316,25 @@ void BM_KvStoreGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KvStoreGet);
+
+/// One Figure 16 memcached run on docker with the figure's spec: load
+/// 20,000 1-KB items into a fresh store, then 2,000 sampled requests.
+/// findings_report and paper-figures repeat it 3 times per platform.
+void BM_MemcachedRun(benchmark::State& state) {
+  core::HostSystem host;
+  const auto docker =
+      platforms::PlatformFactory::create(platforms::PlatformId::kDocker, host);
+  apps::MemcachedSpec spec;
+  spec.sampled_ops = 2'000;
+  spec.workload.record_count = 20'000;
+  const apps::MemcachedBench bench(spec);
+  sim::Rng rng(16);
+  for (auto _ : state) {
+    sim::Clock clock;
+    benchmark::DoNotOptimize(bench.run(*docker, clock, rng));
+  }
+}
+BENCHMARK(BM_MemcachedRun)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -30,15 +30,16 @@ bool KvStore::set(const std::string& key, std::string value) {
   if (needed > memory_limit_) {
     return false;
   }
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
+  // One lookup. An overwrite keeps its index entry and drops only the old
+  // LRU node, so the eviction below cannot reach `key`.
+  const auto [it, inserted] = index_.try_emplace(key);
+  if (!inserted) {
     bytes_used_ -= item_cost(key, it->second->value);
     lru_.erase(it->second);
-    index_.erase(it);
   }
   evict_until_fits(needed);
   lru_.push_front(Item{key, std::move(value)});
-  index_[key] = lru_.begin();
+  it->second = lru_.begin();
   bytes_used_ += needed;
   stats_.bytes_stored = bytes_used_;
   return true;

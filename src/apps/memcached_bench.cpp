@@ -4,25 +4,25 @@
 
 namespace apps {
 
-MemcachedBench::MemcachedBench(MemcachedSpec spec) : spec_(std::move(spec)) {}
+MemcachedBench::MemcachedBench(MemcachedSpec spec)
+    : spec_(std::move(spec)), workload_(spec_.workload) {}
 
 MemcachedResult MemcachedBench::run(platforms::Platform& platform,
                                     sim::Clock& clock, sim::Rng& rng) const {
   MemcachedResult result;
   KvStore store(spec_.server_memory);
-  YcsbWorkload workload(spec_.workload);
   auto& nic = platform.host().nic();
 
   // Load phase (not timed by YCSB's run phase).
   for (std::uint64_t r = 0; r < spec_.workload.record_count; ++r) {
-    store.set(YcsbWorkload::key_for(r), workload.value_for(r));
+    store.set(YcsbWorkload::key_for(r), workload_.value_for(r));
   }
 
   // Run phase: sample per-request latency.
   double latency_sum_us = 0.0;
   const auto& mem_profile = platform.memory_profile();
   for (std::uint32_t i = 0; i < spec_.sampled_ops; ++i) {
-    const YcsbRequest req = workload.next(rng);
+    const YcsbRequest req = workload_.next(rng);
     // Request travels the platform's network path (small request, ~1 KiB
     // response for reads).
     const std::uint32_t response_bytes =
@@ -35,7 +35,7 @@ MemcachedResult MemcachedBench::run(platforms::Platform& platform,
     if (req.op == YcsbOp::kRead) {
       (void)store.get(req.key);
     } else {
-      store.set(req.key, workload.value_for(i % spec_.workload.record_count));
+      store.set(req.key, workload_.value_for(i % spec_.workload.record_count));
     }
     lat += sim::nanos(600);  // hash + LRU bookkeeping
     lat += static_cast<sim::Nanos>(mem_profile.backing_extra_ns * 40.0);

@@ -34,14 +34,18 @@ struct MemcachedResult {
 
 class MemcachedBench {
  public:
+  /// Builds the YCSB workload (Zipfian constants, payload table) once.
   explicit MemcachedBench(MemcachedSpec spec = {});
 
-  /// One benchmark run: loads the store, then drives the request stream.
+  /// One benchmark run: loads a fresh store, then drives the request
+  /// stream. Runs share the one stateless workload and draw only from
+  /// `rng`, so no run affects another.
   MemcachedResult run(platforms::Platform& platform, sim::Clock& clock,
                       sim::Rng& rng) const;
 
  private:
   MemcachedSpec spec_;
+  YcsbWorkload workload_;
 };
 
 }  // namespace apps

@@ -3,7 +3,15 @@
 namespace apps {
 
 YcsbWorkload::YcsbWorkload(YcsbSpec spec)
-    : spec_(spec), zipf_(spec.record_count, spec.zipfian_theta) {}
+    : spec_(spec), zipf_(spec.record_count, spec.zipfian_theta) {
+  for (std::size_t b = 0; b < kPayloads; ++b) {
+    std::string& v = payloads_[b];
+    v.reserve(spec_.value_bytes);
+    for (std::uint32_t i = 0; i < spec_.value_bytes; ++i) {
+      v.push_back(static_cast<char>('a' + b + i % 17));
+    }
+  }
+}
 
 YcsbSpec YcsbWorkload::workload_a() { return YcsbSpec{}; }
 
@@ -21,7 +29,7 @@ YcsbSpec YcsbWorkload::workload_c() {
   return s;
 }
 
-YcsbRequest YcsbWorkload::next(sim::Rng& rng) {
+YcsbRequest YcsbWorkload::next(sim::Rng& rng) const {
   const std::uint64_t record = zipf_.next(rng);
   const double p = rng.next_double();
   YcsbOp op;
@@ -47,13 +55,7 @@ std::string YcsbWorkload::key_for(std::uint64_t record) {
 }
 
 std::string YcsbWorkload::value_for(std::uint64_t record) const {
-  std::string v;
-  v.reserve(spec_.value_bytes);
-  const char base = static_cast<char>('a' + record % 26);
-  for (std::uint32_t i = 0; i < spec_.value_bytes; ++i) {
-    v.push_back(static_cast<char>(base + i % 17));
-  }
-  return v;
+  return payloads_[record % kPayloads];
 }
 
 }  // namespace apps

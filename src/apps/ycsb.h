@@ -5,6 +5,7 @@
 // record selection — "a session store recording recent actions").
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -27,9 +28,11 @@ struct YcsbRequest {
   std::string key;
 };
 
-/// Generates the request stream.
+/// Generates the request stream. Stateless once built: every draw comes
+/// from the caller's Rng, so one workload can serve any number of runs.
 class YcsbWorkload {
  public:
+  /// Computes the Zipfian constants and the payload table once.
   explicit YcsbWorkload(YcsbSpec spec = {});
 
   /// The canonical presets.
@@ -37,19 +40,25 @@ class YcsbWorkload {
   static YcsbSpec workload_b();  // 95/5 read/update
   static YcsbSpec workload_c();  // read only
 
-  YcsbRequest next(sim::Rng& rng);
+  /// Next request: a Zipfian record, then an op drawn from the mix.
+  YcsbRequest next(sim::Rng& rng) const;
 
   /// Key for a record id (YCSB's "user<hash>" format).
   static std::string key_for(std::uint64_t record);
 
-  /// Deterministic payload for a record.
+  /// Deterministic payload for a record: `value_bytes` characters, the
+  /// i-th being 'a' + record % 26 + i % 17. It depends on record % 26 only,
+  /// so this copies one of the 26 payloads built at construction.
   std::string value_for(std::uint64_t record) const;
 
   const YcsbSpec& spec() const { return spec_; }
 
  private:
+  static constexpr std::size_t kPayloads = 26;
+
   YcsbSpec spec_;
   sim::ZipfianGenerator zipf_;
+  std::array<std::string, kPayloads> payloads_;
 };
 
 }  // namespace apps

@@ -134,7 +134,7 @@ ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta) : n_(n), theta
          (1.0 - zeta2theta_ / zetan_);
 }
 
-std::uint64_t ZipfianGenerator::next(Rng& rng) {
+std::uint64_t ZipfianGenerator::next(Rng& rng) const {
   const double u = rng.next_double();
   const double uz = u * zetan_;
   if (uz < 1.0) {

@@ -83,8 +83,10 @@ class ZipfianGenerator {
  public:
   ZipfianGenerator(std::uint64_t n, double theta = 0.99);
 
-  /// Sample an item index in [0, n). Hot items are small indices.
-  std::uint64_t next(Rng& rng);
+  /// Sample an item index in [0, n). Hot items are small indices. Draws
+  /// one double from `rng` and mutates nothing else: the constants (zeta(n)
+  /// among them) are computed once, at construction.
+  std::uint64_t next(Rng& rng) const;
 
   double theta() const { return theta_; }
 

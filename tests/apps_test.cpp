@@ -83,6 +83,44 @@ TEST(KvStoreTest, BytesNeverExceedLimit) {
   }
 }
 
+TEST(KvStoreTest, OverwriteUnderPressureEvictsTheSameItems) {
+  // Six 158-byte items (2-byte key, 100-byte value, 56 bytes of overhead)
+  // fill 948 of 1,000 bytes; k0 is the least recent item, k5 the most.
+  // Only misses probe the store below: a hit would reorder the LRU list.
+  KvStore store(1'000);
+  const std::string small(100, 'v');
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(store.set("k" + std::to_string(i), small));
+  }
+  ASSERT_EQ(store.stats().evictions, 0u);
+  // The 458-byte overwrite frees k2's 158 bytes, then has to evict k0 and
+  // k1: 948 - 158 - 2 * 158 + 458 = 932. k2 to k5 survive.
+  ASSERT_TRUE(store.set("k2", std::string(400, 'w')));
+  EXPECT_EQ(store.stats().evictions, 2u);
+  EXPECT_EQ(store.bytes_used(), 932u);
+  EXPECT_EQ(store.size(), 4u);
+  EXPECT_FALSE(store.get("k0").has_value());
+  EXPECT_FALSE(store.get("k1").has_value());
+  // k2 is now the most recent item. Each new 158-byte item evicts one
+  // item from the tail: k3, k4 and k5 go first, and the fourth takes k2.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(store.set("n" + std::to_string(i), small));
+  }
+  EXPECT_EQ(store.stats().evictions, 5u);
+  EXPECT_EQ(store.bytes_used(), 932u);
+  EXPECT_EQ(store.size(), 4u);
+  for (const char* key : {"k3", "k4", "k5"}) {
+    EXPECT_FALSE(store.get(key).has_value()) << key;
+  }
+  ASSERT_TRUE(store.set("n3", small));
+  EXPECT_EQ(store.stats().evictions, 6u);
+  EXPECT_EQ(store.bytes_used(), 4u * 158u);
+  EXPECT_FALSE(store.get("k2").has_value());
+  for (const char* key : {"n0", "n1", "n2", "n3"}) {
+    EXPECT_TRUE(store.get(key).has_value()) << key;
+  }
+}
+
 TEST(YcsbTest, WorkloadAMixIsBalanced) {
   YcsbWorkload workload(YcsbWorkload::workload_a());
   sim::Rng rng(5);
@@ -108,6 +146,23 @@ TEST(YcsbTest, WorkloadCIsReadOnly) {
 TEST(YcsbTest, KeysAreDeterministic) {
   EXPECT_EQ(YcsbWorkload::key_for(42), YcsbWorkload::key_for(42));
   EXPECT_NE(YcsbWorkload::key_for(42), YcsbWorkload::key_for(43));
+}
+
+TEST(YcsbTest, ValueForFollowsThePayloadRule) {
+  for (const std::uint32_t bytes : {0u, 1u, 17u, 1'000u}) {
+    apps::YcsbSpec spec;
+    spec.value_bytes = bytes;
+    const YcsbWorkload workload(spec);
+    for (const std::uint64_t record :
+         {0ull, 1ull, 25ull, 26ull, 51ull, 19'999ull, (1ull << 40) + 3}) {
+      const std::string value = workload.value_for(record);
+      ASSERT_EQ(value.size(), bytes) << "record " << record;
+      for (std::uint32_t i = 0; i < bytes; ++i) {
+        ASSERT_EQ(value[i], static_cast<char>('a' + record % 26 + i % 17))
+            << "record " << record << ", byte " << i;
+      }
+    }
+  }
 }
 
 TEST(YcsbTest, ZipfianSkewOnKeys) {
@@ -323,6 +378,31 @@ TEST_F(AppBenchFixture, MemcachedContainersBeatSecureContainers) {
   const auto k = bench.run(*kata, c2, rng);
   EXPECT_GT(d.ops_per_second, k.ops_per_second * 2.0);  // Finding 18
   EXPECT_GT(d.hit_ratio, 0.95);  // load phase fully resident
+}
+
+TEST_F(AppBenchFixture, MemcachedBenchRunsAreIndependent) {
+  apps::MemcachedSpec spec;
+  spec.sampled_ops = 400;
+  spec.workload.record_count = 3'000;
+  spec.server_memory = 1ull << 20;  // ~1,000 of the 3,000 items fit
+  const apps::MemcachedBench bench(spec);
+  auto docker = platforms::PlatformFactory::create(
+      platforms::PlatformId::kDocker, host);
+  const auto run_with_fresh_rng = [&](const apps::MemcachedBench& b) {
+    sim::Rng fresh(77);
+    sim::Clock clock;
+    return b.run(*docker, clock, fresh);
+  };
+  const auto first = run_with_fresh_rng(bench);
+  const auto second = run_with_fresh_rng(bench);
+  const auto rebuilt = run_with_fresh_rng(apps::MemcachedBench(spec));
+  ASSERT_GT(first.evictions, 0u);
+  for (const auto* result : {&second, &rebuilt}) {
+    EXPECT_EQ(result->ops_per_second, first.ops_per_second);
+    EXPECT_EQ(result->mean_latency_us, first.mean_latency_us);
+    EXPECT_EQ(result->hit_ratio, first.hit_ratio);
+    EXPECT_EQ(result->evictions, first.evictions);
+  }
 }
 
 TEST_F(AppBenchFixture, OltpPeaksNearFiftyForGuests) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <map>
 
 #include "core/figures.h"
@@ -294,6 +296,42 @@ TEST(Figure16, MemcachedShape) {
   EXPECT_LT(kata, ch * 0.7);
   // Finding 19: gVisor poor (network).
   EXPECT_LT(gv, docker * 0.35);
+}
+
+std::string hex_float(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+// A byte pin: every bar at two runs per platform, as hexadecimal floats.
+// One run would leave every stddev at 0; the second run also pins that a
+// bench's runs draw from nothing but the figure's RNG streams.
+TEST(Figure16, BarsArePinned) {
+  struct Pin {
+    const char* platform;
+    const char* mean;
+    const char* stddev;
+  };
+  const Pin pins[] = {
+      {"native", "0x1.97a930afbbb7ap+9", "0x1.9bb7c00744cdap-4"},
+      {"docker-oci", "0x1.6a25e04e54b1ap+9", "0x1.845f01114b5c8p-1"},
+      {"lxc", "0x1.6c3107dbb1998p+9", "0x1.acf7983f6a0a6p-2"},
+      {"qemu-kvm", "0x1.e07e99beb216ep+8", "0x1.5a32bf0a3ccbep+1"},
+      {"firecracker", "0x1.c761c417448fdp+8", "0x1.e8dcc22309406p-1"},
+      {"cloud-hypervisor", "0x1.98716a232c32ap+8", "0x1.0f3abdf8d3644p+0"},
+      {"kata-containers", "0x1.b2c8590b21643p+7", "0x0p+0"},
+      {"gvisor", "0x1.809d89d89d89ep+7", "0x0p+0"},
+      {"osv", "0x1.0f5f0607b5016p+9", "0x1.778b9834c8b87p+1"},
+      {"osv-fc", "0x1.00404a23bf664p+9", "0x1.f9f1f3206da73p+0"},
+  };
+  const auto bars = core::figure16_memcached(2, core::kFigureSeed);
+  ASSERT_EQ(bars.size(), std::size(pins));
+  for (std::size_t i = 0; i < bars.size(); ++i) {
+    EXPECT_EQ(bars[i].platform, pins[i].platform);
+    EXPECT_EQ(hex_float(bars[i].mean), pins[i].mean) << pins[i].platform;
+    EXPECT_EQ(hex_float(bars[i].stddev), pins[i].stddev) << pins[i].platform;
+  }
 }
 
 TEST(Figure17, OltpThreeGroups) {
