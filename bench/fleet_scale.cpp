@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/host_system.h"
 #include "fleet/cluster.h"
 #include "fleet/engine.h"
 #include "fleet/federation.h"
@@ -287,10 +286,7 @@ int main(int argc, char** argv) {
   // Arrivals must outpace teardowns or the density wall is never reached.
   sweep.arrival_window = sim::millis(250);
   for (const auto& s : {fleet::Scenario::coldstart_storm(10000), sweep}) {
-    add(measure(s.name, shape(s).str(), [&] {
-      core::HostSystem host;  // fresh host: cold page cache, pristine ftrace
-      return fleet::FleetEngine(host).run(s);
-    }));
+    cluster(s.name, s, shape(s));
   }
 
   for (const auto& [tenants, hosts] :
@@ -317,13 +313,9 @@ int main(int argc, char** argv) {
       "two-platform-storm",
       shape(piles).text("placement", "single-shot").str(), [&] {
         fleet::Cluster c(piles.cluster);
-        std::vector<core::HostSystem*> hosts;
-        for (int i = 0; i < c.host_count(); ++i) {
-          hosts.push_back(&c.host(i));
-        }
         fleet::SingleShotPolicy policy(
             fleet::make_placement(fleet::PlacementKind::kKsmAffinity));
-        return fleet::FleetEngine(hosts, &policy).run(piles);
+        return fleet::FleetEngine(c, policy).run(piles);
       }));
   assertions.push_back(assertion(field(retry_walk, "counters.admitted"), ">",
                                  field(single_shot, "counters.admitted")));

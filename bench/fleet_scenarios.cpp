@@ -13,18 +13,16 @@
 #include "bench/bench_util.h"
 #include "platforms/platform.h"
 #include "core/export.h"
-#include "core/host_system.h"
 #include "fleet/cluster.h"
-#include "fleet/engine.h"
 #include "fleet/placement.h"
 #include "fleet/scenario.h"
 
 namespace {
 
+/// One run on a fresh cluster (cold page caches, pristine ftrace), so
+/// every section prints the same bytes on every run.
 fleet::FleetReport run_fresh(const fleet::Scenario& scenario) {
-  core::HostSystem host;  // fresh host: cold page cache, pristine ftrace
-  fleet::FleetEngine engine(host);
-  return engine.run(scenario);
+  return fleet::Cluster(scenario.cluster).run(scenario);
 }
 
 void print_report(const fleet::FleetReport& report) {
@@ -90,8 +88,7 @@ int main(int argc, char** /*argv*/) {
   bool exported_cluster_cdf = false;
   for (const auto kind : fleet::all_placement_kinds()) {
     auto cluster_scenario = fleet::Scenario::cluster_storm(128, 4, kind);
-    fleet::Cluster cluster(cluster_scenario.cluster);
-    const auto report = cluster.run(cluster_scenario);
+    const auto report = run_fresh(cluster_scenario);
     std::printf("--- %s across %d hosts, placement %s ---\n",
                 cluster_scenario.name.c_str(),
                 cluster_scenario.cluster.host_count,
@@ -114,10 +111,8 @@ int main(int argc, char** /*argv*/) {
   scaled.cluster.ram_bytes = 24ull << 30;
   auto fixed = scaled;
   fixed.autoscale.enabled = false;
-  fleet::Cluster fixed_cluster(fixed.cluster);
-  const auto fixed_report = fixed_cluster.run(fixed);
-  fleet::Cluster scaled_cluster(scaled.cluster);
-  const auto scaled_report = scaled_cluster.run(scaled);
+  const auto fixed_report = run_fresh(fixed);
+  const auto scaled_report = run_fresh(scaled);
   std::printf("--- %s: %d tenants, %d hosts fixed vs autoscale to %d ---\n",
               scaled.name.c_str(), scaled.tenant_count,
               scaled.cluster.host_count, scaled.autoscale.max_hosts);
@@ -134,8 +129,7 @@ int main(int argc, char** /*argv*/) {
   // re-admission surge (not ambient load) trips the scale-out watermark.
   // The report grows a recovery section with per-fault verdicts.
   auto crash = fleet::Scenario::crash_recovery(192, 2, 4);
-  fleet::Cluster crash_cluster(crash.cluster);
-  const auto crash_report = crash_cluster.run(crash);
+  const auto crash_report = run_fresh(crash);
   std::printf("--- %s: %d tenants, host 0 crashes at %.0f ms ---\n",
               crash.name.c_str(), crash.tenant_count,
               sim::to_millis(crash.faults[0].time));
@@ -152,8 +146,7 @@ int main(int argc, char** /*argv*/) {
   // rollup with per-op-class p50/p99 and SLO verdicts, and must stay
   // byte-identical across runs like everything else.
   auto programs = fleet::Scenario::program_storm(160, 2);
-  fleet::Cluster program_cluster(programs.cluster);
-  const auto program_report = program_cluster.run(programs);
+  const auto program_report = run_fresh(programs);
   std::printf("--- %s: %d tenants, built-in programs over the HostKernel ---\n",
               programs.name.c_str(), programs.tenant_count);
   print_report(program_report);
@@ -167,13 +160,11 @@ int main(int argc, char** /*argv*/) {
   // section with per-fault verdicts, and the no-retry control shows what
   // the same schedule costs without graceful degradation.
   auto degraded = fleet::Scenario::degrade_storm(180, 3);
-  fleet::Cluster degraded_cluster(degraded.cluster);
-  const auto degraded_report = degraded_cluster.run(degraded);
+  const auto degraded_report = run_fresh(degraded);
   auto no_retry = degraded;
   no_retry.op_max_retries = 0;
   no_retry.op_backoff_base_ms = 0;
-  fleet::Cluster no_retry_cluster(no_retry.cluster);
-  const auto no_retry_report = no_retry_cluster.run(no_retry);
+  const auto no_retry_report = run_fresh(no_retry);
   std::printf("--- %s: %d tenants, degrade faults + per-op retry/backoff ---\n",
               degraded.name.c_str(), degraded.tenant_count);
   std::printf("with retries   : %d retries, %d give-ups, %d lost to crash\n",

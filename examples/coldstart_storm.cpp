@@ -7,16 +7,13 @@
 // observes is set by contention, not by the per-platform CDF alone.
 #include <cstdio>
 
-#include "core/host_system.h"
-#include "fleet/engine.h"
+#include "fleet/cluster.h"
 #include "fleet/scenario.h"
 
 int main() {
   auto scenario = fleet::Scenario::coldstart_storm(64);
 
-  core::HostSystem host;
-  fleet::FleetEngine engine(host);
-  const auto report = engine.run(scenario);
+  const auto report = fleet::Cluster(scenario.cluster).run(scenario);
 
   std::printf("%s\n\n", report.to_text().c_str());
 

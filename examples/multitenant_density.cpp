@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/host_system.h"
-#include "fleet/engine.h"
+#include "fleet/cluster.h"
 #include "fleet/scenario.h"
 #include "hap/hap.h"
 #include "mem/ksm.h"
@@ -115,11 +115,8 @@ int main() {
   auto sweep = fleet::Scenario::density_sweep(128);
   sweep.guest_ram_bytes = kGuestRamMb << 20;
   sweep.arrival_window = sim::millis(150);  // arrivals outpace teardowns
-  core::HostSystemSpec sweep_spec;
-  sweep_spec.ram_bytes = kHostRamMb << 20;
-  core::HostSystem sweep_host(sweep_spec);
-  fleet::FleetEngine engine(sweep_host);
-  const auto report = engine.run(sweep);
+  sweep.cluster.ram_bytes = kHostRamMb << 20;
+  const auto report = fleet::Cluster(sweep.cluster).run(sweep);
   std::printf(
       "\nDynamic sweep (fleet engine, %d offered tenants): %d admitted\n"
       "before the RAM wall, KSM gain %.2fx at peak residency %.1f GiB.\n",

@@ -10,29 +10,33 @@
 // device/server partitioning): the policy decides *where*, the per-host
 // engine mechanism decides *what it costs*.
 //
-// The cluster is also the engine's HostProvisioner: scenarios with an
-// autoscale spec or timed HostEvents can add fresh hosts mid-run (each
-// with a deterministic RNG seed derived from its index). Drains stay
-// inside the engine: tenants are re-placed through placement + admission,
-// then the host retires and takes no further placements; the report's
-// host rollups and final_host_count record which hosts ended live.
+// The engine (engine.h) borrows the cluster: its hosts are the engine's
+// initial shards, and scenarios with an autoscale spec or timed HostEvents
+// add fresh hosts mid-run through add_host() (each with a deterministic
+// RNG seed derived from its index). Drains stay inside the engine: tenants
+// are re-placed through placement + admission, then the host retires and
+// takes no further placements; the report's host rollups and
+// final_host_count record which hosts ended live.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "core/host_system.h"
-#include "fleet/engine.h"
 #include "fleet/report.h"
 #include "fleet/scenario.h"
 
 namespace fleet {
 
-class Cluster : public HostProvisioner {
+/// The spec of host `index` of `topo`: the topology's non-zero knobs over
+/// the core::HostSystemSpec defaults, and an RNG seed derived from the
+/// index alone. Host 0 keeps the default seed.
+core::HostSystemSpec host_spec(const ClusterTopology& topo, int index);
+
+class Cluster {
  public:
-  /// Build host_count hosts from the topology. Host 0 uses the default
-  /// HostSystemSpec RNG seed (so a 1-host cluster reproduces the
-  /// single-host engine byte for byte); later hosts perturb it.
+  /// Build host_count hosts from the topology, host i from
+  /// host_spec(topo, i).
   explicit Cluster(const ClusterTopology& topo);
 
   /// Run one scenario across the cluster with scenario.placement deciding
@@ -42,20 +46,14 @@ class Cluster : public HostProvisioner {
   /// reproducible run.
   FleetReport run(const Scenario& scenario);
 
-  /// Append one more host shaped by the topology, with the same
-  /// index-derived RNG seed formula as construction — adding host i always
-  /// yields the same host, whether at build time or mid-run.
+  /// Append one more host, host_spec(topology, host_count()): adding host
+  /// i always yields the same host, whether at build time or mid-run.
   core::HostSystem& add_host();
 
   int host_count() const { return static_cast<int>(hosts_.size()); }
   core::HostSystem& host(int i) { return *hosts_.at(static_cast<std::size_t>(i)); }
 
-  // HostProvisioner (the engine's view of the cluster):
-  core::HostSystem* provision_host() override { return &add_host(); }
-
  private:
-  core::HostSystemSpec spec_for(int index) const;
-
   ClusterTopology topo_;
   std::vector<std::unique_ptr<core::HostSystem>> hosts_;
 };

@@ -132,24 +132,12 @@ bool is_hypervisor_backed(PlatformId id) {
   return false;
 }
 
-FleetEngine::FleetEngine(core::HostSystem& host) {
-  shards_.emplace_back();
-  shards_.back().host = &host;
-}
-
-FleetEngine::FleetEngine(const std::vector<core::HostSystem*>& hosts,
-                         PlacementPolicy* policy, HostProvisioner* provisioner)
-    : policy_(policy), provisioner_(provisioner) {
-  if (hosts.empty()) {
-    throw std::invalid_argument("FleetEngine: needs at least one host");
-  }
-  shards_.reserve(hosts.size());
-  for (core::HostSystem* h : hosts) {
-    if (h == nullptr) {
-      throw std::invalid_argument("FleetEngine: null host");
-    }
+FleetEngine::FleetEngine(Cluster& cluster, PlacementPolicy& policy)
+    : cluster_(cluster), policy_(policy) {
+  shards_.reserve(static_cast<std::size_t>(cluster.host_count()));
+  for (int i = 0; i < cluster.host_count(); ++i) {
     shards_.emplace_back();
-    shards_.back().host = h;
+    shards_.back().host = &cluster.host(i);
   }
 }
 
@@ -339,9 +327,9 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   if (shards_.size() == 1) {
     try_host(0);
   } else {
-    policy_->walk_begin(PlacementRequest{t.platform_id});
-    for (int host = policy_->walk_next(); host >= 0;
-         host = policy_->walk_next()) {
+    policy_.walk_begin(PlacementRequest{t.platform_id});
+    for (int host = policy_.walk_next(); host >= 0;
+         host = policy_.walk_next()) {
       if (host >= static_cast<int>(shards_.size()) ||
           !shards_[static_cast<std::size_t>(host)].live) {
         throw std::out_of_range(
@@ -749,7 +737,7 @@ void FleetEngine::release_tenant(Shard& sh, Tenant& t) {
 }
 
 void FleetEngine::publish_host(Shard& sh) {
-  if (policy_ == nullptr || !sh.live) {
+  if (!sh.live) {
     return;
   }
   HostState state;
@@ -760,14 +748,14 @@ void FleetEngine::publish_host(Shard& sh) {
   state.pressure.cpu_demand = sh.cpu_demand;
   state.pressure.cpu_threads = sh.host->spec().cpu_threads;
   state.pressure.net_active = sh.net_active;
-  policy_->target_updated(state);
+  policy_.target_updated(state);
 }
 
 void FleetEngine::notify_platform_count(Shard& sh, platforms::PlatformId id) {
-  if (policy_ == nullptr || !sh.live) {
+  if (!sh.live) {
     return;
   }
-  policy_->platform_count_changed(
+  policy_.platform_count_changed(
       sh.rollup.host, id, sh.tenants_by_platform[static_cast<std::size_t>(id)]);
 }
 
@@ -861,11 +849,10 @@ void FleetEngine::record_autoscale(sim::Nanos time, const std::string& action,
 }
 
 int FleetEngine::add_shard(const Scenario& s) {
-  core::HostSystem* host = provisioner_->provision_host();
   const int index = static_cast<int>(shards_.size());
   shards_.emplace_back();
   Shard& sh = shards_.back();
-  sh.host = host;
+  sh.host = &cluster_.add_host();
   init_shard(sh, index, s);
   start_observing(sh);  // from its birth instant
   ++live_hosts_;
@@ -900,17 +887,12 @@ void FleetEngine::drain_shard(int index, sim::Nanos now) {
 void FleetEngine::retire_shard(int index) {
   shards_[static_cast<std::size_t>(index)].live = false;
   --live_hosts_;
-  if (policy_ != nullptr) {
-    policy_->target_removed(index);
-  }
+  policy_.target_removed(index);
 }
 
 void FleetEngine::handle_host_event(const Event& e, const Scenario& s) {
   const HostEvent& he = s.host_events[static_cast<std::size_t>(e.tenant)];
   if (he.kind == HostEvent::Kind::kAdd) {
-    if (provisioner_ == nullptr) {
-      return;  // a bare engine cannot grow; the hook is a no-op
-    }
     const double fraction = resident_fraction();
     const int index = add_shard(s);
     record_autoscale(e.time, "add", index, fraction);
@@ -934,8 +916,7 @@ void FleetEngine::handle_autoscale_eval(sim::Nanos now, const Scenario& s) {
   const double fraction = resident_fraction();
   const bool cooled = !has_scaled_ || now - last_scale_ >= a.cooldown_ms;
   if (cooled) {
-    if (fraction > a.scale_out_watermark && live_hosts_ < a.max_hosts &&
-        provisioner_ != nullptr) {
+    if (fraction > a.scale_out_watermark && live_hosts_ < a.max_hosts) {
       const int index = add_shard(s);
       record_autoscale(now, "scale-out", index, fraction);
       has_scaled_ = true;
@@ -1069,8 +1050,8 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
   retire_shard(index);
   sh.rollup.crashed = true;
   // Victims die mid-phase: unlike a graceful drain there is no per-tenant
-  // release — their in-flight CPU/NIC demand vanishes with the host, and
-  // the host's KSM stable tree and page cache are lost wholesale below.
+  // release of KSM pages or resident bytes — the host's KSM stable tree,
+  // page cache and activity counters are lost wholesale below.
   // Each victim re-arrives on the survivors after the fault's restart
   // delay plus a per-victim jitter draw, facing placement + admission
   // again; its new epoch discards its already-queued events.
@@ -1084,10 +1065,9 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
       // fresh boot against a cold image cache.
       ++v.boots_lost;
     }
-    // Its charge, tree registration and resident share die with the host.
-    t.in_flight = Tenant::InFlight::kNone;
-    t.vcpus = 0.0;
-    t.on_nic = false;
+    // Its in-flight charge goes back through discharge, like every other
+    // release; its tree registration and resident share die with the host.
+    discharge(sh, t);
     t.ksm_registered = false;
     t.resident_bytes = 0;
     t.holds_resources = false;
@@ -1296,12 +1276,10 @@ void FleetEngine::process_event(const Event& e, const Scenario& s,
     case EventKind::kDegradeEnd:
       break;  // handled above
   }
-  if (policy_ != nullptr) {
-    // One state push for the shard this event touched. A rejected
-    // arrival changed nothing, so re-publishing the tenant's previous
-    // shard is a harmless (and cheap) no-op upsert.
-    publish_host(shards_[static_cast<std::size_t>(t.host)]);
-  }
+  // One state push for the shard this event touched. A rejected arrival
+  // changed nothing, so re-publishing the tenant's previous shard is a
+  // harmless (and cheap) no-op upsert.
+  publish_host(shards_[static_cast<std::size_t>(t.host)]);
   if (e.kind == EventKind::kArrival &&
       e.tenant == static_cast<std::uint64_t>(arrival_cursor_)) {
     // That was the cursor tenant's initial arrival (re-arrivals always
@@ -1341,10 +1319,6 @@ FleetReport FleetEngine::run(const Scenario& s) {
   const int initial_hosts = static_cast<int>(shards_.size());
   validate(s);
   validate(s, initial_hosts);
-  if (shards_.size() > 1 && policy_ == nullptr) {
-    throw std::invalid_argument(
-        "FleetEngine::run: cluster runs need a placement policy");
-  }
   faults_ = resolve_faults(s, initial_hosts);
   partitions_ = build_windows(faults_, initial_hosts, Fault::Kind::kPartition);
   degrades_ = build_windows(faults_, initial_hosts, Fault::Kind::kDiskDegrade);
@@ -1357,9 +1331,8 @@ FleetReport FleetEngine::run(const Scenario& s) {
   // Runs that start single-host but may grow (autoscale, host events) need
   // the policy name too; plain single-host runs keep it empty so their
   // to_text() stays byte-identical to the pinned goldens.
-  if (policy_ != nullptr &&
-      (shards_.size() > 1 || s.autoscale.enabled || !s.host_events.empty())) {
-    report_.placement = policy_->name();
+  if (shards_.size() > 1 || s.autoscale.enabled || !s.host_events.empty()) {
+    report_.placement = policy_.name();
   }
   report_.boot_slo_ms = s.boot_slo_ms;
   report_.replace_slo_ms = s.replace_slo_ms;
@@ -1411,9 +1384,7 @@ FleetReport FleetEngine::run(const Scenario& s) {
   live_hosts_ = static_cast<int>(shards_.size());
   stats_by_id_.fill(nullptr);
   pstats_by_id_.fill(nullptr);
-  if (policy_ != nullptr) {
-    policy_->reset();
-  }
+  policy_.reset();
 
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     init_shard(shards_[i], static_cast<int>(i), s);

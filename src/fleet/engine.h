@@ -1,5 +1,5 @@
-// FleetEngine: executes a Scenario against one or more core::HostSystem
-// shards.
+// FleetEngine: executes a Scenario against the core::HostSystem shards of
+// one fleet::Cluster.
 //
 // The engine is the mechanism side of the policy/mechanism split: it merges
 // N per-tenant sim::Clock timelines through a deterministic priority event
@@ -11,11 +11,12 @@
 // demand above a host's thread count stretches every in-flight duration on
 // that host, and concurrent network phases share that host's NIC line rate.
 //
-// Cluster runs (fleet::Cluster, cluster.h) hand the engine M host shards
-// plus a PlacementPolicy consulted once per arrival; the single global
-// event queue keeps cross-host runs byte-reproducible. Single-host runs
-// are the M=1 special case and produce byte-identical reports to the
-// pre-cluster engine (pinned by tests/fleet_golden_test.cpp).
+// The engine borrows a Cluster (cluster.h), whose M hosts are its initial
+// shards and whose add_host() supplies every host a scale-out adds, and a
+// PlacementPolicy that ranks the live shards at each arrival once M > 1;
+// a single shard admits without asking it. The single global event queue
+// keeps cross-host runs byte-reproducible (single-host reports are pinned
+// by tests/fleet_golden_test.cpp).
 #pragma once
 
 #include <array>
@@ -26,6 +27,7 @@
 
 #include "core/host_system.h"
 #include "fleet/chaos.h"
+#include "fleet/cluster.h"
 #include "fleet/event_queue.h"
 #include "fleet/placement.h"
 #include "fleet/program.h"
@@ -44,28 +46,14 @@ namespace fleet {
 /// their process RSS.
 bool is_hypervisor_backed(platforms::PlatformId id);
 
-/// Supplies fresh hosts for mid-run scale-out. fleet::Cluster implements
-/// this; a bare FleetEngine without one simply cannot grow (scale-out
-/// requests are ignored).
-class HostProvisioner {
- public:
-  virtual ~HostProvisioner() = default;
-  /// Create one more host (deterministic per-host RNG seed derived from
-  /// its index) and return it; the engine builds a shard around it. The
-  /// host must stay alive for the rest of the run.
-  virtual core::HostSystem* provision_host() = 0;
-};
-
 class FleetEngine {
  public:
-  explicit FleetEngine(core::HostSystem& host);
-
-  /// Cluster mode: shard tenants across `hosts` with `policy` (non-owning;
-  /// must outlive the engine). A policy is required when hosts.size() > 1.
-  /// `provisioner` (optional, non-owning) enables mid-run scale-out.
-  FleetEngine(const std::vector<core::HostSystem*>& hosts,
-              PlacementPolicy* policy,
-              HostProvisioner* provisioner = nullptr);
+  /// Shard tenants across `cluster`'s hosts with `policy`; a scale-out
+  /// appends a host through cluster.add_host(). Both are borrowed and must
+  /// outlive the engine. Cluster::run passes make_placement of the
+  /// scenario's placement; any other policy (a single-shot or recording
+  /// one) plugs in the same way.
+  FleetEngine(Cluster& cluster, PlacementPolicy& policy);
 
   /// Run one scenario to completion and return its report. Deterministic
   /// given (scenario, fresh hosts): the engine derives every random stream
@@ -275,8 +263,8 @@ class FleetEngine {
   std::uint64_t ksm_backing_delta(Shard& sh, const Tenant& t,
                                   const Scenario& s);
 
-  /// Push one live shard's current state to the policy (no-op without
-  /// one). Called after every event that changed the shard.
+  /// Push one live shard's current state to the policy. Called after
+  /// every event that changed the shard.
   void publish_host(Shard& sh);
 
   /// Tell the policy that `sh`'s tenant count for `id` moved.
@@ -356,8 +344,8 @@ class FleetEngine {
   static void start_observing(Shard& sh);
 
   std::vector<Shard> shards_;
-  PlacementPolicy* policy_ = nullptr;  // non-owning; required when M > 1
-  HostProvisioner* provisioner_ = nullptr;  // non-owning; enables scale-out
+  Cluster& cluster_;  // supplies the hosts a scale-out adds
+  PlacementPolicy& policy_;
   EventQueue queue_;
   sim::Clock global_clock_;
   /// Dense tenant table: ids are assigned 0..N-1, so the event loop indexes

@@ -12,7 +12,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "core/host_system.h"
 #include "fleet/cluster.h"
 #include "fleet/engine.h"
 
@@ -240,17 +239,15 @@ FederationReport Federation::run(const FederatedScenario& fs) {
   }
 
   // Admission-effective aggregate RAM per cell, for the router's
-  // projections (the per-host RAM Cluster::spec_for gives each host,
-  // which FleetEngine::init_shard reads as the admission cap).
+  // projections (the per-host RAM host_spec gives each host, which
+  // FleetEngine::init_shard reads as the admission cap).
   std::vector<std::uint64_t> cell_cap(static_cast<std::size_t>(cell_n));
   for (int k = 0; k < cell_n; ++k) {
-    const CellSpec& spec = topology_.cells[static_cast<std::size_t>(k)].spec;
-    const std::uint64_t per_host = spec.cluster.ram_bytes != 0
-                                       ? spec.cluster.ram_bytes
-                                       : core::HostSystemSpec{}.ram_bytes;
+    const ClusterTopology& cell =
+        topology_.cells[static_cast<std::size_t>(k)].spec.cluster;
     cell_cap[static_cast<std::size_t>(k)] =
-        per_host * static_cast<std::uint64_t>(
-                       std::max(1, spec.cluster.host_count));
+        host_spec(cell, 0).ram_bytes *
+        static_cast<std::uint64_t>(std::max(1, cell.host_count));
   }
 
   // Projected router-side load. The router never sees inside a cell; it
@@ -334,7 +331,7 @@ FederationReport Federation::run(const FederatedScenario& fs) {
 
   // Ordered insert position by (effective arrival, global id) — the order
   // every cell population is kept in.
-  const auto member_pos = [&](std::vector<int>& m, int gid) {
+  const auto member_pos = [&](const std::vector<int>& m, int gid) {
     return std::lower_bound(m.begin(), m.end(), gid, [&](int lhs, int rhs) {
       const sim::Nanos la = arrival[static_cast<std::size_t>(lhs)];
       const sim::Nanos ra = arrival[static_cast<std::size_t>(rhs)];
@@ -478,29 +475,27 @@ FederationReport Federation::run(const FederatedScenario& fs) {
   fr.rejected = n - fr.admitted;
 
   // Cell-outage recovery, judged federation-wide: the cell lost everyone,
-  // the router gave the victims somewhere else to boot.
-  if (!outage_at.empty()) {
-    std::vector<std::unordered_map<int, std::size_t>> pos(
-        static_cast<std::size_t>(cell_n));
-    for (int k = 0; k < cell_n; ++k) {
-      const auto& m = members[static_cast<std::size_t>(k)];
-      for (std::size_t i = 0; i < m.size(); ++i) {
-        pos[static_cast<std::size_t>(k)][m[i]] = i;
-      }
+  // the router gave the victims somewhere else to boot. Each cell's last
+  // run saw exactly members[c], kept in member_pos order, so a victim's
+  // slot in that cell's report is its member position.
+  for (const auto& [gid, t0] : outage_at) {
+    fr.outage_victims += 1;
+    const int c = cell_of[static_cast<std::size_t>(gid)];
+    const std::vector<int>& m = members[static_cast<std::size_t>(c)];
+    const auto it = member_pos(m, gid);
+    if (it == m.end() || *it != gid) {
+      throw std::logic_error(
+          "Federation::run: outage victim missing from its cell's last run");
     }
-    for (const auto& [gid, t0] : outage_at) {
-      fr.outage_victims += 1;
-      const int c = cell_of[static_cast<std::size_t>(gid)];
-      const std::size_t idx = pos[static_cast<std::size_t>(c)].at(gid);
-      const TenantOutcome& o =
-          fr.cells[static_cast<std::size_t>(c)].report.tenants[idx];
-      if (o.admitted) {
-        fr.outage_rerouted += 1;
-        fr.outage_replace_ms.add(
-            sim::to_millis(o.arrival + o.boot_latency - t0));
-      } else {
-        fr.outage_lost += 1;
-      }
+    const TenantOutcome& o =
+        fr.cells[static_cast<std::size_t>(c)]
+            .report.tenants[static_cast<std::size_t>(it - m.begin())];
+    if (o.admitted) {
+      fr.outage_rerouted += 1;
+      fr.outage_replace_ms.add(
+          sim::to_millis(o.arrival + o.boot_latency - t0));
+    } else {
+      fr.outage_lost += 1;
     }
   }
   return fr;

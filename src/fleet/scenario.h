@@ -16,13 +16,12 @@
 //                 `s.cluster` access keeps compiling verbatim). This is the
 //                 single-cluster API every test, bench, and golden uses.
 //
-// A Scenario is a plain value; FleetEngine (engine.h) executes it against
-// one shared core::HostSystem, fleet::Cluster shards it across hosts, and
-// fleet::Federation (federation.h) routes one TrafficSpec across K CellSpec
-// cells. The built-in scenarios cover the consolidation questions the paper
-// raises but only answers one tenant at a time: serverless cold-start
-// storms, density sweeps to first OOM, and steady-state mixed-platform
-// fleets.
+// A Scenario is a plain value; fleet::Cluster runs it across its hosts
+// through FleetEngine (engine.h), and fleet::Federation (federation.h)
+// routes one TrafficSpec across K CellSpec cells. The built-in scenarios
+// cover the consolidation questions the paper raises but only answers one
+// tenant at a time: serverless cold-start storms, density sweeps to first
+// OOM, and steady-state mixed-platform fleets.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +78,8 @@ struct AutoscaleSpec {
   sim::Nanos cooldown_ms = sim::millis(20);
   /// Spacing of evaluation events on the global queue.
   sim::Nanos eval_interval = sim::millis(10);
-  /// Ceiling on live hosts; 0 disables scale-out. Scale-out needs a host
-  /// provisioner (fleet::Cluster provides one; a bare FleetEngine cannot
-  /// grow).
+  /// Ceiling on live hosts; 0 disables scale-out. Each scale-out appends
+  /// one host to the run's fleet::Cluster.
   int max_hosts = 0;
   /// Floor on live hosts for scale-in; must be at least 1. Scenarios that
   /// should never shrink below their starting topology set this to the
@@ -259,7 +257,7 @@ struct TrafficSpec : TrafficKnobs {
 /// possibly heterogeneous.
 struct CellSpec {
   // --- Cluster ------------------------------------------------------------
-  /// Host count and per-host shape; host_count 1 is the single-host engine.
+  /// Host count and per-host shape; host_count 1 is a single-host run.
   ClusterTopology cluster;
   /// Which host an arriving tenant lands on (cluster runs only). The
   /// policy ranks every live host; admission walks the ranking and spills

@@ -51,11 +51,7 @@ Scenario pressure_storm(int tenants, int hosts, PlacementKind placement) {
 /// scenario's own placement.
 FleetReport run_engine(const Scenario& s, PlacementPolicy& policy) {
   Cluster cluster(s.cluster);
-  std::vector<core::HostSystem*> hosts;
-  for (int i = 0; i < cluster.host_count(); ++i) {
-    hosts.push_back(&cluster.host(i));
-  }
-  return FleetEngine(hosts, &policy, &cluster).run(s);
+  return FleetEngine(cluster, policy).run(s);
 }
 
 int sum_spill_in(const FleetReport& r) {
@@ -197,15 +193,9 @@ TEST(SpillChainTest, RetryAdmitsStrictlyMoreThanSingleShotPlacement) {
 
   const auto with_retry = run_cluster(s);
 
-  Cluster cluster(s.cluster);
-  std::vector<core::HostSystem*> hosts;
-  for (int i = 0; i < cluster.host_count(); ++i) {
-    hosts.push_back(&cluster.host(i));
-  }
   fleet::SingleShotPolicy single_shot(
       make_placement(PlacementKind::kKsmAffinity));
-  FleetEngine engine(hosts, &single_shot);
-  const auto without_retry = engine.run(s);
+  const auto without_retry = run_engine(s, single_shot);
 
   EXPECT_GT(without_retry.rejected, with_retry.rejected);
   EXPECT_GT(with_retry.admitted, without_retry.admitted);
@@ -328,14 +318,8 @@ TEST(StopAtFirstOomTest, TrippingRejectionAttributedToLastHostTried) {
   auto s = pressure_storm(160, 3, PlacementKind::kRoundRobin);
   s.stop_at_first_oom = true;
 
-  Cluster cluster(s.cluster);
-  std::vector<core::HostSystem*> hosts;
-  for (int i = 0; i < cluster.host_count(); ++i) {
-    hosts.push_back(&cluster.host(i));
-  }
   IndexOrderPolicy policy("index-order");
-  FleetEngine engine(hosts, &policy);
-  const auto report = engine.run(s);
+  const auto report = run_engine(s, policy);
 
   ASSERT_GE(report.first_oom_tenant, 0);
   // The walk always runs 0 -> 1 -> 2, so the full-walk failure lands on

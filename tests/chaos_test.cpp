@@ -289,11 +289,7 @@ TEST(ChaosTest, IncrementalFleetCountersSurviveACrash) {
   s.faults = {crash_at(sim::millis(60), 1)};
   Cluster cluster(s.cluster);
   const auto policy = fleet::make_placement(s.placement);
-  std::vector<core::HostSystem*> hosts;
-  for (int i = 0; i < cluster.host_count(); ++i) {
-    hosts.push_back(&cluster.host(i));
-  }
-  FleetEngine engine(hosts, policy.get(), &cluster);
+  FleetEngine engine(cluster, *policy);
   engine.set_peak_audit(true);
   const FleetReport r = engine.run(s);
   EXPECT_TRUE(engine.peak_audit_ok());

@@ -127,14 +127,6 @@ TEST(ClusterTest, RejectsEmptyTopology) {
   EXPECT_THROW(Cluster{topo}, std::invalid_argument);
 }
 
-TEST(ClusterTest, EngineRequiresPolicyForMultipleHosts) {
-  core::HostSystem a;
-  core::HostSystem b;
-  FleetEngine engine({&a, &b}, nullptr);
-  EXPECT_THROW(engine.run(Scenario::coldstart_storm(8)),
-               std::invalid_argument);
-}
-
 TEST(ClusterTest, RunRejectsMalformedMixWeights) {
   // A share weighted zero, negative or NaN never wins a weighted pick, and
   // an infinite weight swamps the rest: the run must refuse the mix rather
@@ -160,17 +152,15 @@ TEST(ClusterTest, RunRejectsMalformedMixWeights) {
   EXPECT_EQ(r.by_platform.size(), 2u);
 }
 
-// --- Single-host equivalence ----------------------------------------------
+// --- Single-host runs ------------------------------------------------------
 
-TEST(ClusterTest, OneHostClusterMatchesFleetEngineByteForByte) {
-  const auto s = Scenario::coldstart_storm(32);
-  core::HostSystem host;
-  FleetEngine engine(host);
-  const auto direct = engine.run(s);
-  const auto via_cluster = run_cluster(s);  // s.cluster.host_count == 1
-  EXPECT_EQ(direct.to_text(), via_cluster.to_text());
-  EXPECT_EQ(via_cluster.hosts.size(), 1u);
-  EXPECT_TRUE(via_cluster.placement.empty());
+TEST(ClusterTest, OneHostClusterHasOneRollupAndNoPlacement) {
+  // tests/fleet_golden_test.cpp pins a 1-host run's bytes; this pins why
+  // its report renders no cluster section: one host rollup and no policy
+  // name.
+  const auto r = run_cluster(Scenario::coldstart_storm(32));
+  EXPECT_EQ(r.hosts.size(), 1u);
+  EXPECT_TRUE(r.placement.empty());
 }
 
 // --- Cluster behavior ------------------------------------------------------
@@ -225,11 +215,7 @@ TEST(ClusterTest, IncrementalFleetCountersMatchSummedForm) {
   s.host_events = {drain};
   Cluster cluster(s.cluster);
   const auto policy = make_placement(s.placement);
-  std::vector<core::HostSystem*> hosts;
-  for (int i = 0; i < cluster.host_count(); ++i) {
-    hosts.push_back(&cluster.host(i));
-  }
-  FleetEngine engine(hosts, policy.get(), &cluster);
+  FleetEngine engine(cluster, *policy);
   engine.set_peak_audit(true);
   const FleetReport r = engine.run(s);
   EXPECT_TRUE(engine.peak_audit_ok());
@@ -274,11 +260,7 @@ TEST(ClusterTest, KsmProbeMemoAgreesWithARealProbeOnEveryTreeChange) {
   const auto run = [&s](bool audit, bool* audit_ok) {
     Cluster cluster(s.cluster);
     const auto policy = make_placement(s.placement);
-    std::vector<core::HostSystem*> hosts;
-    for (int i = 0; i < cluster.host_count(); ++i) {
-      hosts.push_back(&cluster.host(i));
-    }
-    FleetEngine engine(hosts, policy.get(), &cluster);
+    FleetEngine engine(cluster, *policy);
     engine.set_peak_audit(audit);
     FleetReport r = engine.run(s);
     *audit_ok = engine.peak_audit_ok();
@@ -368,11 +350,7 @@ TEST(ClusterTest, LiveHostsEndTheRunWithNothingCharged) {
   for (const Scenario& s : runs) {
     Cluster cluster(s.cluster);
     RecordingPolicy policy(s.placement);
-    std::vector<core::HostSystem*> hosts;
-    for (int i = 0; i < cluster.host_count(); ++i) {
-      hosts.push_back(&cluster.host(i));
-    }
-    FleetEngine engine(hosts, &policy, &cluster);
+    FleetEngine engine(cluster, policy);
     const FleetReport r = engine.run(s);
     EXPECT_GT(r.completed, 0) << s.name;
     if (&s == &runs.front()) {

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/host_system.h"
 #include "fleet/chaos.h"
 #include "fleet/cluster.h"
 #include "fleet/engine.h"
@@ -255,11 +254,7 @@ TEST(DegradedTest, MemPressureSpikesResidentAndAuditsExactly) {
   s.faults = {mem_pressure_at(sim::millis(60), 1, sim::millis(50))};
   Cluster cluster(s.cluster);
   const auto policy = fleet::make_placement(s.placement);
-  std::vector<core::HostSystem*> hosts;
-  for (int i = 0; i < cluster.host_count(); ++i) {
-    hosts.push_back(&cluster.host(i));
-  }
-  FleetEngine engine(hosts, policy.get(), &cluster);
+  FleetEngine engine(cluster, *policy);
   engine.set_peak_audit(true);
   const FleetReport r = engine.run(s);
   EXPECT_TRUE(engine.peak_audit_ok());

@@ -8,16 +8,14 @@
 // its speed. Trailing spaces in the table rows are significant.
 #include <gtest/gtest.h>
 
-#include "core/host_system.h"
-#include "fleet/engine.h"
+#include "fleet/cluster.h"
 #include "fleet/scenario.h"
 
 namespace {
 
+/// One run on a fresh 1-host cluster (the built-ins' topology).
 std::string run_fresh_text(const fleet::Scenario& s) {
-  core::HostSystem host;
-  fleet::FleetEngine engine(host);
-  return engine.run(s).to_text();
+  return fleet::Cluster(s.cluster).run(s).to_text();
 }
 
 constexpr const char* kColdstartStorm = R"GOLD(scenario: coldstart-storm (seed 17433000876150095873)

@@ -5,29 +5,31 @@
 #include <set>
 
 #include "core/host_system.h"
+#include "fleet/cluster.h"
 #include "fleet/engine.h"
 #include "fleet/event_queue.h"
+#include "fleet/placement.h"
 #include "fleet/report.h"
 #include "fleet/scenario.h"
 
 namespace {
 
 using fleet::ArrivalPattern;
+using fleet::Cluster;
 using fleet::EventKind;
 using fleet::EventQueue;
 using fleet::FleetEngine;
 using fleet::FleetReport;
 using fleet::Scenario;
 
-/// One run on a fresh host; `host_ram_bytes` is the admission cap.
+/// One run on a fresh 1-host cluster; `host_ram_bytes` is the admission
+/// cap.
 FleetReport run_fresh(
     const Scenario& s,
     std::uint64_t host_ram_bytes = core::HostSystemSpec{}.ram_bytes) {
-  core::HostSystemSpec spec;
-  spec.ram_bytes = host_ram_bytes;
-  core::HostSystem host(spec);
-  FleetEngine engine(host);
-  return engine.run(s);
+  fleet::ClusterTopology topo = s.cluster;
+  topo.ram_bytes = host_ram_bytes;
+  return Cluster(topo).run(s);
 }
 
 // --- Event queue ----------------------------------------------------------
@@ -77,9 +79,8 @@ TEST(ScenarioTest, StormUsesAtLeastThreePlatformTypes) {
 TEST(ScenarioTest, EmptyMixIsRejected) {
   Scenario s;
   s.platform_mix.clear();
-  core::HostSystem host;
-  FleetEngine engine(host);
-  EXPECT_THROW(engine.run(s), std::invalid_argument);
+  Cluster cluster(s.cluster);
+  EXPECT_THROW(cluster.run(s), std::invalid_argument);
 }
 
 // --- Engine lifecycle -----------------------------------------------------
@@ -114,8 +115,9 @@ TEST(FleetEngineTest, ReusedEngineBuildsACompleteSecondReport) {
   // same engine must still produce a whole one. The host is warm by then,
   // so only the report's shape is compared, not its bytes.
   const auto s = Scenario::coldstart_storm(32);
-  core::HostSystem host;
-  FleetEngine engine(host);
+  Cluster cluster(s.cluster);
+  const auto policy = fleet::make_placement(s.placement);
+  FleetEngine engine(cluster, *policy);
   const FleetReport first = engine.run(s);
   const FleetReport second = engine.run(s);
   EXPECT_EQ(second.tenants.size(), 32u);
