@@ -160,22 +160,30 @@ void BM_KsmAdviseScanRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_KsmAdviseScanRemove)->Arg(100)->Arg(2'000);
 
-std::vector<fleet::HostView> bench_host_views(int hosts, sim::Rng& rng) {
-  std::vector<fleet::HostView> views;
-  views.reserve(static_cast<std::size_t>(hosts));
+/// The four platforms of isobench's storm-ksm mix.
+constexpr platforms::PlatformId kStormPlatforms[] = {
+    platforms::PlatformId::kDocker, platforms::PlatformId::kFirecracker,
+    platforms::PlatformId::kQemuKvm, platforms::PlatformId::kOsvFirecracker};
+
+std::vector<fleet::TargetState> bench_hosts(int hosts, sim::Rng& rng) {
+  std::vector<fleet::TargetState> targets;
+  targets.reserve(static_cast<std::size_t>(hosts));
   for (int i = 0; i < hosts; ++i) {
-    fleet::HostView v;
-    v.index = i;
-    v.ram_cap_bytes = 256ull << 30;
-    v.resident_bytes = rng.next_u64() % v.ram_cap_bytes;
-    v.active_tenants = static_cast<int>(rng.next_u64() % 2000);
-    v.same_platform_tenants = static_cast<int>(rng.next_u64() % 500);
-    v.pressure.cpu_demand = static_cast<double>(rng.next_u64() % 256);
-    v.pressure.cpu_threads = 128;
-    v.pressure.net_active = static_cast<int>(rng.next_u64() % 64);
-    views.push_back(v);
+    fleet::TargetState t;
+    t.index = i;
+    t.ram_cap_bytes = 256ull << 30;
+    t.resident_bytes = rng.next_u64() % t.ram_cap_bytes;
+    t.active_tenants = static_cast<int>(rng.next_u64() % 2000);
+    for (const auto id : kStormPlatforms) {
+      t.tenants_by_platform[static_cast<std::size_t>(id)] =
+          static_cast<int>(rng.next_u64() % 500);
+    }
+    t.pressure.cpu_demand = static_cast<double>(rng.next_u64() % 256);
+    t.pressure.cpu_threads = 128;
+    t.pressure.net_active = static_cast<int>(rng.next_u64() % 64);
+    targets.push_back(t);
   }
-  return views;
+  return targets;
 }
 
 /// Sort-based ranking: the O(M log M) snapshot sort of rank(), the
@@ -184,12 +192,12 @@ std::vector<fleet::HostView> bench_host_views(int hosts, sim::Rng& rng) {
 void BM_RankHostsSort(benchmark::State& state) {
   sim::Rng rng(21);
   const auto policy = fleet::make_placement(fleet::PlacementKind::kLeastLoaded);
-  const auto views = bench_host_views(static_cast<int>(state.range(0)), rng);
+  const auto hosts = bench_hosts(static_cast<int>(state.range(0)), rng);
   fleet::PlacementRequest req;
   std::vector<int> ranked;
   for (auto _ : state) {
     ranked.clear();
-    policy->rank(req, views, ranked);
+    policy->rank(req, hosts, ranked);
     benchmark::DoNotOptimize(ranked.data());
   }
 }
@@ -200,16 +208,9 @@ BENCHMARK(BM_RankHostsSort)->Arg(4)->Arg(64)->Arg(1024);
 void BM_RankHostsHeapWalk(benchmark::State& state) {
   sim::Rng rng(21);
   const auto policy = fleet::make_placement(fleet::PlacementKind::kLeastLoaded);
-  const auto views = bench_host_views(static_cast<int>(state.range(0)), rng);
   policy->reset();
-  for (const auto& v : views) {
-    fleet::HostState s;
-    s.index = v.index;
-    s.ram_cap_bytes = v.ram_cap_bytes;
-    s.resident_bytes = v.resident_bytes;
-    s.active_tenants = v.active_tenants;
-    s.pressure = v.pressure;
-    policy->target_updated(s);
+  for (const auto& h : bench_hosts(static_cast<int>(state.range(0)), rng)) {
+    policy->target_updated(h);
   }
   fleet::PlacementRequest req;
   for (auto _ : state) {
@@ -226,30 +227,20 @@ BENCHMARK(BM_RankHostsHeapWalk)->Arg(4)->Arg(64)->Arg(1024);
 void BM_AffinityWalk(benchmark::State& state) {
   sim::Rng rng(21);
   const auto policy = fleet::make_placement(fleet::PlacementKind::kKsmAffinity);
-  std::vector<fleet::HostState> hosts;
-  for (const fleet::HostState& h :
-       bench_host_views(static_cast<int>(state.range(0)), rng)) {
-    hosts.push_back(h);
-  }
-  const platforms::PlatformId storm_platforms[] = {
-      platforms::PlatformId::kDocker, platforms::PlatformId::kFirecracker,
-      platforms::PlatformId::kQemuKvm, platforms::PlatformId::kOsvFirecracker};
+  std::vector<fleet::TargetState> hosts =
+      bench_hosts(static_cast<int>(state.range(0)), rng);
   policy->reset();
   for (const auto& h : hosts) {
     policy->target_updated(h);
-    for (const auto id : storm_platforms) {
-      policy->platform_count_changed(h.index, id,
-                                     static_cast<int>(rng.next_u64() % 500));
-    }
   }
   std::size_t arrival = 0;
   for (auto _ : state) {
-    policy->walk_begin(fleet::PlacementRequest{storm_platforms[arrival++ % 4]});
+    policy->walk_begin(fleet::PlacementRequest{kStormPlatforms[arrival++ % 4]});
     const int first = policy->walk_next();
     for (int k = 1; k < 8; ++k) {
       benchmark::DoNotOptimize(policy->walk_next());
     }
-    fleet::HostState& h = hosts[static_cast<std::size_t>(first)];
+    fleet::TargetState& h = hosts[static_cast<std::size_t>(first)];
     h.pressure.cpu_demand += 1.0;
     policy->target_updated(h);
   }

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "hap/hap.h"
+
 namespace fleet {
 
 namespace {
@@ -130,6 +132,11 @@ bool is_hypervisor_backed(PlatformId id) {
       return false;
   }
   return false;
+}
+
+std::uint64_t guest_resident_bytes(PlatformId id,
+                                   std::uint64_t guest_ram_bytes) {
+  return is_hypervisor_backed(id) ? guest_ram_bytes : guest_ram_bytes / 4;
 }
 
 FleetEngine::FleetEngine(Cluster& cluster, PlacementPolicy& policy)
@@ -268,9 +275,8 @@ bool FleetEngine::admit(Shard& sh, Tenant& t, const Scenario& s) {
   } else {
     // Hypervisor guests without KSM reserve full guest RAM; namespace-
     // backed tenants only pay their process RSS.
-    t.resident_bytes = is_hypervisor_backed(t.platform_id)
-                           ? overhead + s.guest_ram_bytes
-                           : overhead + s.guest_ram_bytes / 4;
+    t.resident_bytes =
+        overhead + guest_resident_bytes(t.platform_id, s.guest_ram_bytes);
     if (sh.resident_bytes() + t.resident_bytes > sh.ram_cap) {
       return false;
     }
@@ -366,7 +372,6 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   ++active_;
   ++sh.active;
   ++sh.tenants_by_platform[static_cast<std::size_t>(t.platform_id)];
-  notify_platform_count(sh, t.platform_id);
   charge(sh, t, Tenant::InFlight::kBoot, kBootVcpus, false);
   t.holds_resources = true;
   note_peaks(sh);
@@ -732,7 +737,6 @@ void FleetEngine::release_tenant(Shard& sh, Tenant& t) {
   --sh.tenants_by_platform[static_cast<std::size_t>(t.platform_id)];
   t.holds_resources = false;
   --active_;
-  notify_platform_count(sh, t.platform_id);
   fleet_apply(sh, before);
 }
 
@@ -740,23 +744,16 @@ void FleetEngine::publish_host(Shard& sh) {
   if (!sh.live) {
     return;
   }
-  HostState state;
+  TargetState state;
   state.index = sh.rollup.host;
   state.ram_cap_bytes = sh.ram_cap;
   state.resident_bytes = sh.resident_bytes();
   state.active_tenants = sh.active;
+  state.tenants_by_platform = sh.tenants_by_platform;
   state.pressure.cpu_demand = sh.cpu_demand;
   state.pressure.cpu_threads = sh.host->spec().cpu_threads;
   state.pressure.net_active = sh.net_active;
   policy_.target_updated(state);
-}
-
-void FleetEngine::notify_platform_count(Shard& sh, platforms::PlatformId id) {
-  if (!sh.live) {
-    return;
-  }
-  policy_.platform_count_changed(
-      sh.rollup.host, id, sh.tenants_by_platform[static_cast<std::size_t>(id)]);
 }
 
 void FleetEngine::handle_teardown(Tenant& t, const Scenario& s) {
@@ -1501,11 +1498,7 @@ FleetReport FleetEngine::run(const Scenario& s) {
     const auto& ftrace = sh.host->kernel().ftrace();
     sh.rollup.hap.distinct_functions = ftrace.distinct_functions();
     sh.rollup.hap.total_invocations = ftrace.total_invocations();
-    const auto& registry = sh.host->kernel().registry();
-    for (const auto& [fn, count] : ftrace.counts()) {
-      (void)count;
-      sh.rollup.hap.extended_hap += epss_.score(registry.function(fn));
-    }
+    sh.rollup.hap.extended_hap = hap::extended_hap(ftrace);
     sh.rollup.ksm.enabled = s.enable_ksm;
     sh.rollup.page_cache_hits = sh.host->page_cache().hits() - sh.cache_hits0;
     sh.rollup.page_cache_misses =

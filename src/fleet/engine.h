@@ -33,7 +33,6 @@
 #include "fleet/program.h"
 #include "fleet/report.h"
 #include "fleet/scenario.h"
-#include "hap/epss.h"
 #include "mem/ksm.h"
 #include "platforms/factory.h"
 #include "sim/clock.h"
@@ -45,6 +44,13 @@ namespace fleet {
 /// KSM-deduplicated); false for namespace-backed tenants that only pay
 /// their process RSS.
 bool is_hypervisor_backed(platforms::PlatformId id);
+
+/// Guest RAM one tenant pins, before its platform's overhead: all of it
+/// for a hypervisor guest, a quarter for a namespace-backed tenant. The
+/// engine charges it at admission (without KSM) and a federation's router
+/// projects each routed tenant with it.
+std::uint64_t guest_resident_bytes(platforms::PlatformId id,
+                                   std::uint64_t guest_ram_bytes);
 
 class FleetEngine {
  public:
@@ -155,8 +161,8 @@ class FleetEngine {
     double cpu_demand = 0.0;  // vCPUs demanded by in-flight activity
     std::uint64_t non_ksm_resident = 0;
     std::uint64_t ram_cap = 0;
-    /// Active tenants per platform, pushed to the policy through
-    /// platform_count_changed.
+    /// Active tenants per platform, pushed to the policy in the shard's
+    /// TargetState.
     std::array<int, platforms::kPlatformIdCount> tenants_by_platform{};
     HostRollup rollup;
     std::uint64_t cache_hits0 = 0;   // host-model counters at run start
@@ -267,9 +273,6 @@ class FleetEngine {
   /// every event that changed the shard.
   void publish_host(Shard& sh);
 
-  /// Tell the policy that `sh`'s tenant count for `id` moved.
-  void notify_platform_count(Shard& sh, platforms::PlatformId id);
-
   /// Charge `vcpus` (plus one NIC slot when `nic`) to sh and store the
   /// charge on t, which holds none.
   static void charge(Shard& sh, Tenant& t, Tenant::InFlight what,
@@ -280,8 +283,7 @@ class FleetEngine {
   /// Release everything tenant t currently charges against shard sh
   /// (in-flight CPU/NIC demand, KSM registration, resident bytes, the
   /// shard's active counters) plus the fleet-global bookkeeping (active_,
-  /// placement notification, fleet counters). Shared by teardown and drain
-  /// migration.
+  /// fleet counters). Shared by teardown and drain migration.
   void release_tenant(Shard& sh, Tenant& t);
 
   // Mid-run topology changes.
@@ -352,7 +354,6 @@ class FleetEngine {
   /// directly instead of hashing per event.
   std::vector<Tenant> tenants_;
   std::vector<mem::PageRun> run_scratch_;  // recycled guest-run storage
-  hap::EpssModel epss_;
   FleetReport report_;
 
   /// by_platform stats resolved once per PlatformId (ids and names are 1:1

@@ -1,7 +1,6 @@
 #include "fleet/federation.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdio>
 #include <exception>
@@ -238,33 +237,24 @@ FederationReport Federation::run(const FederatedScenario& fs) {
     cs[static_cast<std::size_t>(o.cell)].faults.push_back(f);
   }
 
-  // Admission-effective aggregate RAM per cell, for the router's
-  // projections (the per-host RAM host_spec gives each host, which
-  // FleetEngine::init_shard reads as the admission cap).
-  std::vector<std::uint64_t> cell_cap(static_cast<std::size_t>(cell_n));
-  for (int k = 0; k < cell_n; ++k) {
-    const ClusterTopology& cell =
-        topology_.cells[static_cast<std::size_t>(k)].spec.cluster;
-    cell_cap[static_cast<std::size_t>(k)] =
-        host_spec(cell, 0).ram_bytes *
-        static_cast<std::uint64_t>(std::max(1, cell.host_count));
-  }
-
-  // Projected router-side load. The router never sees inside a cell; it
-  // ranks on these estimates, and real admission inside each cell settles
-  // the rest (spilling back through the router on refusal).
-  struct Projection {
-    std::uint64_t resident = 0;
-    int count = 0;
-    std::array<int, platforms::kPlatformIdCount> by_platform{};
-  };
-  std::vector<Projection> proj(static_cast<std::size_t>(cell_n));
-
+  // The router's projected load per cell. The router never sees inside a
+  // cell; it ranks on these estimates, and real admission inside each cell
+  // settles the rest (spilling back through the router on refusal). A
+  // cell's capacity is its admission-effective aggregate RAM: the per-host
+  // RAM host_spec gives each host, which FleetEngine::init_shard reads as
+  // the admission cap.
+  std::vector<TargetState> load(static_cast<std::size_t>(cell_n));
   std::unique_ptr<RoutingPolicy> router = make_routing(fs.routing);
   router->reset();
   for (int k = 0; k < cell_n; ++k) {
-    router->target_updated(
-        CellState{k, cell_cap[static_cast<std::size_t>(k)], 0, 0});
+    const ClusterTopology& cell =
+        topology_.cells[static_cast<std::size_t>(k)].spec.cluster;
+    TargetState& cell_load = load[static_cast<std::size_t>(k)];
+    cell_load.index = k;
+    cell_load.ram_cap_bytes =
+        host_spec(cell, 0).ram_bytes *
+        static_cast<std::uint64_t>(std::max(1, cell.host_count));
+    router->target_updated(cell_load);
   }
 
   // Effective arrivals: a moved tenant carries its updated arrival
@@ -275,14 +265,6 @@ FederationReport Federation::run(const FederatedScenario& fs) {
     arrival[static_cast<std::size_t>(gid)] =
         population[static_cast<std::size_t>(gid)].arrival;
   }
-
-  const auto estimate = [&](int gid) {
-    const bool hv = is_hypervisor_backed(
-        population[static_cast<std::size_t>(gid)].platform_id);
-    // Same projection the density check uses: hypervisor tenants pin their
-    // guest RAM; process-backed ones are assumed far lighter.
-    return hv ? fs.traffic.guest_ram_bytes : fs.traffic.guest_ram_bytes / 4;
-  };
 
   std::unordered_map<int, std::vector<char>> tried;
 
@@ -301,22 +283,21 @@ FederationReport Federation::run(const FederatedScenario& fs) {
   };
 
   const auto project_into = [&](int gid, int k, int direction) {
-    Projection& p = proj[static_cast<std::size_t>(k)];
-    const std::uint64_t est = estimate(gid);
-    if (direction > 0) {
-      p.resident += est;
-      p.count += 1;
-    } else {
-      p.resident = p.resident >= est ? p.resident - est : 0;
-      p.count -= 1;
-    }
+    TargetState& cell_load = load[static_cast<std::size_t>(k)];
     const platforms::PlatformId platform =
         population[static_cast<std::size_t>(gid)].platform_id;
-    int& pc = p.by_platform[static_cast<std::size_t>(platform)];
-    pc += direction;
-    router->target_updated(CellState{k, cell_cap[static_cast<std::size_t>(k)],
-                                     p.resident, p.count});
-    router->platform_count_changed(k, platform, pc);
+    const std::uint64_t est =
+        guest_resident_bytes(platform, fs.traffic.guest_ram_bytes);
+    if (direction > 0) {
+      cell_load.resident_bytes += est;
+    } else {
+      cell_load.resident_bytes =
+          cell_load.resident_bytes >= est ? cell_load.resident_bytes - est : 0;
+    }
+    cell_load.active_tenants += direction;
+    cell_load.tenants_by_platform[static_cast<std::size_t>(platform)] +=
+        direction;
+    router->target_updated(cell_load);
   };
 
   // --- Initial routing pass, in global arrival order ----------------------

@@ -11,19 +11,17 @@ namespace fleet {
 
 namespace {
 
-// --- Ranking orders, each a functor over two States or two Views, so the
-// heap walk and the rank() specification share one definition. ----------
+// --- Ranking orders, each a functor over two TargetStates, so the heap
+// walk and the rank() specification share one definition. ---------------
 
-template <typename T>
-std::uint64_t free_bytes(const T& t) {
+std::uint64_t free_bytes(const TargetState& t) {
   return t.ram_cap_bytes > t.resident_bytes ? t.ram_cap_bytes - t.resident_bytes
                                             : 0;
 }
 
 /// Most free RAM first (least-loaded, least-loaded-cell).
 struct MostFreeRam {
-  template <typename T>
-  bool operator()(const T& a, const T& b) const {
+  bool operator()(const TargetState& a, const TargetState& b) const {
     const std::uint64_t fa = free_bytes(a);
     const std::uint64_t fb = free_bytes(b);
     if (fa != fb) {
@@ -40,8 +38,7 @@ constexpr double kRamWeight = 0.5;
 constexpr double kCpuWeight = 0.35;
 constexpr double kNicWeight = 0.15;
 
-template <typename T>
-double pressure_score(const T& h) {
+double pressure_score(const TargetState& h) {
   const double ram_used =
       h.ram_cap_bytes == 0
           ? 1.0
@@ -59,8 +56,7 @@ double pressure_score(const T& h) {
 
 /// Lowest pressure score first (least-pressure).
 struct LeastPressure {
-  template <typename T>
-  bool operator()(const T& a, const T& b) const {
+  bool operator()(const TargetState& a, const TargetState& b) const {
     const double sa = pressure_score(a);
     const double sb = pressure_score(b);
     if (sa != sb) {
@@ -75,8 +71,7 @@ struct LeastPressure {
 /// variance; the retry walk absorbs overshoot as a spill, not an OOM.
 constexpr double kPackWatermark = 0.9;
 
-template <typename T>
-bool above_watermark(const T& h) {
+bool above_watermark(const TargetState& h) {
   return static_cast<double>(h.resident_bytes) >=
          kPackWatermark * static_cast<double>(h.ram_cap_bytes);
 }
@@ -85,8 +80,7 @@ bool above_watermark(const T& h) {
 /// host soaks up every arrival until it crosses the line), then the full
 /// hosts in index order as spill targets of last resort (pack-then-spill).
 struct OpenHostsFirst {
-  template <typename T>
-  bool operator()(const T& a, const T& b) const {
+  bool operator()(const TargetState& a, const TargetState& b) const {
     const bool fa = above_watermark(a);
     const bool fb = above_watermark(b);
     if (fa != fb) {
@@ -96,16 +90,30 @@ struct OpenHostsFirst {
   }
 };
 
+/// Most tenants of one platform first, then most free RAM (ksm-affinity,
+/// platform-affinity).
+struct CoTenantsFirst {
+  std::size_t platform;
+  bool operator()(const TargetState& a, const TargetState& b) const {
+    const int ca = a.tenants_by_platform[platform];
+    const int cb = b.tenants_by_platform[platform];
+    if (ca != cb) {
+      return ca > cb;
+    }
+    return MostFreeRam{}(a, b);
+  }
+};
+
+std::size_t slot(platforms::PlatformId platform) {
+  return static_cast<std::size_t>(platform);
+}
+
 // --- Rules that are more than one order over a target's own state -------
 
 /// Cycle the live targets in index order, one cursor step per arrival; the
 /// retry walk continues around the cycle from wherever the cursor landed.
-template <typename Base>
-class RoundRobinRanking final : public Base {
+class RoundRobinRanking final : public RankingPolicy {
  public:
-  using State = typename Base::State;
-  using View = typename Base::View;
-
   explicit RoundRobinRanking(std::string name) : name_(std::move(name)) {}
 
   std::string name() const override { return name_; }
@@ -115,13 +123,12 @@ class RoundRobinRanking final : public Base {
     walk_start_ = 0;
     walk_emitted_ = 0;
   }
-  void target_updated(const State& s) override {
+  void target_updated(const TargetState& s) override {
     const auto it = std::lower_bound(live_.begin(), live_.end(), s.index);
     if (it == live_.end() || *it != s.index) {
       live_.insert(it, s.index);
     }
   }
-  void platform_count_changed(int, platforms::PlatformId, int) override {}
   void target_removed(int target) override {
     const auto it = std::lower_bound(live_.begin(), live_.end(), target);
     if (it != live_.end() && *it == target) {
@@ -138,19 +145,19 @@ class RoundRobinRanking final : public Base {
     }
     return live_[(walk_start_ + walk_emitted_++) % live_.size()];
   }
-  void rank(const PlacementRequest&, const std::vector<View>& views,
+  void rank(const PlacementRequest&, const std::vector<TargetState>& targets,
             std::vector<int>& ranked) override {
-    const std::size_t n = views.size();
+    const std::size_t n = targets.size();
     const std::size_t start = static_cast<std::size_t>(cursor_++ % n);
     for (std::size_t k = 0; k < n; ++k) {
-      ranked.push_back(views[(start + k) % n].index);
+      ranked.push_back(targets[(start + k) % n].index);
     }
   }
 
  private:
   std::string name_;
   std::uint64_t cursor_ = 0;
-  std::vector<int> live_;  // sorted, mirrors the snapshot's order
+  std::vector<int> live_;  // sorted, mirrors the records' order
   std::size_t walk_start_ = 0;
   std::size_t walk_emitted_ = 0;
 };
@@ -161,39 +168,22 @@ class RoundRobinRanking final : public Base {
 /// boot image caches merge. With no co-tenant anywhere this degrades to
 /// most-free-RAM, which also spreads the first tenant of each platform
 /// onto the emptiest target before piles start forming. One heap per
-/// platform, built at that platform's first walk; counts and heaps are
-/// indexed by PlatformId, so a heap comparison reads its platform's count
-/// vector directly.
-template <typename Base>
-class AffinityRanking final : public IncrementalRanking<Base> {
+/// platform, built at that platform's first walk and indexed by
+/// PlatformId; each compares the pushed records' counts for its platform.
+class AffinityRanking final : public IncrementalRanking {
  public:
-  using View = typename Base::View;
-
-  using IncrementalRanking<Base>::IncrementalRanking;
-
-  void platform_count_changed(int target, platforms::PlatformId platform,
-                              int count) override {
-    auto& per_target = counts_[slot(platform)];
-    if (per_target.size() <= static_cast<std::size_t>(target)) {
-      per_target.resize(static_cast<std::size_t>(target) + 1, 0);
-    }
-    per_target[static_cast<std::size_t>(target)] = count;
-    auto& heap = heaps_[slot(platform)];
-    if (heap && heap->contains(target)) {
-      heap->update(target);
-    }
-  }
+  using IncrementalRanking::IncrementalRanking;
 
   void walk_begin(const PlacementRequest& req) override {
-    if (!this->popped_.empty()) {  // only after a walk: its heap exists
-      this->restore_popped(*heaps_[slot(walk_platform_)]);
+    if (!popped_.empty()) {  // only after a walk: its heap exists
+      restore_popped(*heaps_[slot(walk_platform_)]);
     }
     walk_platform_ = req.platform_id;
     auto& heap = heaps_[slot(walk_platform_)];
     if (!heap) {
-      heap.emplace(Cmp{this, &counts_[slot(walk_platform_)]});
-      for (std::size_t i = 0; i < this->live_.size(); ++i) {
-        if (this->live_[i] != 0) {
+      heap.emplace(ByState<CoTenantsFirst>{this, {slot(walk_platform_)}});
+      for (std::size_t i = 0; i < live_.size(); ++i) {
+        if (live_[i] != 0) {
           heap->push(static_cast<int>(i));
         }
       }
@@ -201,50 +191,19 @@ class AffinityRanking final : public IncrementalRanking<Base> {
   }
 
   int walk_next() override {
-    return this->pop_candidate(*heaps_[slot(walk_platform_)]);
+    return pop_candidate(*heaps_[slot(walk_platform_)]);
   }
 
-  void rank(const PlacementRequest&, const std::vector<View>& views,
+  void rank(const PlacementRequest& req,
+            const std::vector<TargetState>& targets,
             std::vector<int>& ranked) override {
-    rank_by(views, ranked, [](const View& a, const View& b) {
-      if (a.same_platform_tenants != b.same_platform_tenants) {
-        return a.same_platform_tenants > b.same_platform_tenants;
-      }
-      return MostFreeRam{}(a, b);
-    });
+    rank_by(targets, ranked, CoTenantsFirst{slot(req.platform_id)});
   }
 
  private:
-  /// Orders one platform's heap: `counts` is that platform's per-target
-  /// tenant count, shorter than the target list until every target's
-  /// count has been pushed (a missing entry counts 0).
-  struct Cmp {
-    const AffinityRanking* self;
-    const std::vector<int>* counts;
-    bool operator()(int a, int b) const {
-      const int ca = count_of(a);
-      const int cb = count_of(b);
-      if (ca != cb) {
-        return ca > cb;
-      }
-      return MostFreeRam{}(self->state_of(a), self->state_of(b));
-    }
-    int count_of(int target) const {
-      const auto i = static_cast<std::size_t>(target);
-      return i < counts->size() ? (*counts)[i] : 0;
-    }
-  };
-
-  static std::size_t slot(platforms::PlatformId platform) {
-    return static_cast<std::size_t>(platform);
-  }
-
   void reset_orderings() override {
     for (auto& heap : heaps_) {
       heap.reset();
-    }
-    for (auto& per_target : counts_) {
-      per_target.clear();
     }
   }
   void target_added(int target) override {
@@ -269,8 +228,8 @@ class AffinityRanking final : public IncrementalRanking<Base> {
     }
   }
 
-  std::array<std::vector<int>, platforms::kPlatformIdCount> counts_;
-  std::array<std::optional<IndexedHeap<Cmp>>, platforms::kPlatformIdCount>
+  std::array<std::optional<IndexedHeap<ByState<CoTenantsFirst>>>,
+             platforms::kPlatformIdCount>
       heaps_;
   platforms::PlatformId walk_platform_ = platforms::PlatformId::kNative;
 };
@@ -303,18 +262,15 @@ std::unique_ptr<PlacementPolicy> make_placement(PlacementKind kind) {
   std::string name = placement_kind_name(kind);
   switch (kind) {
     case PlacementKind::kRoundRobin:
-      return std::make_unique<RoundRobinRanking<PlacementPolicy>>(name);
+      return std::make_unique<RoundRobinRanking>(name);
     case PlacementKind::kLeastLoaded:
-      return std::make_unique<HeapWalkRanking<PlacementPolicy, MostFreeRam>>(
-          name);
+      return std::make_unique<HeapWalkRanking<MostFreeRam>>(name);
     case PlacementKind::kKsmAffinity:
-      return std::make_unique<AffinityRanking<PlacementPolicy>>(name);
+      return std::make_unique<AffinityRanking>(name);
     case PlacementKind::kLeastPressure:
-      return std::make_unique<HeapWalkRanking<PlacementPolicy, LeastPressure>>(
-          name);
+      return std::make_unique<HeapWalkRanking<LeastPressure>>(name);
     case PlacementKind::kPackThenSpill:
-      return std::make_unique<HeapWalkRanking<PlacementPolicy, OpenHostsFirst>>(
-          name);
+      return std::make_unique<HeapWalkRanking<OpenHostsFirst>>(name);
   }
   throw std::invalid_argument("make_placement: unknown PlacementKind");
 }
@@ -340,12 +296,11 @@ std::unique_ptr<RoutingPolicy> make_routing(RoutingKind kind) {
   std::string name = routing_kind_name(kind);
   switch (kind) {
     case RoutingKind::kRoundRobin:
-      return std::make_unique<RoundRobinRanking<RoutingPolicy>>(name);
+      return std::make_unique<RoundRobinRanking>(name);
     case RoutingKind::kLeastLoadedCell:
-      return std::make_unique<HeapWalkRanking<RoutingPolicy, MostFreeRam>>(
-          name);
+      return std::make_unique<HeapWalkRanking<MostFreeRam>>(name);
     case RoutingKind::kPlatformAffinity:
-      return std::make_unique<AffinityRanking<RoutingPolicy>>(name);
+      return std::make_unique<AffinityRanking>(name);
   }
   throw std::invalid_argument("make_routing: unknown RoutingKind");
 }

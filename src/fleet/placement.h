@@ -31,17 +31,19 @@
 //                     into a spill instead of an OOM
 //
 // The built-in cell routings are the first three rules over cells (see
-// RoutingKind). Each rule has one implementation, templated over the
-// domain; the load-aware rules walk indexed heaps, O(log N) per candidate
-// tried, and the affinity rules keep their per-platform counts and heaps
-// in arrays indexed by PlatformId. Each rule also states its order as
-// rank(), a sort of a snapshot of every live target; the tests pin the
-// walk against it, and no arrival pays for that sort. A candidate the
-// walk emits again after it refused costs the engine a KSM probe memo read
-// until that host's stable tree changes (FleetEngine::admit).
+// RoutingKind). Hosts and cells push the same TargetState record, so each
+// rule has one implementation over it; the load-aware rules walk indexed
+// heaps, O(log N) per candidate tried, and the affinity rules read each
+// target's per-platform tenant count from that record. Each rule also
+// states its order as rank(), a sort of the same records for every live
+// target; the tests pin the walk against it, and no arrival pays for that
+// sort. A candidate the walk emits again after it refused costs the engine
+// a KSM probe memo read until that host's stable tree changes
+// (FleetEngine::admit).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -81,8 +83,8 @@ std::vector<RoutingKind> all_routing_kinds();
 
 /// One host's runtime CPU/NIC pressure as the engine tracks it
 /// incrementally: nothing here is recomputed from scratch at an arrival.
-/// RAM (ram_cap_bytes/resident_bytes) and tenant count live on HostState
-/// itself — one source of truth per quantity.
+/// RAM (ram_cap_bytes/resident_bytes) and tenant counts live on
+/// TargetState itself — one source of truth per quantity.
 struct HostPressure {
   /// vCPUs currently demanded by in-flight boots and phases on this host.
   double cpu_demand = 0.0;
@@ -91,42 +93,24 @@ struct HostPressure {
   int net_active = 0;
 };
 
-/// One live host's load, as the engine pushes it (target_updated) after
-/// every change. Per-platform tenant counts travel separately, through
-/// platform_count_changed.
-struct HostState {
+/// One live target's load, pushed (target_updated) after every change: a
+/// host as the engine charges it, or a cell as the federation's router
+/// projects it from routed-tenant estimates, never a peek inside the
+/// cell's engine. rank() reads the same records.
+struct TargetState {
   int index = 0;
+  /// A host's RAM, or the aggregate RAM across a cell's initial hosts.
   std::uint64_t ram_cap_bytes = 0;
   /// Bytes currently charged against this host (non-KSM resident plus KSM
-  /// backing pages).
+  /// backing pages), or the projected resident bytes of every tenant
+  /// currently routed to this cell.
   std::uint64_t resident_bytes = 0;
   int active_tenants = 0;
+  /// Active tenants per platform, indexed by PlatformId.
+  std::array<int, platforms::kPlatformIdCount> tenants_by_platform{};
+  /// Hosts only: the router leaves it at its defaults, since no routing
+  /// rule reads it.
   HostPressure pressure;
-};
-
-/// One row of the snapshot PlacementPolicy::rank orders: HostState plus
-/// the one request-dependent quantity.
-struct HostView : HostState {
-  /// Active tenants on this host running the arriving tenant's platform.
-  int same_platform_tenants = 0;
-};
-
-/// One cell's load as the router tracks it: aggregate free RAM projected
-/// from routed-tenant estimates, never a peek inside the cell's engine.
-struct CellState {
-  int index = 0;
-  /// Aggregate RAM across the cell's initial hosts: ClusterTopology::
-  /// ram_bytes, or the HostSystemSpec default, per host.
-  std::uint64_t ram_cap_bytes = 0;
-  /// Projected resident bytes of every tenant currently routed here.
-  std::uint64_t resident_bytes = 0;
-  int active_tenants = 0;
-};
-
-/// One row of the snapshot RoutingPolicy::rank orders.
-struct CellView : CellState {
-  /// Tenants of the arriving tenant's platform currently routed here.
-  int same_platform_tenants = 0;
 };
 
 /// The arriving tenant, as much as a policy may know about it: hosts and
@@ -135,19 +119,14 @@ struct PlacementRequest {
   platforms::PlatformId platform_id = platforms::PlatformId::kNative;
 };
 
-/// The ranking protocol, generic over what is ranked: hosts inside one
-/// cluster (PlacementPolicy) or whole cells inside a federation
-/// (RoutingPolicy). The caller pushes target_updated() after each change,
-/// platform_count_changed() when a target's per-platform tenant count
-/// moves, and target_removed() on a drain, crash or outage. Per arrival it
-/// calls walk_begin() and then walk_next() until a target admits or the
-/// walk ends.
-template <typename StateT, typename ViewT>
+/// The ranking protocol, one for both levels of the fleet: hosts inside
+/// one cluster (PlacementPolicy) or whole cells inside a federation
+/// (RoutingPolicy). The caller pushes target_updated() after each change
+/// and target_removed() on a drain, crash or outage. Per arrival it calls
+/// walk_begin() and then walk_next() until a target admits or the walk
+/// ends.
 class RankingPolicy {
  public:
-  using State = StateT;
-  using View = ViewT;
-
   // Not copyable: the heap comparators of the built-in rules hold `this`.
   RankingPolicy() = default;
   RankingPolicy(const RankingPolicy&) = delete;
@@ -161,12 +140,7 @@ class RankingPolicy {
   virtual void reset() = 0;
 
   /// Upsert one live target's state (also how new targets join).
-  virtual void target_updated(const State& state) = 0;
-
-  /// A target's active tenant count for one platform changed.
-  virtual void platform_count_changed(int target,
-                                      platforms::PlatformId platform,
-                                      int count) = 0;
+  virtual void target_updated(const TargetState& state) = 0;
 
   /// The target was drained (host) or went dark (host crash, cell
   /// outage): it is never emitted again.
@@ -181,20 +155,21 @@ class RankingPolicy {
   /// early.
   virtual int walk_next() = 0;
 
-  /// The specification of the walk order: append View::index values from
-  /// most to least preferred to `ranked` (which arrives cleared). `views`
-  /// has one row per live target, in index order, and is never empty. A
-  /// walk after the same pushes emits exactly this list. Advances any
-  /// cursor like one walk_begin().
-  virtual void rank(const PlacementRequest& req, const std::vector<View>& views,
+  /// The specification of the walk order: append TargetState::index values
+  /// from most to least preferred to `ranked` (which arrives cleared).
+  /// `targets` has one record per live target, in index order, and is
+  /// never empty. A walk after pushing the same records emits exactly this
+  /// list. Advances any cursor like one walk_begin().
+  virtual void rank(const PlacementRequest& req,
+                    const std::vector<TargetState>& targets,
                     std::vector<int>& ranked) = 0;
 
   /// Convenience: the front of rank(). Throws std::logic_error when rank()
   /// ranked nothing.
   int first_choice(const PlacementRequest& req,
-                   const std::vector<View>& views) {
+                   const std::vector<TargetState>& targets) {
     std::vector<int> ranked;
-    rank(req, views, ranked);
+    rank(req, targets, ranked);
     if (ranked.empty()) {
       throw std::logic_error(name() + ": rank() ranked nothing");
     }
@@ -203,35 +178,34 @@ class RankingPolicy {
 };
 
 /// Host placement inside one cluster.
-using PlacementPolicy = RankingPolicy<HostState, HostView>;
+using PlacementPolicy = RankingPolicy;
 
 /// Cell selection for a federation's global router, which routes only
 /// through the built-in policies.
-using RoutingPolicy = RankingPolicy<CellState, CellView>;
+using RoutingPolicy = RankingPolicy;
 
 std::unique_ptr<PlacementPolicy> make_placement(PlacementKind kind);
 std::unique_ptr<RoutingPolicy> make_routing(RoutingKind kind);
 
 // --- Shared heap machinery -------------------------------------------------
-// Base is PlacementPolicy or RoutingPolicy; these templates supply the
-// state bookkeeping and heap walks on top of it.
+// State bookkeeping and heap walks shared by the built-in rules.
 
-/// Sort a snapshot by `less` (which must totally order ties, e.g. by
-/// index) and append the ranked View::index values to `ranked`. Sorts
-/// inside `ranked` itself, without a scratch allocation.
-template <typename View, typename Less>
-void rank_by(const std::vector<View>& views, std::vector<int>& ranked,
+/// Sort the records by `less` (which must totally order ties, e.g. by
+/// index) and append the ranked TargetState::index values to `ranked`.
+/// Sorts inside `ranked` itself, without a scratch allocation.
+template <typename Less>
+void rank_by(const std::vector<TargetState>& targets, std::vector<int>& ranked,
              Less less) {
   const auto first = static_cast<std::ptrdiff_t>(ranked.size());
-  for (std::size_t i = 0; i < views.size(); ++i) {
+  for (std::size_t i = 0; i < targets.size(); ++i) {
     ranked.push_back(static_cast<int>(i));
   }
   std::sort(ranked.begin() + first, ranked.end(), [&](int a, int b) {
-    return less(views[static_cast<std::size_t>(a)],
-                views[static_cast<std::size_t>(b)]);
+    return less(targets[static_cast<std::size_t>(a)],
+                targets[static_cast<std::size_t>(b)]);
   });
   for (auto it = ranked.begin() + first; it != ranked.end(); ++it) {
-    *it = views[static_cast<std::size_t>(*it)].index;
+    *it = targets[static_cast<std::size_t>(*it)].index;
   }
 }
 
@@ -239,11 +213,8 @@ void rank_by(const std::vector<View>& views, std::vector<int>& ranked,
 /// candidate list a lazy walk must restore before the next request.
 /// Subclasses implement the ordering hooks (reset_orderings /
 /// target_added / target_changed / target_dropped).
-template <typename Base>
-class IncrementalRanking : public Base {
+class IncrementalRanking : public RankingPolicy {
  public:
-  using State = typename Base::State;
-
   explicit IncrementalRanking(std::string name) : name_(std::move(name)) {}
 
   std::string name() const override { return name_; }
@@ -255,7 +226,7 @@ class IncrementalRanking : public Base {
     reset_orderings();
   }
 
-  void target_updated(const State& s) override {
+  void target_updated(const TargetState& s) override {
     const auto i = static_cast<std::size_t>(s.index);
     if (i >= states_.size()) {
       states_.resize(i + 1);
@@ -291,9 +262,19 @@ class IncrementalRanking : public Base {
            live_[static_cast<std::size_t>(target)] != 0;
   }
 
-  const State& state_of(int target) const {
+  const TargetState& state_of(int target) const {
     return states_[static_cast<std::size_t>(target)];
   }
+
+  /// Heap comparator: `order` over two targets' pushed states.
+  template <typename Order>
+  struct ByState {
+    const IncrementalRanking* self;
+    Order order;
+    bool operator()(int a, int b) const {
+      return order(self->state_of(a), self->state_of(b));
+    }
+  };
 
   /// Walk step: pop the heap's best target and remember it, or -1.
   template <typename Heap>
@@ -317,7 +298,7 @@ class IncrementalRanking : public Base {
     popped_.clear();
   }
 
-  std::vector<State> states_;
+  std::vector<TargetState> states_;
   std::vector<char> live_;
   /// Targets emitted by the current walk (out of their heap until
   /// restored).
@@ -328,30 +309,24 @@ class IncrementalRanking : public Base {
 };
 
 /// A rule that is one total order over a target's own state. `Order` is a
-/// stateless functor comparing two States or two Views (tie-break on the
-/// index): the walk pops an indexed heap ordered by it — O(log N) per
-/// candidate actually tried, the previous walk's pops re-inserted by
-/// walk_begin() — and rank() sorts the snapshot by it, so walk and
-/// specification share one definition of the rule.
-template <typename Base, typename Order>
-class HeapWalkRanking final : public IncrementalRanking<Base> {
+/// stateless functor comparing two TargetStates (tie-break on the index):
+/// the walk pops an indexed heap ordered by it — O(log N) per candidate
+/// actually tried, the previous walk's pops re-inserted by walk_begin() —
+/// and rank() sorts the records by it, so walk and specification share one
+/// definition of the rule.
+template <typename Order>
+class HeapWalkRanking final : public IncrementalRanking {
  public:
-  using View = typename Base::View;
-
   explicit HeapWalkRanking(std::string name)
-      : IncrementalRanking<Base>(std::move(name)), heap_(ByState{this}) {}
+      : IncrementalRanking(std::move(name)), heap_(ByState<Order>{this, {}}) {}
 
-  void platform_count_changed(int, platforms::PlatformId, int) override {}
+  void walk_begin(const PlacementRequest&) override { restore_popped(heap_); }
 
-  void walk_begin(const PlacementRequest&) override {
-    this->restore_popped(heap_);
-  }
+  int walk_next() override { return pop_candidate(heap_); }
 
-  int walk_next() override { return this->pop_candidate(heap_); }
-
-  void rank(const PlacementRequest&, const std::vector<View>& views,
+  void rank(const PlacementRequest&, const std::vector<TargetState>& targets,
             std::vector<int>& ranked) override {
-    rank_by(views, ranked, Order{});
+    rank_by(targets, ranked, Order{});
   }
 
  private:
@@ -368,13 +343,7 @@ class HeapWalkRanking final : public IncrementalRanking<Base> {
     }
   }
 
-  struct ByState {
-    const HeapWalkRanking* self;
-    bool operator()(int a, int b) const {
-      return Order{}(self->state_of(a), self->state_of(b));
-    }
-  };
-  IndexedHeap<ByState> heap_;
+  IndexedHeap<ByState<Order>> heap_;
 };
 
 /// Walks only its inner policy's first choice: a refusal is an OOM even if
@@ -388,12 +357,8 @@ class SingleShotPolicy final : public PlacementPolicy {
       : inner_(std::move(inner)) {}
   std::string name() const override { return inner_->name() + "-single-shot"; }
   void reset() override { inner_->reset(); }
-  void target_updated(const HostState& state) override {
+  void target_updated(const TargetState& state) override {
     inner_->target_updated(state);
-  }
-  void platform_count_changed(int host, platforms::PlatformId platform,
-                              int count) override {
-    inner_->platform_count_changed(host, platform, count);
   }
   void target_removed(int host) override { inner_->target_removed(host); }
   void walk_begin(const PlacementRequest& req) override {
@@ -407,7 +372,7 @@ class SingleShotPolicy final : public PlacementPolicy {
     emitted_ = true;
     return inner_->walk_next();
   }
-  void rank(const PlacementRequest& req, const std::vector<HostView>& hosts,
+  void rank(const PlacementRequest& req, const std::vector<TargetState>& hosts,
             std::vector<int>& ranked) override {
     ranked.push_back(inner_->first_choice(req, hosts));
   }

@@ -1,6 +1,17 @@
 #include "hap/hap.h"
 
+#include "hap/epss.h"
+
 namespace hap {
+
+double extended_hap(const hostk::Ftrace& ftrace) {
+  const EpssModel epss;
+  double sum = 0.0;
+  for (const auto& [fn, count] : ftrace.counts()) {
+    sum += epss.score(ftrace.registry().function(fn));
+  }
+  return sum;
+}
 
 HapExperiment::HapExperiment(int workload_rounds)
     : workload_rounds_(workload_rounds) {}
@@ -25,10 +36,7 @@ HapScore HapExperiment::measure(platforms::Platform& platform,
   score.distinct_functions = ftrace.distinct_functions();
   score.total_invocations = ftrace.total_invocations();
   score.hap_breadth = static_cast<double>(score.distinct_functions);
-  const auto& registry = platform.host().kernel().registry();
-  for (const auto& [fn, count] : ftrace.counts()) {
-    score.extended_hap += epss_.score(registry.function(fn));
-  }
+  score.extended_hap = extended_hap(ftrace);
   score.by_subsystem = ftrace.distinct_by_subsystem();
   return score;
 }

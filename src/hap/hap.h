@@ -11,7 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "hap/epss.h"
+#include "hostk/ftrace.h"
 #include "platforms/platform.h"
 
 namespace hap {
@@ -27,6 +27,10 @@ struct HapScore {
   /// Distinct functions per subsystem (for the breakdown table).
   std::unordered_map<hostk::Subsystem, std::size_t> by_subsystem;
 };
+
+/// The paper's extended HAP over one capture: the EPSS scores of the
+/// distinct functions `ftrace` recorded, summed in its iteration order.
+double extended_hap(const hostk::Ftrace& ftrace);
 
 /// Runs the tracing protocol against one platform.
 class HapExperiment {
@@ -44,7 +48,6 @@ class HapExperiment {
 
  private:
   int workload_rounds_;
-  EpssModel epss_;
 };
 
 }  // namespace hap

@@ -25,11 +25,11 @@ using fleet::Cluster;
 using fleet::FleetEngine;
 using fleet::FleetReport;
 using fleet::HostEvent;
-using fleet::HostView;
 using fleet::PlacementKind;
 using fleet::PlacementPolicy;
 using fleet::PlacementRequest;
 using fleet::Scenario;
+using fleet::TargetState;
 using fleet::make_placement;
 using testutil::digest;
 
@@ -73,10 +73,10 @@ int sum_spill_out(const FleetReport& r) {
 
 // --- New policies, unit level ----------------------------------------------
 
-std::vector<HostView> uniform_views(int hosts, std::uint64_t cap) {
-  std::vector<HostView> views;
+std::vector<TargetState> uniform_views(int hosts, std::uint64_t cap) {
+  std::vector<TargetState> views;
   for (int i = 0; i < hosts; ++i) {
-    HostView v;
+    TargetState v;
     v.index = i;
     v.ram_cap_bytes = cap;
     v.pressure.cpu_threads = 16;
@@ -281,15 +281,14 @@ TEST(RankingPinTest, SingleHostShortcutHoldsRoundRobinCursorUntilGrowth) {
 // --- stop_at_first_oom under retry -----------------------------------------
 
 struct ByIndex {
-  template <typename T>
-  bool operator()(const T& a, const T& b) const {
+  bool operator()(const TargetState& a, const TargetState& b) const {
     return a.index < b.index;
   }
 };
 
 /// Ranks hosts in fixed index order 0..M-1, so "the last host tried" in a
 /// full walk is always the highest index.
-using IndexOrderPolicy = fleet::HeapWalkRanking<PlacementPolicy, ByIndex>;
+using IndexOrderPolicy = fleet::HeapWalkRanking<ByIndex>;
 
 TEST(StopAtFirstOomTest, LatchTripsOnlyAfterFullWalkFails) {
   // Host 0 fills long before host 1. Under single-shot semantics the first
@@ -338,14 +337,13 @@ class FixedWalkPolicy final : public PlacementPolicy {
   explicit FixedWalkPolicy(std::vector<int> walk) : walk_(std::move(walk)) {}
   std::string name() const override { return "fixed-walk"; }
   void reset() override {}
-  void target_updated(const fleet::HostState&) override {}
-  void platform_count_changed(int, platforms::PlatformId, int) override {}
+  void target_updated(const TargetState&) override {}
   void target_removed(int) override {}
   void walk_begin(const PlacementRequest&) override { next_ = 0; }
   int walk_next() override {
     return next_ < walk_.size() ? walk_[next_++] : -1;
   }
-  void rank(const PlacementRequest&, const std::vector<HostView>&,
+  void rank(const PlacementRequest&, const std::vector<TargetState>&,
             std::vector<int>& ranked) override {
     ranked = walk_;
   }

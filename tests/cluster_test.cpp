@@ -29,10 +29,10 @@ using fleet::ClusterTopology;
 using fleet::FleetEngine;
 using fleet::FleetReport;
 using fleet::HostEvent;
-using fleet::HostView;
 using fleet::PlacementKind;
 using fleet::PlacementRequest;
 using fleet::Scenario;
+using fleet::TargetState;
 using fleet::make_placement;
 
 FleetReport run_cluster(const Scenario& s) {
@@ -40,10 +40,10 @@ FleetReport run_cluster(const Scenario& s) {
   return cluster.run(s);
 }
 
-std::vector<HostView> uniform_views(int hosts, std::uint64_t cap) {
-  std::vector<HostView> views;
+std::vector<TargetState> uniform_views(int hosts, std::uint64_t cap) {
+  std::vector<TargetState> views;
   for (int i = 0; i < hosts; ++i) {
-    HostView v;
+    TargetState v;
     v.index = i;
     v.ram_cap_bytes = cap;
     views.push_back(v);
@@ -90,14 +90,15 @@ TEST(PlacementTest, LeastLoadedPicksMostFreeRamLowestIndexOnTies) {
 TEST(PlacementTest, KsmAffinityPrefersCoTenantsThenFallsBack) {
   const auto policy = make_placement(PlacementKind::kKsmAffinity);
   auto views = uniform_views(3, 10ull << 30);
-  views[2].same_platform_tenants = 4;
-  views[2].resident_bytes = 8ull << 30;  // fullest, but has the co-tenants
-  views[1].same_platform_tenants = 1;
   PlacementRequest req;
+  const auto same = static_cast<std::size_t>(req.platform_id);
+  views[2].tenants_by_platform[same] = 4;
+  views[2].resident_bytes = 8ull << 30;  // fullest, but has the co-tenants
+  views[1].tenants_by_platform[same] = 1;
   EXPECT_EQ(policy->first_choice(req, views), 2);
   // No co-tenant anywhere: degrade to least-loaded.
   for (auto& v : views) {
-    v.same_platform_tenants = 0;
+    v.tenants_by_platform[same] = 0;
   }
   EXPECT_EQ(policy->first_choice(req, views), 0);
   views[0].resident_bytes = 2ull << 30;
@@ -289,7 +290,7 @@ TEST(ClusterTest, KsmProbeMemoAgreesWithARealProbeOnEveryTreeChange) {
 }
 
 // Forwards every call to the scenario's built-in policy and keeps the last
-// HostState the engine pushed for each host.
+// TargetState the engine pushed for each host.
 class RecordingPolicy : public fleet::PlacementPolicy {
  public:
   explicit RecordingPolicy(PlacementKind kind) : inner_(make_placement(kind)) {}
@@ -299,37 +300,34 @@ class RecordingPolicy : public fleet::PlacementPolicy {
     last_.clear();
     inner_->reset();
   }
-  void target_updated(const fleet::HostState& state) override {
+  void target_updated(const TargetState& state) override {
     last_[state.index] = state;
     inner_->target_updated(state);
-  }
-  void platform_count_changed(int target, platforms::PlatformId platform,
-                              int count) override {
-    inner_->platform_count_changed(target, platform, count);
   }
   void target_removed(int target) override { inner_->target_removed(target); }
   void walk_begin(const PlacementRequest& req) override {
     inner_->walk_begin(req);
   }
   int walk_next() override { return inner_->walk_next(); }
-  void rank(const PlacementRequest& req, const std::vector<HostView>& views,
+  void rank(const PlacementRequest& req,
+            const std::vector<TargetState>& views,
             std::vector<int>& ranked) override {
     inner_->rank(req, views, ranked);
   }
 
-  const std::map<int, fleet::HostState>& last() const { return last_; }
+  const std::map<int, TargetState>& last() const { return last_; }
 
  private:
   std::unique_ptr<fleet::PlacementPolicy> inner_;
-  std::map<int, fleet::HostState> last_;
+  std::map<int, TargetState> last_;
 };
 
 TEST(ClusterTest, LiveHostsEndTheRunWithNothingCharged) {
   // Conservation: every charge a tenant puts on a host (boot, phase and
-  // program-op vCPUs, NIC slots, resident bytes, the active count) is
-  // given back by the time the run ends. Checked through the state the
-  // engine last pushed to the policy, across drains, crashes, degrade
-  // faults, partitions and churn.
+  // program-op vCPUs, NIC slots, resident bytes, the active count and its
+  // per-platform split) is given back by the time the run ends. Checked
+  // through the state the engine last pushed to the policy, across drains,
+  // crashes, degrade faults, partitions and churn.
   std::vector<Scenario> runs;
   Scenario drained = Scenario::program_storm(400, 4);
   HostEvent drain;
@@ -364,11 +362,13 @@ TEST(ClusterTest, LiveHostsEndTheRunWithNothingCharged) {
       ++live;
       const auto it = policy.last().find(h.host);
       ASSERT_NE(it, policy.last().end()) << s.name << " host " << h.host;
-      const fleet::HostState& st = it->second;
+      const TargetState& st = it->second;
       EXPECT_EQ(st.pressure.cpu_demand, 0.0) << s.name << " host " << h.host;
       EXPECT_EQ(st.pressure.net_active, 0) << s.name << " host " << h.host;
       EXPECT_EQ(st.active_tenants, 0) << s.name << " host " << h.host;
       EXPECT_EQ(st.resident_bytes, 0u) << s.name << " host " << h.host;
+      EXPECT_EQ(st.tenants_by_platform, decltype(st.tenants_by_platform){})
+          << s.name << " host " << h.host;
     }
     EXPECT_EQ(live, r.final_host_count) << s.name;
   }

@@ -27,7 +27,6 @@
 namespace {
 
 using fleet::CellOutage;
-using fleet::CellView;
 using fleet::Cluster;
 using fleet::FederatedScenario;
 using fleet::Federation;
@@ -40,6 +39,7 @@ using fleet::PlacementRequest;
 using fleet::RoutingKind;
 using fleet::RoutingPolicy;
 using fleet::Scenario;
+using fleet::TargetState;
 using testutil::digest;
 
 FederationReport run_federation(const FederatedScenario& fs) {
@@ -47,14 +47,18 @@ FederationReport run_federation(const FederatedScenario& fs) {
   return fed.run(fs);
 }
 
-CellView view(int index, std::uint64_t cap, std::uint64_t resident,
-              int active, int same_platform) {
-  CellView v;
+/// The platform the routing rank tests request.
+constexpr platforms::PlatformId kRequested = platforms::PlatformId::kQemuKvm;
+
+/// One cell's record, `same_platform` of its tenants on kRequested.
+TargetState view(int index, std::uint64_t cap, std::uint64_t resident,
+                 int active, int same_platform) {
+  TargetState v;
   v.index = index;
   v.ram_cap_bytes = cap;
   v.resident_bytes = resident;
   v.active_tenants = active;
-  v.same_platform_tenants = same_platform;
+  v.tenants_by_platform[static_cast<std::size_t>(kRequested)] = same_platform;
   return v;
 }
 
@@ -90,9 +94,9 @@ TEST(FederationTest, OneCellChaosScenarioMatchesCluster) {
 TEST(FederationTest, RoundRobinRoutingCyclesCells) {
   auto r = make_routing(RoutingKind::kRoundRobin);
   r->reset();
-  const std::vector<CellView> cells = {view(0, 100, 0, 0, 0),
-                                       view(1, 100, 0, 0, 0),
-                                       view(2, 100, 0, 0, 0)};
+  const std::vector<TargetState> cells = {view(0, 100, 0, 0, 0),
+                                          view(1, 100, 0, 0, 0),
+                                          view(2, 100, 0, 0, 0)};
   PlacementRequest req;
   EXPECT_EQ(r->first_choice(req, cells), 0);
   EXPECT_EQ(r->first_choice(req, cells), 1);
@@ -105,9 +109,9 @@ TEST(FederationTest, LeastLoadedCellRanksByAggregateFreeRam) {
   r->reset();
   // Free RAM: cell0 = 60, cell1 = 90, cell2 = 60 -> 1 first, then 0 before
   // 2 (index breaks the tie).
-  const std::vector<CellView> cells = {view(0, 100, 40, 4, 0),
-                                       view(1, 100, 10, 1, 0),
-                                       view(2, 80, 20, 2, 0)};
+  const std::vector<TargetState> cells = {view(0, 100, 40, 4, 0),
+                                          view(1, 100, 10, 1, 0),
+                                          view(2, 80, 20, 2, 0)};
   PlacementRequest req;
   std::vector<int> ranked;
   r->rank(req, cells, ranked);
@@ -119,10 +123,11 @@ TEST(FederationTest, PlatformAffinityPrefersCoTenantsThenFreeRam) {
   r->reset();
   // Cell 2 has co-tenants; cells 0 and 1 have none, so free RAM decides
   // between them (1 is freer).
-  const std::vector<CellView> cells = {view(0, 100, 50, 5, 0),
-                                       view(1, 100, 20, 2, 0),
-                                       view(2, 100, 70, 7, 3)};
+  const std::vector<TargetState> cells = {view(0, 100, 50, 5, 0),
+                                          view(1, 100, 20, 2, 0),
+                                          view(2, 100, 70, 7, 3)};
   PlacementRequest req;
+  req.platform_id = kRequested;
   std::vector<int> ranked;
   r->rank(req, cells, ranked);
   EXPECT_EQ(ranked, (std::vector<int>{2, 1, 0}));
@@ -132,27 +137,19 @@ TEST(FederationTest, IncrementalWalkMatchesRankCellsSpec) {
   // Push identical state through both paths of each built-in policy and
   // pin walk order == snapshot-sort order (same invariant
   // placement_equivalence_test pins for hosts, one level up).
-  const std::vector<CellView> cells = {view(0, 100, 40, 4, 1),
-                                       view(1, 100, 10, 1, 0),
-                                       view(2, 80, 20, 2, 2)};
+  const std::vector<TargetState> cells = {view(0, 100, 40, 4, 1),
+                                          view(1, 100, 10, 1, 0),
+                                          view(2, 80, 20, 2, 2)};
   for (const RoutingKind kind : fleet::all_routing_kinds()) {
     auto spec = make_routing(kind);
     auto inc = make_routing(kind);
     spec->reset();
     inc->reset();
-    for (const CellView& v : cells) {
-      fleet::CellState st;
-      st.index = v.index;
-      st.ram_cap_bytes = v.ram_cap_bytes;
-      st.resident_bytes = v.resident_bytes;
-      st.active_tenants = v.active_tenants;
-      inc->target_updated(st);
-      inc->platform_count_changed(v.index,
-                                  platforms::PlatformId::kQemuKvm,
-                                  v.same_platform_tenants);
+    for (const TargetState& v : cells) {
+      inc->target_updated(v);
     }
     PlacementRequest req;
-    req.platform_id = platforms::PlatformId::kQemuKvm;
+    req.platform_id = kRequested;
     std::vector<int> ranked;
     spec->rank(req, cells, ranked);
     inc->walk_begin(req);

@@ -2,14 +2,13 @@
 //
 // The built-in policies serve the engine's admission walk from
 // incrementally maintained host orderings (indexed heaps updated by
-// target_updated / platform_count_changed / target_removed deltas) instead
-// of sorting a fresh snapshot per arrival. This sweep drives both faces of
-// every built-in policy — the heap walk and rank() over an equivalent
-// HostView snapshot — through randomized state churn, partial
-// walks, and topology changes, and requires the emitted orders to be
-// identical. Any divergence means the engine's lazy walk would place
-// tenants differently than the specification, breaking byte-identical
-// reports.
+// target_updated / target_removed deltas) instead of sorting a fresh
+// snapshot per arrival. This sweep drives both faces of every built-in
+// policy — the heap walk and rank() over the same TargetState records —
+// through randomized state churn, partial walks, and topology changes, and
+// requires the emitted orders to be identical. Any divergence means the
+// engine's lazy walk would place tenants differently than the
+// specification, breaking byte-identical reports.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -19,10 +18,9 @@
 
 namespace {
 
-using fleet::HostState;
-using fleet::HostView;
 using fleet::PlacementKind;
 using fleet::PlacementRequest;
+using fleet::TargetState;
 using platforms::PlatformId;
 
 constexpr PlatformId kPlatforms[] = {PlatformId::kDocker,
@@ -34,8 +32,7 @@ constexpr PlatformId kPlatforms[] = {PlatformId::kDocker,
 struct FleetModel {
   struct Host {
     bool live = false;
-    HostState state;
-    int counts[3] = {0, 0, 0};
+    TargetState state;
   };
   std::vector<Host> hosts;
 
@@ -47,24 +44,12 @@ struct FleetModel {
     return n;
   }
 
-  std::vector<HostView> snapshot(PlatformId platform) const {
-    std::vector<HostView> views;
+  std::vector<TargetState> snapshot() const {
+    std::vector<TargetState> views;
     for (const auto& h : hosts) {
-      if (!h.live) {
-        continue;
+      if (h.live) {
+        views.push_back(h.state);
       }
-      HostView v;
-      v.index = h.state.index;
-      v.ram_cap_bytes = h.state.ram_cap_bytes;
-      v.resident_bytes = h.state.resident_bytes;
-      v.active_tenants = h.state.active_tenants;
-      for (std::size_t p = 0; p < 3; ++p) {
-        if (kPlatforms[p] == platform) {
-          v.same_platform_tenants = h.counts[p];
-        }
-      }
-      v.pressure = h.state.pressure;
-      views.push_back(v);
     }
     return views;
   }
@@ -83,9 +68,6 @@ void randomize_host(FleetModel::Host& h, sim::Rng& rng) {
 
 void publish(fleet::PlacementPolicy& policy, const FleetModel::Host& h) {
   policy.target_updated(h.state);
-  for (std::size_t p = 0; p < 3; ++p) {
-    policy.platform_count_changed(h.state.index, kPlatforms[p], h.counts[p]);
-  }
 }
 
 void run_equivalence_sweep(PlacementKind kind, std::uint64_t seed) {
@@ -116,7 +98,8 @@ void run_equivalence_sweep(PlacementKind kind, std::uint64_t seed) {
       if (h.live && rng.chance(0.5)) {
         randomize_host(h, rng);
         const std::size_t p = rng.next_u64() % 3;
-        h.counts[p] = static_cast<int>(rng.next_u64() % 4);
+        h.state.tenants_by_platform[static_cast<std::size_t>(kPlatforms[p])] =
+            static_cast<int>(rng.next_u64() % 4);
         publish(*walker, h);
       }
     }
@@ -143,7 +126,7 @@ void run_equivalence_sweep(PlacementKind kind, std::uint64_t seed) {
     req.platform_id = platform;
 
     std::vector<int> expected;
-    sorter->rank(req, model.snapshot(platform), expected);
+    sorter->rank(req, model.snapshot(), expected);
 
     walker->walk_begin(req);
     // Most walks stop early, like an admission that lands on the first or
