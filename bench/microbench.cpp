@@ -8,6 +8,7 @@
 #include "apps/btree.h"
 #include "apps/kv_store.h"
 #include "apps/memcached_bench.h"
+#include "apps/oltp_bench.h"
 #include "apps/ycsb.h"
 #include "core/host_system.h"
 #include "fleet/event_queue.h"
@@ -326,6 +327,25 @@ void BM_MemcachedRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemcachedRun)->Unit(benchmark::kMillisecond);
+
+/// One Figure 17 OLTP run on docker with the figure's spec: prepare three
+/// 8,000-row tables, then 60 sampled transactions at each thread count.
+/// paper-figures repeats it 3 times per platform, findings_report twice.
+void BM_OltpRun(benchmark::State& state) {
+  core::HostSystem host;
+  const auto docker =
+      platforms::PlatformFactory::create(platforms::PlatformId::kDocker, host);
+  apps::OltpSpec spec;
+  spec.rows_per_table = 8'000;
+  spec.sampled_txns = 60;
+  const apps::OltpBench bench(spec);
+  sim::Rng rng(17);
+  for (auto _ : state) {
+    sim::Clock clock;
+    benchmark::DoNotOptimize(bench.run(*docker, clock, rng));
+  }
+}
+BENCHMARK(BM_OltpRun)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -87,8 +88,9 @@ BPlusTree::InsertResult BPlusTree::insert_rec(Node* node, Key key,
     sibling->keys.assign(node->keys.begin() + static_cast<std::ptrdiff_t>(mid),
                          node->keys.end());
     sibling->values.assign(
-        node->values.begin() + static_cast<std::ptrdiff_t>(mid),
-        node->values.end());
+        std::make_move_iterator(node->values.begin() +
+                                static_cast<std::ptrdiff_t>(mid)),
+        std::make_move_iterator(node->values.end()));
     node->keys.resize(mid);
     node->values.resize(mid);
     sibling->next = node->next;

@@ -2,8 +2,11 @@
 // tests), MiniSQL engine, lock manager and the two app benchmarks.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <list>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "apps/btree.h"
 #include "apps/kv_store.h"
@@ -118,6 +121,134 @@ TEST(KvStoreTest, OverwriteUnderPressureEvictsTheSameItems) {
   EXPECT_FALSE(store.get("k2").has_value());
   for (const char* key : {"n0", "n1", "n2", "n3"}) {
     EXPECT_TRUE(store.get(key).has_value()) << key;
+  }
+}
+
+// A node-based LRU store with KvStore's contract: a std::list in LRU order
+// (front = most recent) and an unordered_map from key to list node, the
+// same 56-byte item overhead, and an overwrite that drops its old item
+// before it evicts.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::uint64_t limit) : limit_(limit) {}
+
+  bool set(const std::string& key, std::string value) {
+    ++stats_.sets;
+    const std::uint64_t needed = cost(key, value);
+    if (needed > limit_) {
+      return false;
+    }
+    if (const auto it = index_.find(key); it != index_.end()) {
+      bytes_ -= cost(key, it->second->second);
+      lru_.erase(it->second);
+      index_.erase(it);
+    }
+    while (bytes_ + needed > limit_ && !lru_.empty()) {
+      bytes_ -= cost(lru_.back().first, lru_.back().second);
+      index_.erase(lru_.back().first);
+      lru_.pop_back();
+      ++stats_.evictions;
+    }
+    lru_.emplace_front(key, std::move(value));
+    index_[key] = lru_.begin();
+    bytes_ += needed;
+    stats_.bytes_stored = bytes_;
+    return true;
+  }
+
+  std::optional<std::string> get(const std::string& key) {
+    ++stats_.gets;
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      return std::nullopt;
+    }
+    ++stats_.get_hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->second;
+  }
+
+  bool erase(const std::string& key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      return false;
+    }
+    bytes_ -= cost(key, it->second->second);
+    lru_.erase(it->second);
+    index_.erase(it);
+    stats_.bytes_stored = bytes_;
+    return true;
+  }
+
+  std::size_t size() const { return index_.size(); }
+  std::uint64_t bytes_used() const { return bytes_; }
+  const apps::KvStats& stats() const { return stats_; }
+  double hit_ratio() const {
+    return stats_.gets == 0 ? 0.0
+                            : static_cast<double>(stats_.get_hits) /
+                                  static_cast<double>(stats_.gets);
+  }
+
+ private:
+  using Lru = std::list<std::pair<std::string, std::string>>;
+  static std::uint64_t cost(const std::string& key, const std::string& value) {
+    return key.size() + value.size() + 56;
+  }
+
+  std::uint64_t limit_;
+  std::uint64_t bytes_ = 0;
+  Lru lru_;
+  std::unordered_map<std::string, Lru::iterator> index_;
+  apps::KvStats stats_;
+};
+
+// Random sets, gets, erases and oversized sets over 500 keys, compared
+// with ReferenceLru after every op: return values, size, bytes, every
+// counter and the hit ratio. Ops are drawn with weights {set, get, erase};
+// 1 in 50 sets is oversized and must be refused.
+void expect_matches_reference(std::uint64_t limit, int ops,
+                              std::uint64_t seed,
+                              std::array<double, 3> weights) {
+  KvStore store(limit);
+  ReferenceLru ref(limit);
+  sim::Rng rng(seed);
+  const double total = weights[0] + weights[1] + weights[2];
+  for (int op = 0; op < ops; ++op) {
+    const std::string key = "key" + std::to_string(rng.uniform_int(0, 499));
+    const double p = rng.next_double() * total;
+    if (p < weights[0]) {
+      const bool oversized = rng.uniform_int(0, 49) == 0;
+      const auto bytes = static_cast<std::size_t>(
+          oversized ? static_cast<std::int64_t>(limit) : rng.uniform_int(0, 300));
+      const std::string value(bytes, static_cast<char>('a' + op % 26));
+      const bool stored = store.set(key, value);
+      ASSERT_EQ(stored, ref.set(key, value)) << "set, op " << op;
+      ASSERT_EQ(stored, !oversized) << "op " << op;
+    } else if (p < weights[0] + weights[1]) {
+      ASSERT_EQ(store.get(key), ref.get(key)) << "get, op " << op;
+    } else {
+      ASSERT_EQ(store.erase(key), ref.erase(key)) << "erase, op " << op;
+    }
+    ASSERT_EQ(store.size(), ref.size()) << "op " << op;
+    ASSERT_EQ(store.bytes_used(), ref.bytes_used()) << "op " << op;
+    const apps::KvStats& s = store.stats();
+    const apps::KvStats& r = ref.stats();
+    ASSERT_EQ(s.gets, r.gets) << "op " << op;
+    ASSERT_EQ(s.get_hits, r.get_hits) << "op " << op;
+    ASSERT_EQ(s.sets, r.sets) << "op " << op;
+    ASSERT_EQ(s.evictions, r.evictions) << "op " << op;
+    ASSERT_EQ(s.bytes_stored, r.bytes_stored) << "op " << op;
+    ASSERT_EQ(store.hit_ratio(), ref.hit_ratio()) << "op " << op;
+  }
+}
+
+TEST(KvStoreTest, RandomizedAgainstReferenceLru) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    // ~100 items fit in 20,000 bytes, so most sets of a new key evict.
+    expect_matches_reference(20'000, 6'000, seed, {0.5, 0.35, 0.15});
+    // Nothing is evicted from 1 MiB: the store fills toward 500 keys, so
+    // its index doubles several times while erases remove live keys.
+    expect_matches_reference(1ull << 20, 6'000, seed, {0.55, 0.2, 0.25});
   }
 }
 

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <iterator>
 #include <map>
 
@@ -332,6 +334,27 @@ TEST(Figure16, BarsArePinned) {
     EXPECT_EQ(hex_float(bars[i].mean), pins[i].mean) << pins[i].platform;
     EXPECT_EQ(hex_float(bars[i].stddev), pins[i].stddev) << pins[i].platform;
   }
+}
+
+std::uint64_t fold(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return (h ^ bits) * 0x100000001b3ull;
+}
+
+// A byte pin like Figure16.BarsArePinned: every curve point's thread
+// count, mean and stddev at two runs per platform, folded into one value.
+TEST(Figure17, CurvesArePinned) {
+  const auto curves = core::figure17_mysql_oltp(2, core::kFigureSeed);
+  ASSERT_EQ(curves.size(), 10u);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& c : curves) {
+    ASSERT_EQ(c.x.size(), 9u) << c.platform;
+    for (std::size_t i = 0; i < c.x.size(); ++i) {
+      h = fold(fold(fold(h, c.x[i]), c.y[i]), c.yerr[i]);
+    }
+  }
+  EXPECT_EQ(h, 0xd4aca33ab78f6a6aull);
 }
 
 TEST(Figure17, OltpThreeGroups) {
