@@ -46,10 +46,10 @@ inline void print_cdfs(const std::vector<core::CdfSeries>& series,
   stats::Table table({"platform", "p10 (ms)", "p50 (ms)", "p90 (ms)",
                       "p99 (ms)"});
   for (const auto& s : series) {
-    table.add_row({s.platform, stats::Table::num(s.samples_ms.percentile(10)),
-                   stats::Table::num(s.samples_ms.percentile(50)),
-                   stats::Table::num(s.samples_ms.percentile(90)),
-                   stats::Table::num(s.samples_ms.percentile(99))});
+    const auto [p10, p50, p90, p99] =
+        s.samples_ms.percentiles({10, 50, 90, 99});
+    table.add_row({s.platform, stats::Table::num(p10), stats::Table::num(p50),
+                   stats::Table::num(p90), stats::Table::num(p99)});
   }
   std::printf("%s\n", table.to_text().c_str());
   // Compact CDF series (10 points each), the figure's actual content.

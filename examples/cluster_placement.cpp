@@ -31,12 +31,12 @@ int main() {
     const auto scenario = fleet::Scenario::cluster_storm(kTenants, kHosts, kind);
     fleet::Cluster cluster(scenario.cluster);  // fresh hosts per policy
     const auto report = cluster.run(scenario);
+    const auto [p50, p99] = report.cluster_boot_ms.percentiles({50, 99});
     table.add_row({fleet::placement_kind_name(kind),
                    std::to_string(report.admitted),
                    std::to_string(report.ksm.backing_pages),
                    stats::Table::num(report.ksm.density_gain),
-                   stats::Table::num(report.cluster_boot_ms.percentile(50)),
-                   stats::Table::num(report.cluster_boot_ms.percentile(99))});
+                   stats::Table::num(p50), stats::Table::num(p99)});
     last = report;
   }
   std::printf("%s\n", table.to_text().c_str());

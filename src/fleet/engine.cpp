@@ -1485,6 +1485,9 @@ FleetReport FleetEngine::run(const Scenario& s) {
   while (!queue_.empty()) {
     process_event(queue_.pop(), s, arrivals, last_event);
   }
+  // The drained queue's buckets still hold their capacity; free it before
+  // the report is assembled (event_queue.h).
+  queue_ = EventQueue{};
   if (latched_tail_) {
     // The bulk-rejected arrivals never became events; without this the
     // makespan would stop at the last *processed* event instead of the

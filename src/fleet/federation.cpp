@@ -156,9 +156,9 @@ std::string FederationReport::to_text() const {
            std::to_string(outage_rerouted) + " re-routed, " +
            std::to_string(outage_lost) + " lost";
     if (!outage_replace_ms.empty()) {
-      out += "; re-place p50 " + fmt("%.2f", outage_replace_ms.percentile(50)) +
-             " ms, p99 " + fmt("%.2f", outage_replace_ms.percentile(99)) +
-             " ms";
+      const auto [p50, p99] = outage_replace_ms.percentiles({50, 99});
+      out += "; re-place p50 " + fmt("%.2f", p50) + " ms, p99 " +
+             fmt("%.2f", p99) + " ms";
     }
     out += "\n";
   }

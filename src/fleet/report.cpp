@@ -52,10 +52,10 @@ std::string FleetReport::to_text() const {
          " distinct host fns, " + std::to_string(hap.total_invocations) +
          " invocations, extended HAP " + fmt("%.2f", hap.extended_hap) + "\n";
   if (is_cluster() && !cluster_boot_ms.empty()) {
-    out += "cluster boot CDF: p50 " + fmt("%.2f", cluster_boot_ms.percentile(50)) +
-           " ms, p90 " + fmt("%.2f", cluster_boot_ms.percentile(90)) +
-           " ms, p99 " + fmt("%.2f", cluster_boot_ms.percentile(99)) +
-           " ms over " + std::to_string(cluster_boot_ms.size()) + " boots\n";
+    const auto [p50, p90, p99] = cluster_boot_ms.percentiles({50, 90, 99});
+    out += "cluster boot CDF: p50 " + fmt("%.2f", p50) + " ms, p90 " +
+           fmt("%.2f", p90) + " ms, p99 " + fmt("%.2f", p99) + " ms over " +
+           std::to_string(cluster_boot_ms.size()) + " boots\n";
   }
   // SLO verdict: rendered only when the scenario set a budget, so
   // budget-less runs stay byte-identical to the pinned goldens.
@@ -95,6 +95,9 @@ std::string FleetReport::to_text() const {
       out += "; " + std::to_string(nic_stalls) + " NIC completions stalled";
     }
     out += "\n";
+    // The fleet verdict, recovery_slo_pass(), from the per-fault p99s this
+    // loop computes anyway.
+    bool recovery_pass = true;
     for (const RecoveryVerdict& v : recovery) {
       out += "  t=" + fmt("%.2f", sim::to_millis(v.time)) + " ms  " + v.kind;
       if (!v.rack.empty()) {
@@ -115,29 +118,33 @@ std::string FleetReport::to_text() const {
         if (v.boots_lost > 0) {
           out += ", " + std::to_string(v.boots_lost) + " partial boots lost";
         }
+        double p99 = 0.0;
         if (!v.replace_ms.empty()) {
-          out += "; re-place p50 " + fmt("%.2f", v.replace_ms.percentile(50)) +
-                 " ms, p99 " + fmt("%.2f", v.replace_ms.percentile(99)) +
-                 " ms";
+          const auto q = v.replace_ms.percentiles({50, 99});
+          p99 = q[1];
+          out += "; re-place p50 " + fmt("%.2f", q[0]) + " ms, p99 " +
+                 fmt("%.2f", p99) + " ms";
         }
         // Per-fault SLO verdict, gated on a declared budget so budget-less
         // chaos runs keep their historical bytes.
         if (replace_slo_ms > 0) {
-          out += v.slo_pass(replace_slo_ms) ? "; SLO PASS" : "; SLO FAIL";
+          const bool pass = v.slo_pass(replace_slo_ms, p99);
+          recovery_pass = recovery_pass && pass;
+          out += pass ? "; SLO PASS" : "; SLO FAIL";
         }
       }
       out += "\n";
     }
     if (!replace_ms.empty()) {
-      out += "recovery: time-to-re-place p50 " +
-             fmt("%.2f", replace_ms.percentile(50)) + " ms, p99 " +
-             fmt("%.2f", replace_ms.percentile(99)) + " ms over " +
+      const auto [p50, p99] = replace_ms.percentiles({50, 99});
+      out += "recovery: time-to-re-place p50 " + fmt("%.2f", p50) +
+             " ms, p99 " + fmt("%.2f", p99) + " ms over " +
              std::to_string(replace_ms.size()) + " re-placements\n";
     }
     if (replace_slo_ms > 0) {
       out += "recovery SLO: p99 time-to-re-place within " +
              fmt("%.2f", sim::to_millis(replace_slo_ms)) + " ms, no loss -> " +
-             (recovery_slo_pass() ? "PASS" : "FAIL") + "\n";
+             (recovery_pass ? "PASS" : "FAIL") + "\n";
     }
   }
   // Degraded-mode section: rendered only when degrade-family faults fired
@@ -173,8 +180,9 @@ std::string FleetReport::to_text() const {
                " MiB";
       }
       if (!v.added_ms.empty()) {
-        out += "; added latency p50 " + fmt("%.3f", v.added_ms.percentile(50)) +
-               " ms, p99 " + fmt("%.3f", v.added_ms.percentile(99)) + " ms";
+        const auto [p50, p99] = v.added_ms.percentiles({50, 99});
+        out += "; added latency p50 " + fmt("%.3f", p50) + " ms, p99 " +
+               fmt("%.3f", p99) + " ms";
       }
       out += "\n";
     }
@@ -194,6 +202,9 @@ std::string FleetReport::to_text() const {
     out += "programs: " + std::to_string(by_program.size()) + " programs, " +
            std::to_string(program_tenants) + " tenants, " +
            std::to_string(program_ops) + " ops\n";
+    // program_slo_pass() from the per-class p99s rendered below: a class
+    // has ops exactly when it has latency samples.
+    bool program_pass = true;
     for (const auto& [name, prog] : by_program) {
       out += "  " + name + " (" + std::to_string(prog.tenants) + " tenants)\n";
       for (std::size_t c = 0; c < prog.by_class.size(); ++c) {
@@ -201,17 +212,16 @@ std::string FleetReport::to_text() const {
         if (cls.ops == 0) {
           continue;
         }
+        const auto [p50, p99] = cls.op_ms.percentiles({50, 99});
         out += "    " + op_class_name(static_cast<OpClass>(c)) + ": " +
-               std::to_string(cls.ops) + " ops, p50 " +
-               fmt("%.3f", cls.op_ms.percentile(50)) + " ms, p99 " +
-               fmt("%.3f", cls.op_ms.percentile(99)) + " ms";
+               std::to_string(cls.ops) + " ops, p50 " + fmt("%.3f", p50) +
+               " ms, p99 " + fmt("%.3f", p99) + " ms";
         // Per-class SLO verdict, gated on a declared budget so budget-less
         // program runs keep their bytes.
         if (op_slo_ms > 0) {
-          out += cls.op_ms.percentile(99) <=
-                         static_cast<double>(op_slo_ms) / 1e6
-                     ? " [SLO PASS]"
-                     : " [SLO FAIL]";
+          const bool pass = p99 <= static_cast<double>(op_slo_ms) / 1e6;
+          program_pass = program_pass && pass;
+          out += pass ? " [SLO PASS]" : " [SLO FAIL]";
         }
         out += "\n";
       }
@@ -219,7 +229,7 @@ std::string FleetReport::to_text() const {
     if (op_slo_ms > 0) {
       out += "program SLO: per-op p99 within " +
              fmt("%.2f", sim::to_millis(op_slo_ms)) + " ms -> " +
-             (program_slo_pass() ? "PASS" : "FAIL") + "\n";
+             (program_pass ? "PASS" : "FAIL") + "\n";
     }
   }
   out += "\n";
@@ -231,11 +241,10 @@ std::string FleetReport::to_text() const {
       table.add_row({name, std::to_string(stats.tenants), "-", "-", "-", "-"});
       continue;
     }
+    const auto [p50, p90, p99] = stats.boot_ms.percentiles({50, 90, 99});
     table.add_row(
-        {name, std::to_string(stats.tenants),
-         stats::Table::num(stats.boot_ms.percentile(50)),
-         stats::Table::num(stats.boot_ms.percentile(90)),
-         stats::Table::num(stats.boot_ms.percentile(99)),
+        {name, std::to_string(stats.tenants), stats::Table::num(p50),
+         stats::Table::num(p90), stats::Table::num(p99),
          stats.phase_ms.empty() ? "-"
                                 : stats::Table::num(stats.phase_ms.percentile(50))});
   }

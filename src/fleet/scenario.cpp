@@ -12,6 +12,11 @@ namespace fleet {
 namespace {
 
 constexpr sim::Nanos kMaxNanos = std::numeric_limits<sim::Nanos>::max();
+/// Latest instant a fault window may end or a crash victim may re-arrive
+/// (about 146 years). Work stretched past a window, or a boot after a
+/// re-arrival, adds its own duration to that instant; any duration up to
+/// the horizon then still fits int64 nanoseconds.
+constexpr sim::Nanos kFaultHorizon = kMaxNanos / 2;
 
 /// Cumulative-weight draw over one mix (platform, workload or program
 /// shares): one uniform draw scaled by the total, minus each weight in
@@ -238,18 +243,19 @@ void validate(const CellSpec& c, int initial_hosts) {
               ? "Fault: partition duration must be positive"
               : "Fault: degrade-family fault duration must be positive");
     }
-    // The window's end and a crash victim's latest re-arrival are int64
-    // nanoseconds; refuse schedules that would wrap them.
-    if (windowed && f.duration > kMaxNanos - f.time) {
+    // The window's end and a crash victim's latest re-arrival stay at or
+    // below the horizon, so neither they nor work added after them wrap.
+    if (windowed && f.duration > kFaultHorizon - f.time) {
       throw std::invalid_argument(
-          "Fault: time + duration overflows int64 nanoseconds");
+          "Fault: time + duration is past the fault horizon (INT64_MAX / 2 "
+          "nanoseconds)");
     }
     if ((f.kind == Fault::Kind::kCrash || f.kind == Fault::Kind::kCellOutage) &&
-        (f.restart_delay > kMaxNanos - f.time ||
-         f.restart_jitter > kMaxNanos - f.time - f.restart_delay)) {
+        (f.restart_delay > kFaultHorizon - f.time ||
+         f.restart_jitter > kFaultHorizon - f.time - f.restart_delay)) {
       throw std::invalid_argument(
-          "Fault: time + restart_delay + restart_jitter overflows int64 "
-          "nanoseconds");
+          "Fault: time + restart_delay + restart_jitter is past the fault "
+          "horizon (INT64_MAX / 2 nanoseconds)");
     }
     if (f.kind == Fault::Kind::kDiskDegrade && !(f.degrade >= 1.0)) {
       throw std::invalid_argument(

@@ -37,9 +37,10 @@ NetperfResult Netperf::run(platforms::Platform& platform, sim::Clock& clock,
     result.rtts_us.add(sim::to_micros(rtt));
     clock.advance(rtt);
   }
-  result.p50_us = result.rtts_us.percentile(50);
-  result.p90_us = result.rtts_us.percentile(90);
-  result.p99_us = result.rtts_us.percentile(99);
+  const auto [p50, p90, p99] = result.rtts_us.percentiles({50, 90, 99});
+  result.p50_us = p50;
+  result.p90_us = p90;
+  result.p99_us = p99;
   return result;
 }
 

@@ -159,13 +159,17 @@ TEST(ChaosTest, ValidateRejectsMalformedFaults) {
   s.faults = {crash_at(sim::millis(10), 0)};
   s.faults[0].restart_delay = -1;
   EXPECT_THROW(validate(s, 2), std::invalid_argument);
-  // A partition end or a latest re-arrival past INT64_MAX nanoseconds.
+  // A partition end or a latest re-arrival past INT64_MAX nanoseconds, and
+  // a partition ending exactly at INT64_MAX: work stretched past it would
+  // wrap.
   const sim::Nanos max = std::numeric_limits<sim::Nanos>::max();
-  std::vector<Fault> wrapping(3, crash_at(sim::millis(10), 0));
+  std::vector<Fault> wrapping(4, crash_at(sim::millis(10), 0));
   wrapping[0].kind = Fault::Kind::kPartition;
   wrapping[0].duration = max;
   wrapping[1].restart_delay = max;
   wrapping[2].restart_jitter = max;
+  wrapping[3].kind = Fault::Kind::kPartition;
+  wrapping[3].duration = max - sim::millis(10);
   for (const Fault& f : wrapping) {
     s.faults = {f};
     EXPECT_THROW(validate(s, 2), std::invalid_argument);

@@ -2,12 +2,14 @@
 // time order, and events sharing a timestamp pop in seq order (FIFO for
 // push(); reserved seqs from push_at_seq() slot in by seq). 100k-event
 // storms with heavy timestamp collisions, interleaved push/pop around
-// partly drained instants, and the engine's lazy arrival seeding are each
-// checked against that contract.
+// partly drained instants (with times on the radix heap's bucket edges),
+// and the engine's lazy arrival seeding are each checked against that
+// contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <queue>
 #include <random>
@@ -56,7 +58,22 @@ TEST(EventQueueStressTest, InterleavedPushPopMatchesReferenceHeap) {
   // Differential check against a plain (time, seq) priority queue, with
   // pushes landing on an instant that is partly drained (the time of the
   // event just popped): they must pop after every event already popped or
-  // queued at that time, in push order.
+  // queued at that time, in push order. Every push lands at or after that
+  // instant, as in the engine. Half the pushes draw a radix bucket edge
+  // (0, 1, 2^k - 1, 2^k and 2^k + 1 for k up to 62, and the last values
+  // below INT64_MAX), as an absolute time or as a gap after the instant.
+  const sim::Nanos max = std::numeric_limits<sim::Nanos>::max();
+  std::vector<sim::Nanos> edges = {0, 1};
+  for (int k = 1; k <= 62; ++k) {
+    const sim::Nanos p = sim::Nanos{1} << k;
+    edges.insert(edges.end(), {p - 1, p, p + 1});
+  }
+  for (sim::Nanos d = 3; d >= 0; --d) {
+    edges.push_back(max - d);
+  }
+  const auto after = [max](sim::Nanos t, sim::Nanos gap) {
+    return gap <= max - t ? t + gap : max;
+  };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) {
@@ -75,17 +92,23 @@ TEST(EventQueueStressTest, InterleavedPushPopMatchesReferenceHeap) {
   };
 
   sim::Nanos now = 0;
-  for (int round = 0; round < 20'000; ++round) {
+  int on_now = 0;
+  for (int round = 0; round < 40'000; ++round) {
     if (ref.empty() || rng() % 3 != 0) {
       // Schedule at or after "now", frequently colliding exactly on it.
-      const sim::Nanos t = (rng() % 4 == 0) ? now : now + sim::nanos(rng() % 50);
+      const sim::Nanos edge = edges[rng() % edges.size()];
+      const unsigned pick = rng() % 4;
+      const sim::Nanos t = pick == 0   ? now
+                           : pick == 1 ? after(now, sim::nanos(rng() % 50))
+                           : pick == 2 ? std::max(now, edge)
+                                       : after(now, edge);
+      on_now += t == now ? 1 : 0;
       push_both(t, rng() % 1000);
     } else {
       ASSERT_EQ(q.size(), ref.size());
       const Event expected = ref.top();
       ref.pop();
-      const Event got = q.top();
-      ASSERT_EQ(q.pop().seq, got.seq);  // top() agrees with pop()
+      const Event got = q.pop();
       ASSERT_EQ(got.time, expected.time);
       ASSERT_EQ(got.seq, expected.seq);
       ASSERT_EQ(got.tenant, expected.tenant);
@@ -99,8 +122,11 @@ TEST(EventQueueStressTest, InterleavedPushPopMatchesReferenceHeap) {
     ASSERT_EQ(got.time, expected.time);
     ASSERT_EQ(got.seq, expected.seq);
     ASSERT_EQ(got.tenant, expected.tenant);
+    now = got.time;
   }
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(now, max);  // the draws reached the top of the range
+  EXPECT_GT(on_now, static_cast<int>(ref_seq / 5));  // of all pushes
 }
 
 TEST(EventQueueStressTest, LazilySeededReservedSeqsMatchReferenceHeap) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "core/host_system.h"
 #include "fleet/cluster.h"
@@ -55,6 +56,25 @@ TEST(EventQueueTest, TiesBreakInPushOrder) {
     EXPECT_EQ(e.tenant, t);
     EXPECT_EQ(e.time, sim::millis(5));
   }
+}
+
+TEST(EventQueueTest, PushBeforeLastPoppedTimeThrows) {
+  // The engine only schedules at or after the instant it is handling; the
+  // queue refuses a push before the last popped time and leaves its
+  // contents as they were. Before the first pop any time goes.
+  EventQueue q;
+  q.push(sim::millis(20), 1, EventKind::kArrival);
+  q.push(-5, 2, EventKind::kArrival);
+  EXPECT_EQ(q.pop().tenant, 2u);
+  EXPECT_EQ(q.pop().tenant, 1u);
+  q.push(sim::millis(30), 3, EventKind::kBootDone);
+  EXPECT_THROW(q.push(sim::millis(20) - 1, 4, EventKind::kPhaseDone),
+               std::logic_error);
+  EXPECT_EQ(q.size(), 1u);
+  q.push(sim::millis(20), 5, EventKind::kPhaseDone);  // the popped instant
+  EXPECT_EQ(q.pop().tenant, 5u);
+  EXPECT_EQ(q.pop().tenant, 3u);
+  EXPECT_TRUE(q.empty());
 }
 
 // --- Scenario policies ----------------------------------------------------

@@ -1,7 +1,11 @@
 // Tests for the stats module: summaries, percentiles, CDFs, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "stats/sample_set.h"
 #include "stats/summary.h"
@@ -93,6 +97,12 @@ TEST(SampleSetTest, PercentileErrors) {
   EXPECT_THROW(s.percentile(101), std::invalid_argument);
 }
 
+TEST(SampleSetTest, NanPercentileIsRejected) {
+  SampleSet s({1.0, 2.0, 3.0});
+  EXPECT_THROW(s.percentile(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(s.percentiles({50, std::nan("")}), std::invalid_argument);
+}
+
 TEST(SampleSetTest, AddInvalidatesSortCache) {
   SampleSet s({5.0, 1.0});
   EXPECT_DOUBLE_EQ(s.percentile(100), 5.0);
@@ -147,6 +157,81 @@ TEST(SampleSetTest, FractionBelow) {
   EXPECT_DOUBLE_EQ(s.fraction_below(0.5), 0.0);
   EXPECT_DOUBLE_EQ(s.fraction_below(2.0), 0.5);
   EXPECT_DOUBLE_EQ(s.fraction_below(10.0), 1.0);
+}
+
+TEST(SampleSetTest, SelectionMatchesSortedReference) {
+  // percentile() and percentiles() select their order statistics instead
+  // of sorting. Each answer must equal, bit for bit, interpolating on a
+  // sorted copy: rank p/100 * (n - 1), v[floor] + frac * (v[ceil] -
+  // v[floor]). Half the samples come from a small pool, so ties are heavy,
+  // and both halves reach below zero.
+  const auto reference = [](const std::vector<double>& sorted, double p) {
+    if (sorted.size() == 1) {
+      return sorted.front();
+    }
+    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    const double frac = rank - static_cast<double>(lo);
+    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  };
+  std::mt19937_64 rng(36);
+  std::uniform_real_distribution<double> wide(-100.0, 100.0);
+  std::uniform_real_distribution<double> rank(0.0, 100.0);
+  for (const std::size_t n : {1u, 2u, 3u, 1'000u, 100'000u}) {
+    const std::uint64_t pool = n / 20 + 2;
+    SampleSet s;
+    for (std::size_t i = 0; i < n; ++i) {
+      s.add(rng() % 2 == 0
+                ? 0.5 * (static_cast<double>(rng() % pool) -
+                         static_cast<double>(pool / 2))
+                : wide(rng));
+    }
+    std::vector<double> sorted = s.values();
+    std::sort(sorted.begin(), sorted.end());
+
+    const double fixed[] = {0, 0.1, 1, 25, 50, 90, 99, 99.9, 100};
+    for (const double p : fixed) {
+      EXPECT_EQ(s.percentile(p), reference(sorted, p)) << "n=" << n
+                                                        << " p=" << p;
+    }
+    const auto all = s.percentiles({0, 0.1, 1, 25, 50, 90, 99, 99.9, 100});
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(all[i], reference(sorted, fixed[i])) << "n=" << n
+                                                     << " p=" << fixed[i];
+    }
+    // 200 random ranks: one at a time, and four per percentiles() call in
+    // the order drawn.
+    for (int k = 0; k < 50; ++k) {
+      const double a = rank(rng), b = rank(rng), c = rank(rng), d = rank(rng);
+      const auto got = s.percentiles({a, b, c, d});
+      const double ps[] = {a, b, c, d};
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(got[i], reference(sorted, ps[i])) << "n=" << n
+                                                    << " p=" << ps[i];
+        EXPECT_EQ(s.percentile(ps[i]), reference(sorted, ps[i]))
+            << "n=" << n << " p=" << ps[i];
+      }
+    }
+
+    // fraction_below at samples, between neighbouring samples and outside
+    // them, against upper_bound on the sorted copy.
+    std::vector<double> xs = {sorted.front() - 1.0, sorted.back() + 1.0};
+    for (int k = 0; k < 20; ++k) {
+      const std::size_t i = rng() % n;
+      xs.push_back(sorted[i]);
+      if (i + 1 < n) {
+        xs.push_back(sorted[i] + 0.5 * (sorted[i + 1] - sorted[i]));
+      }
+    }
+    for (const double x : xs) {
+      const auto at_most = std::upper_bound(sorted.begin(), sorted.end(), x) -
+                           sorted.begin();
+      EXPECT_EQ(s.fraction_below(x),
+                static_cast<double>(at_most) / static_cast<double>(n))
+          << "n=" << n << " x=" << x;
+    }
+  }
 }
 
 TEST(SampleSetTest, SummaryMatchesValues) {
