@@ -95,9 +95,6 @@ std::string FleetReport::to_text() const {
       out += "; " + std::to_string(nic_stalls) + " NIC completions stalled";
     }
     out += "\n";
-    // The fleet verdict, recovery_slo_pass(), from the per-fault p99s this
-    // loop computes anyway.
-    bool recovery_pass = true;
     for (const RecoveryVerdict& v : recovery) {
       out += "  t=" + fmt("%.2f", sim::to_millis(v.time)) + " ms  " + v.kind;
       if (!v.rack.empty()) {
@@ -118,19 +115,15 @@ std::string FleetReport::to_text() const {
         if (v.boots_lost > 0) {
           out += ", " + std::to_string(v.boots_lost) + " partial boots lost";
         }
-        double p99 = 0.0;
         if (!v.replace_ms.empty()) {
-          const auto q = v.replace_ms.percentiles({50, 99});
-          p99 = q[1];
-          out += "; re-place p50 " + fmt("%.2f", q[0]) + " ms, p99 " +
+          const auto [p50, p99] = v.replace_ms.percentiles({50, 99});
+          out += "; re-place p50 " + fmt("%.2f", p50) + " ms, p99 " +
                  fmt("%.2f", p99) + " ms";
         }
         // Per-fault SLO verdict, gated on a declared budget so budget-less
         // chaos runs keep their historical bytes.
         if (replace_slo_ms > 0) {
-          const bool pass = v.slo_pass(replace_slo_ms, p99);
-          recovery_pass = recovery_pass && pass;
-          out += pass ? "; SLO PASS" : "; SLO FAIL";
+          out += v.slo_pass(replace_slo_ms) ? "; SLO PASS" : "; SLO FAIL";
         }
       }
       out += "\n";
@@ -144,7 +137,7 @@ std::string FleetReport::to_text() const {
     if (replace_slo_ms > 0) {
       out += "recovery SLO: p99 time-to-re-place within " +
              fmt("%.2f", sim::to_millis(replace_slo_ms)) + " ms, no loss -> " +
-             (recovery_pass ? "PASS" : "FAIL") + "\n";
+             (recovery_slo_pass() ? "PASS" : "FAIL") + "\n";
     }
   }
   // Degraded-mode section: rendered only when degrade-family faults fired
@@ -202,14 +195,14 @@ std::string FleetReport::to_text() const {
     out += "programs: " + std::to_string(by_program.size()) + " programs, " +
            std::to_string(program_tenants) + " tenants, " +
            std::to_string(program_ops) + " ops\n";
-    // program_slo_pass() from the per-class p99s rendered below: a class
-    // has ops exactly when it has latency samples.
+    // program_slo_pass(), folded from the per-class p99s rendered below:
+    // both skip exactly the classes without latency samples.
     bool program_pass = true;
     for (const auto& [name, prog] : by_program) {
       out += "  " + name + " (" + std::to_string(prog.tenants) + " tenants)\n";
       for (std::size_t c = 0; c < prog.by_class.size(); ++c) {
         const ProgramOpClassStats& cls = prog.by_class[c];
-        if (cls.ops == 0) {
+        if (cls.op_ms.empty()) {
           continue;
         }
         const auto [p50, p99] = cls.op_ms.percentiles({50, 99});

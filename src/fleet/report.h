@@ -240,18 +240,13 @@ class FleetReport {
     /// victims that re-booted; vacuously true with none) fits the budget.
     /// Partition verdicts pass trivially — nobody dies in a partition.
     bool slo_pass(sim::Nanos budget) const {
-      return slo_pass(budget,
-                      replace_ms.empty() ? 0.0 : replace_ms.percentile(99.0));
-    }
-    /// The same verdict from a p99 of replace_ms the caller already has
-    /// (ignored when replace_ms is empty).
-    bool slo_pass(sim::Nanos budget, double replace_p99_ms) const {
       if (kind == "partition") {
         return true;
       }
       return lost == 0 &&
              (replace_ms.empty() ||
-              replace_p99_ms <= static_cast<double>(budget) / 1e6);
+              replace_ms.percentile(99.0) <=
+                  static_cast<double>(budget) / 1e6);
     }
   };
   std::vector<RecoveryVerdict> recovery;

@@ -406,6 +406,52 @@ TEST(ChaosTest, RecoveryVerdictTotalsAreConsistent) {
   }
 }
 
+TEST(ChaosTest, RenderedRecoverySloAgreesWithVerdict) {
+  // Each crash line's "SLO PASS/FAIL" and the "recovery SLO" line must say
+  // what slo_pass() and recovery_slo_pass() say, FAIL included.
+  const auto npos = std::string::npos;
+  const std::string line =
+      "recovery SLO: p99 time-to-re-place within 5.00 ms, no loss -> ";
+  auto crash = [](int lost, double replace_ms) {
+    FleetReport::RecoveryVerdict v;
+    v.kind = "crash";
+    v.hosts = {0};
+    v.victims = lost + 1;
+    v.readmitted = 1;
+    v.lost = lost;
+    v.replace_ms.add(replace_ms);
+    return v;
+  };
+  FleetReport::RecoveryVerdict partition;
+  partition.kind = "partition";
+  partition.hosts = {1};
+  partition.duration = sim::millis(10);
+
+  FleetReport r;
+  r.replace_slo_ms = sim::millis(5);
+  r.recovery = {crash(0, 1.0), partition};
+  std::string text = r.to_text();
+  EXPECT_TRUE(r.recovery_slo_pass());
+  EXPECT_NE(text.find("; SLO PASS\n"), npos);
+  EXPECT_NE(text.find(line + "PASS\n"), npos);
+
+  // A fault over budget, then one that lost a victim, each followed by a
+  // fault that passes: both fail their lines and the fleet line.
+  r.recovery = {crash(0, 9.0), partition, crash(1, 1.0), crash(0, 1.0)};
+  text = r.to_text();
+  EXPECT_FALSE(r.recovery[0].slo_pass(r.replace_slo_ms));
+  EXPECT_FALSE(r.recovery[2].slo_pass(r.replace_slo_ms));
+  EXPECT_FALSE(r.recovery_slo_pass());
+  EXPECT_NE(text.find("1 victims, 1 re-admitted, 0 lost; re-place p50 9.00 ms, "
+                      "p99 9.00 ms; SLO FAIL\n"),
+            npos);
+  EXPECT_NE(text.find("2 victims, 1 re-admitted, 1 lost; re-place p50 1.00 ms, "
+                      "p99 1.00 ms; SLO FAIL\n"),
+            npos);
+  EXPECT_NE(text.find(line + "FAIL\n"), npos);
+  EXPECT_EQ(text.find(line + "PASS"), npos);
+}
+
 // --- Drain/crash same-instant hardening -------------------------------------
 
 TEST(ChaosTest, DrainThenCrashSameInstantIsSafe) {

@@ -141,6 +141,55 @@ TEST(ProgramTest, ProgramSloVerdictComparesPerClassP99) {
   EXPECT_TRUE(r.program_slo_pass());
 }
 
+TEST(ProgramTest, RenderedProgramSloAgreesWithVerdict) {
+  // to_text() folds the "program SLO" line from the p99s its op-class lines
+  // print; it must say what program_slo_pass() says, FAIL included.
+  const auto npos = std::string::npos;
+  FleetReport r;
+  r.op_slo_ms = sim::millis(5);
+  auto& a = r.by_program["a"];
+  a.program = "a";
+  a.tenants = 1;
+  a.by_class[cls_index(OpClass::kFile)].ops = 1;
+  a.by_class[cls_index(OpClass::kFile)].op_ms.add(1.0);
+  std::string text = r.to_text();
+  EXPECT_TRUE(r.program_slo_pass());
+  EXPECT_NE(text.find("    file: 1 ops, p50 1.000 ms, p99 1.000 ms [SLO PASS]\n"),
+            npos);
+  EXPECT_NE(text.find("program SLO: per-op p99 within 5.00 ms -> PASS\n"), npos);
+
+  // One class over budget fails its line and the fleet line; the classes
+  // and programs rendered after it, all within budget, do not undo that.
+  a.by_class[cls_index(OpClass::kMemory)].ops = 1;
+  a.by_class[cls_index(OpClass::kMemory)].op_ms.add(9.0);
+  a.by_class[cls_index(OpClass::kOther)].ops = 1;
+  a.by_class[cls_index(OpClass::kOther)].op_ms.add(2.0);
+  auto& b = r.by_program["b"];
+  b.program = "b";
+  b.tenants = 1;
+  b.by_class[cls_index(OpClass::kFile)].ops = 1;
+  b.by_class[cls_index(OpClass::kFile)].op_ms.add(1.0);
+  text = r.to_text();
+  EXPECT_FALSE(r.program_slo_pass());
+  EXPECT_NE(
+      text.find("    memory: 1 ops, p50 9.000 ms, p99 9.000 ms [SLO FAIL]\n"),
+      npos);
+  EXPECT_NE(text.find("program SLO: per-op p99 within 5.00 ms -> FAIL\n"), npos);
+  EXPECT_EQ(text.find("-> PASS"), npos);
+
+  // A class with latency samples but no counted ops (a zero-repeat step)
+  // still enters both verdicts.
+  FleetReport z;
+  z.op_slo_ms = sim::millis(5);
+  auto& zp = z.by_program["z"];
+  zp.program = "z";
+  zp.tenants = 1;
+  zp.by_class[cls_index(OpClass::kSync)].op_ms.add(9.0);
+  EXPECT_FALSE(z.program_slo_pass());
+  EXPECT_NE(z.to_text().find("program SLO: per-op p99 within 5.00 ms -> FAIL\n"),
+            npos);
+}
+
 // --- Interpreter accounting --------------------------------------------------
 
 TEST(ProgramTest, InterpreterOpCountsAreExact) {
