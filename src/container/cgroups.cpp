@@ -5,8 +5,8 @@ namespace container {
 using sim::DurationDist;
 using sim::micros;
 
-Cgroup::Cgroup(std::string path, CgroupVersion version, CgroupLimits limits)
-    : path_(std::move(path)), version_(version), limits_(limits) {}
+Cgroup::Cgroup(CgroupVersion version, CgroupLimits limits)
+    : version_(version), limits_(limits) {}
 
 std::size_t Cgroup::controller_writes() const {
   std::size_t writes = 0;
@@ -35,14 +35,6 @@ void Cgroup::record_setup(hostk::HostKernel& host, sim::Rng& rng) const {
   host.record(Syscall::kCgroupWrite, rng, 1 + controller_writes());
   host.record(Syscall::kOpenat, rng, 1 + controller_writes());
   host.record(Syscall::kClose, rng, 1 + controller_writes());
-}
-
-bool Cgroup::try_charge_memory(std::uint64_t bytes) {
-  if (limits_.memory_max && memory_charged_ + bytes > *limits_.memory_max) {
-    return false;
-  }
-  memory_charged_ += bytes;
-  return true;
 }
 
 }  // namespace container

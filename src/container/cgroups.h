@@ -2,13 +2,12 @@
 //
 // runc and LXC both constrain containers through cgroups; LXC already
 // supports the newer unified (v2) hierarchy for unprivileged containers
-// (Section 2.2.2). The model captures setup cost, HAP-visible writes to
-// the cgroupfs, and simple limit bookkeeping used by the examples.
+// (Section 2.2.2). The model captures setup cost and HAP-visible writes to
+// the cgroupfs.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 #include "core/boot.h"
 #include "hostk/host_kernel.h"
@@ -28,9 +27,8 @@ struct CgroupLimits {
 /// One container's cgroup (a node in the hierarchy).
 class Cgroup {
  public:
-  Cgroup(std::string path, CgroupVersion version, CgroupLimits limits);
+  Cgroup(CgroupVersion version, CgroupLimits limits);
 
-  const std::string& path() const { return path_; }
   CgroupVersion version() const { return version_; }
   const CgroupLimits& limits() const { return limits_; }
 
@@ -43,16 +41,9 @@ class Cgroup {
   /// HAP-visible setup syscalls.
   void record_setup(hostk::HostKernel& host, sim::Rng& rng) const;
 
-  /// Check a memory charge against the limit (examples use this for
-  /// density planning). Returns false when the charge would exceed it.
-  bool try_charge_memory(std::uint64_t bytes);
-  std::uint64_t memory_charged() const { return memory_charged_; }
-
  private:
-  std::string path_;
   CgroupVersion version_;
   CgroupLimits limits_;
-  std::uint64_t memory_charged_ = 0;
 };
 
 }  // namespace container

@@ -52,7 +52,7 @@ const core::BootTimeline& ContainerRuntime::boot_timeline() const {
   t.append(spec_.runtime_extra);
   t.stage("runtime:clone3", DurationDist::lognormal(millis(1.1), 0.2));
   t.append(spec_.namespaces.setup_timeline());
-  Cgroup cg("/" + spec_.name, spec_.cgroup_version, spec_.limits);
+  Cgroup cg(spec_.cgroup_version, spec_.limits);
   t.append(cg.setup_timeline());
   t.append(storage_timeline());
   t.stage("runtime:pivot-root", DurationDist::lognormal(millis(0.9), 0.2));
@@ -70,7 +70,7 @@ void ContainerRuntime::record_boot(sim::Rng& rng) {
   // HAP-visible setup path.
   host_->record(Syscall::kClone3, rng, 1);
   spec_.namespaces.record_setup(*host_, rng);
-  Cgroup cg("/" + spec_.name, spec_.cgroup_version, spec_.limits);
+  Cgroup cg(spec_.cgroup_version, spec_.limits);
   cg.record_setup(*host_, rng);
   host_->record(Syscall::kMount, rng,
                 spec_.storage == StorageDriver::kZfs ? 2 : 1);
@@ -85,17 +85,6 @@ void ContainerRuntime::record_boot(sim::Rng& rng) {
   // No duration is needed, but skipping the boot's draws keeps the
   // tenant's RNG stream where a full boot leaves it.
   boot_timeline().skip_total(rng);
-}
-
-sim::Nanos ContainerRuntime::exec_process(sim::Clock& clock, sim::Rng& rng) {
-  host_->record(Syscall::kClone3, rng, 1);
-  host_->record(Syscall::kSetns, rng,
-                static_cast<std::uint64_t>(spec_.namespaces.size()));
-  host_->record(Syscall::kExecve, rng, 1);
-  const sim::Nanos cost =
-      DurationDist::lognormal(millis(18), 0.2).sample(rng);
-  clock.advance(cost);
-  return cost;
 }
 
 core::BootTimeline docker_daemon_timeline(const std::string& shim) {

@@ -13,7 +13,6 @@
 #include "container/namespaces.h"
 #include "core/boot.h"
 #include "hostk/host_kernel.h"
-#include "sim/clock.h"
 
 namespace container {
 
@@ -57,9 +56,6 @@ class ContainerRuntime {
   /// syscalls, then one sample of the boot's duration, which no caller
   /// reads.
   void record_boot(sim::Rng& rng);
-
-  /// `docker exec`-style process injection (no new sandbox).
-  sim::Nanos exec_process(sim::Clock& clock, sim::Rng& rng);
 
  private:
   core::BootTimeline storage_timeline() const;

@@ -422,13 +422,6 @@ void HostKernel::record(Syscall sc, sim::Rng& rng, std::uint64_t count) {
   trace(sc, count).cost.skip(rng);
 }
 
-sim::Nanos HostKernel::invoke_on(sim::Clock& clock, Syscall sc, sim::Rng& rng,
-                                 std::uint64_t count) {
-  const sim::Nanos cost = invoke(sc, rng, count);
-  clock.advance(cost);
-  return cost;
-}
-
 void HostKernel::record_background(const std::vector<FunctionHit>& hits,
                                    std::uint64_t repeat) {
   if (!ftrace_.recording()) {

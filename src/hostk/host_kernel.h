@@ -14,7 +14,6 @@
 #include "hostk/ftrace.h"
 #include "hostk/kernel_function.h"
 #include "hostk/syscall.h"
-#include "sim/clock.h"
 #include "sim/distribution.h"
 #include "sim/rng.h"
 
@@ -59,22 +58,18 @@ class HostKernel {
   /// is skipped rather than computed. `count == 0` does nothing.
   void record(Syscall sc, sim::Rng& rng, std::uint64_t count = 1);
 
-  /// Exact work counters: calls that sampled a cost (invoke, invoke_on)
-  /// and calls that only recorded (record). Calls with `count == 0` do
+  /// Exact work counters: calls that sampled a cost (invoke) and calls
+  /// that only recorded (record). Calls with `count == 0` do
   /// nothing and count in neither.
   std::uint64_t sampled_calls() const { return sampled_calls_; }
   std::uint64_t recorded_calls() const { return recorded_calls_; }
-
-  /// Convenience: invoke and charge `clock` in one step.
-  sim::Nanos invoke_on(sim::Clock& clock, Syscall sc, sim::Rng& rng,
-                       std::uint64_t count = 1);
 
   /// Record extra kernel functions that run outside any syscall (softirq
   /// network receive path, kthreads like ksmd). Cost-free; trace-only.
   void record_background(const std::vector<FunctionHit>& hits,
                          std::uint64_t repeat = 1);
 
-  /// The spec backing a syscall (exposed for tests and the HAP model).
+  /// The spec backing a syscall (exposed for tests).
   const SyscallSpec& spec(Syscall sc) const;
 
   /// Mean cost of a syscall without dispatching it (analytic planning).

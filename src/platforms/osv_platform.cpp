@@ -24,11 +24,9 @@ std::string name_for(OsvHypervisor h) {
 }
 }  // namespace
 
-OsvPlatform::OsvPlatform(core::HostSystem& host, OsvHypervisor hypervisor,
-                         unikernel::AppImage app)
+OsvPlatform::OsvPlatform(core::HostSystem& host, OsvHypervisor hypervisor)
     : Platform(id_for(hypervisor), name_for(hypervisor), host),
-      vm_(vmm_spec_for(hypervisor), host.kernel()),
-      app_(std::move(app)) {
+      vm_(vmm_spec_for(hypervisor), host.kernel()) {
   Capabilities caps;
   caps.fork_exec = false;  // no multi-process support (Section 2.4.1)
   caps.libaio = false;     // fio's libaio engine does not work on OSv
@@ -42,10 +40,6 @@ OsvPlatform::OsvPlatform(core::HostSystem& host, OsvHypervisor hypervisor,
   if (caps.extra_disk) {
     set_block(storage::BlockPathCatalog::osv_zfs());
   }
-}
-
-unikernel::LoadResult OsvPlatform::can_run(const unikernel::AppImage& app) const {
-  return linker_.load(app);
 }
 
 core::BootTimeline OsvPlatform::compose_boot_timeline() const {

@@ -13,11 +13,7 @@ enum class OsvHypervisor { kQemu, kFirecracker };
 
 class OsvPlatform : public Platform {
  public:
-  OsvPlatform(core::HostSystem& host, OsvHypervisor hypervisor,
-              unikernel::AppImage app = {.name = "benchmark-app"});
-
-  /// Validate an app against OSv's constraints (no fork, PIE required).
-  unikernel::LoadResult can_run(const unikernel::AppImage& app) const;
+  OsvPlatform(core::HostSystem& host, OsvHypervisor hypervisor);
 
   /// "Syscalls" are function calls into the library OS — no mode switch,
   /// but OSv's own primitives are slower under contention.

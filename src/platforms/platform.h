@@ -53,7 +53,6 @@ struct Capabilities {
   bool libaio = true;        // fio's libaio engine works
   bool fork_exec = true;     // multi-process applications
   bool hugepages = true;
-  bool smp = true;           // multiple vCPUs available to the guest
 };
 
 /// Workload classes traced in the HAP experiment (Section 4).

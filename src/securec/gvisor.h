@@ -23,8 +23,6 @@ enum class GvisorPlatform { kPtrace, kKvm };
 
 struct SentrySpec {
   GvisorPlatform platform = GvisorPlatform::kPtrace;
-  /// Number of host syscalls the seccomp allowlist admits (~70 in runsc).
-  std::size_t seccomp_allowlist_size = 68;
   container::NamespaceSet confinement =
       container::NamespaceSet::sentry_confinement();
 };

@@ -1,7 +1,5 @@
 #include "securec/kata.h"
 
-#include <stdexcept>
-
 #include "container/runtime.h"
 #include "sim/distribution.h"
 
@@ -9,37 +7,12 @@ namespace securec {
 
 using hostk::Syscall;
 using sim::DurationDist;
-using sim::micros;
 using sim::millis;
-
-TtRpcChannel::TtRpcChannel(hostk::HostKernel& host) : host_(&host) {}
-
-sim::Nanos TtRpcChannel::call(std::uint64_t payload_bytes, sim::Rng& rng) {
-  ++calls_;
-  sim::Nanos cost = 0;
-  const std::uint64_t frames =
-      std::max<std::uint64_t>(1, payload_bytes / (64 << 10));
-  for (int attempt = 0; attempt <= max_retries_; ++attempt) {
-    cost += host_->invoke(Syscall::kVsockSend, rng, frames);
-    if (drop_probability_ > 0.0 && rng.chance(drop_probability_)) {
-      // Exchange lost: ttRPC waits out its deadline and retries.
-      ++retries_;
-      cost += DurationDist::lognormal(millis(25), 0.2).sample(rng);
-      continue;
-    }
-    cost += host_->invoke(Syscall::kVsockRecv, rng, frames);
-    // Serialization + agent-side dispatch.
-    cost += DurationDist::lognormal(micros(140), 0.25).sample(rng);
-    return cost;
-  }
-  throw std::runtime_error("TtRpcChannel: agent unreachable over vsock");
-}
 
 KataRuntime::KataRuntime(KataSpec spec, hostk::HostKernel& host)
     : spec_(spec),
       host_(&host),
-      vm_(vmm::VmmCatalog::kata_vm(), host),
-      channel_(host) {}
+      vm_(vmm::VmmCatalog::kata_vm(), host) {}
 
 core::BootTimeline KataRuntime::boot_timeline() const {
   core::BootTimeline t;
@@ -73,15 +46,6 @@ void KataRuntime::record_boot(sim::Rng& rng) {
   if (spec_.via_docker_daemon) {
     container::record_docker_daemon_rpc(*host_, rng);
   }
-}
-
-sim::Nanos KataRuntime::exec_in_guest(sim::Clock& clock, sim::Rng& rng) {
-  // kata-runtime forwards the command to the agent, which clones a process
-  // inside the confined context (Section 2.3.1).
-  sim::Nanos cost = channel_.call(4096, rng);
-  cost += DurationDist::lognormal(millis(9), 0.2).sample(rng);
-  clock.advance(cost);
-  return cost;
 }
 
 }  // namespace securec

@@ -43,15 +43,4 @@ class Clock {
   Nanos now_ = 0;
 };
 
-/// RAII helper that measures the virtual time spent in a scope.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const Clock& clock) : clock_(clock), start_(clock.now()) {}
-  Nanos elapsed() const { return clock_.now() - start_; }
-
- private:
-  const Clock& clock_;
-  Nanos start_;
-};
-
 }  // namespace sim

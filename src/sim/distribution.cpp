@@ -12,25 +12,11 @@ DurationDist DurationDist::constant(Nanos value) {
   return DurationDist(Constant{value});
 }
 
-DurationDist DurationDist::normal(Nanos mean, Nanos stddev) {
-  if (mean < 0 || stddev < 0) {
-    throw std::invalid_argument("DurationDist::normal: negative parameter");
-  }
-  return DurationDist(Normal{mean, stddev});
-}
-
 DurationDist DurationDist::lognormal(Nanos median, double sigma) {
   if (median <= 0 || sigma < 0) {
     throw std::invalid_argument("DurationDist::lognormal: invalid parameter");
   }
   return DurationDist(LogNormal{std::log(static_cast<double>(median)), sigma});
-}
-
-DurationDist DurationDist::exponential(Nanos mean) {
-  if (mean <= 0) {
-    throw std::invalid_argument("DurationDist::exponential: mean must be positive");
-  }
-  return DurationDist(Exponential{mean});
 }
 
 Nanos DurationDist::sample(Rng& rng) const {
@@ -39,32 +25,17 @@ Nanos DurationDist::sample(Rng& rng) const {
         using T = std::decay_t<decltype(d)>;
         if constexpr (std::is_same_v<T, Constant>) {
           return d.value;
-        } else if constexpr (std::is_same_v<T, Normal>) {
-          const double v = rng.normal(static_cast<double>(d.mean),
-                                      static_cast<double>(d.stddev));
-          return v < 0.0 ? 0 : static_cast<Nanos>(v);
-        } else if constexpr (std::is_same_v<T, LogNormal>) {
-          return static_cast<Nanos>(rng.lognormal(d.mu, d.sigma));
         } else {
-          return static_cast<Nanos>(
-              rng.exponential(1.0 / static_cast<double>(d.mean)));
+          return static_cast<Nanos>(rng.lognormal(d.mu, d.sigma));
         }
       },
       impl_);
 }
 
 void DurationDist::skip(Rng& rng) const {
-  std::visit(
-      [&rng](const auto& d) {
-        using T = std::decay_t<decltype(d)>;
-        if constexpr (std::is_same_v<T, Normal> ||
-                      std::is_same_v<T, LogNormal>) {
-          rng.skip_normal();
-        } else if constexpr (std::is_same_v<T, Exponential>) {
-          rng.skip_exponential();
-        }
-      },
-      impl_);
+  if (std::holds_alternative<LogNormal>(impl_)) {
+    rng.skip_normal();
+  }
 }
 
 Nanos DurationDist::mean() const {
@@ -73,12 +44,8 @@ Nanos DurationDist::mean() const {
         using T = std::decay_t<decltype(d)>;
         if constexpr (std::is_same_v<T, Constant>) {
           return d.value;
-        } else if constexpr (std::is_same_v<T, Normal>) {
-          return d.mean;
-        } else if constexpr (std::is_same_v<T, LogNormal>) {
-          return static_cast<Nanos>(std::exp(d.mu + d.sigma * d.sigma / 2.0));
         } else {
-          return d.mean;
+          return static_cast<Nanos>(std::exp(d.mu + d.sigma * d.sigma / 2.0));
         }
       },
       impl_);

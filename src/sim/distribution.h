@@ -13,23 +13,17 @@
 
 namespace sim {
 
-/// A duration distribution. The `floor` of every sample is zero: hardware
-/// never completes work in negative time, so samplers clamp.
+/// A duration distribution: a constant or a log-normal, so no sample is
+/// negative.
 class DurationDist {
  public:
   /// Degenerate distribution: always `value`.
   static DurationDist constant(Nanos value);
 
-  /// Normal(mean, stddev), clamped at zero.
-  static DurationDist normal(Nanos mean, Nanos stddev);
-
   /// Log-normal parameterized by its *resulting* median and a multiplicative
   /// spread sigma (sigma of the underlying normal). Median-parameterization
   /// keeps configs readable: `lognormal(millis(100), 0.08)` has median 100ms.
   static DurationDist lognormal(Nanos median, double sigma);
-
-  /// Exponential with the given mean.
-  static DurationDist exponential(Nanos mean);
 
   /// Draw one sample.
   Nanos sample(Rng& rng) const;
@@ -46,18 +40,11 @@ class DurationDist {
   struct Constant {
     Nanos value;
   };
-  struct Normal {
-    Nanos mean;
-    Nanos stddev;
-  };
   struct LogNormal {
     double mu;
     double sigma;
   };
-  struct Exponential {
-    Nanos mean;
-  };
-  using Impl = std::variant<Constant, Normal, LogNormal, Exponential>;
+  using Impl = std::variant<Constant, LogNormal>;
 
   explicit DurationDist(Impl impl) : impl_(impl) {}
 

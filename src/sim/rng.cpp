@@ -110,15 +110,6 @@ double Rng::exponential(double lambda) {
   return -std::log(next_nonzero_double()) / lambda;
 }
 
-void Rng::skip_exponential() { next_nonzero_double(); }
-
-double Rng::pareto(double scale, double shape) {
-  if (scale <= 0.0 || shape <= 0.0) {
-    throw std::invalid_argument("Rng::pareto: scale and shape must be positive");
-  }
-  return scale / std::pow(next_nonzero_double(), 1.0 / shape);
-}
-
 bool Rng::chance(double p) { return next_double() < p; }
 
 Rng Rng::fork() { return Rng(next_u64()); }

@@ -49,12 +49,6 @@ class Rng {
   /// Exponential with the given rate (lambda). Mean is 1/lambda.
   double exponential(double lambda);
 
-  /// Consume exactly the draws exponential() would, without the log.
-  void skip_exponential();
-
-  /// Pareto (heavy tail) with scale x_m > 0 and shape alpha > 0.
-  double pareto(double scale, double shape);
-
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p);
 

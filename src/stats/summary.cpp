@@ -14,25 +14,6 @@ void Summary::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void Summary::merge(const Summary& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Summary::variance() const {
   if (count_ < 2) {
     return 0.0;

@@ -7,13 +7,10 @@
 namespace stats {
 
 /// Single-pass mean/variance/min/max accumulator. Numerically stable
-/// (Welford's algorithm); safe to merge results of sub-experiments.
+/// (Welford's algorithm).
 class Summary {
  public:
   void add(double x);
-
-  /// Merge another summary into this one (parallel-run reduction).
-  void merge(const Summary& other);
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }

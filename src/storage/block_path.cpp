@@ -170,14 +170,14 @@ BlockPathSpec BlockPathCatalog::cloud_hypervisor_virtio_blk() {
 }
 
 BlockPathSpec BlockPathCatalog::firecracker_virtio_blk() {
-  // Firecracker cannot attach a second block device; excluded in Figure 9.
+  // Firecracker cannot attach a second block device, so Figure 9 excludes
+  // it (Capabilities::extra_disk).
   return {.name = "firecracker(virtio-blk)",
           .read_bw_efficiency = 0.9,
           .write_bw_efficiency = 0.85,
           .per_request_extra = sim::micros(26),
           .write_jitter = 0.12,
-          .direct_flag_propagates = true,
-          .supports_extra_disk = false};
+          .direct_flag_propagates = true};
 }
 
 BlockPathSpec BlockPathCatalog::kata_9p() {
@@ -219,14 +219,14 @@ BlockPathSpec BlockPathCatalog::gvisor_gofer_9p() {
 
 BlockPathSpec BlockPathCatalog::osv_zfs() {
   // OSv's ZFS-based VFS over virtio-blk; fio's libaio engine does not work
-  // on OSv, so the paper excludes it from the fio figures.
+  // on OSv, so the paper excludes it from the fio figures
+  // (Capabilities::libaio).
   return {.name = "osv(zfs)",
           .read_bw_efficiency = 0.9,
           .write_bw_efficiency = 0.86,
           .per_request_extra = sim::micros(20),
           .write_jitter = 0.1,
-          .direct_flag_propagates = true,
-          .supports_libaio = false};
+          .direct_flag_propagates = true};
 }
 
 }  // namespace storage

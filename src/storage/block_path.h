@@ -36,10 +36,6 @@ struct BlockPathSpec {
   bool direct_flag_propagates = true;
   /// Shared-fs protocol in front of the block layer (secure containers).
   SharedFsProtocol shared_fs = SharedFsProtocol::kNone;
-  /// Whether the platform can attach a dedicated test disk at all
-  /// (Firecracker cannot; OSv lacks libaio — both excluded in Figure 9).
-  bool supports_extra_disk = true;
-  bool supports_libaio = true;
 };
 
 /// Executable block path: combines a spec with the host's NVMe device,
@@ -89,11 +85,11 @@ class BlockPathCatalog {
   static BlockPathSpec lxc_zfs();
   static BlockPathSpec qemu_virtio_blk();
   static BlockPathSpec cloud_hypervisor_virtio_blk();
-  static BlockPathSpec firecracker_virtio_blk();  // supports_extra_disk=false
+  static BlockPathSpec firecracker_virtio_blk();
   static BlockPathSpec kata_9p();
   static BlockPathSpec kata_virtio_fs();
   static BlockPathSpec gvisor_gofer_9p();
-  static BlockPathSpec osv_zfs();  // supports_libaio=false
+  static BlockPathSpec osv_zfs();
 };
 
 }  // namespace storage

@@ -7,16 +7,6 @@ namespace unikernel {
 using sim::DurationDist;
 using sim::millis;
 
-LoadResult ElfLinker::load(const AppImage& app) const {
-  if (app.uses_fork) {
-    return LoadResult::kRequiresFork;
-  }
-  if (!app.position_independent) {
-    return LoadResult::kNotRelocatable;
-  }
-  return LoadResult::kOk;
-}
-
 sim::Nanos ElfLinker::call_cost(sim::Rng& rng) const {
   // A resolved PLT call into the OSv kernel: tens of nanoseconds, versus
   // hundreds for a real user->kernel mode switch.
@@ -40,13 +30,6 @@ core::CpuProfile OsvScheduler::cpu_profile() const {
   p.sched_alpha = 0.034;   // custom scheduler degrades with threads
   p.futex_cost_factor = 4.2;  // custom mutex/thread primitives
   return p;
-}
-
-double OsvScheduler::multithread_penalty(int threads) const {
-  const core::CpuProfile osv = cpu_profile();
-  core::CpuProfile mature;
-  return mature.parallel_efficiency(threads) /
-         osv.parallel_efficiency(threads);
 }
 
 }  // namespace unikernel

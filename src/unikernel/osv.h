@@ -5,12 +5,11 @@
 // functions, so "syscalls" are plain function calls with no mode switch.
 // The price: a custom thread scheduler that the paper blames for the
 // severe ffmpeg penalty (Finding 1) and MySQL collapse (Finding 21), and
-// no fork()/exec() — multi-process applications cannot run at all.
+// no fork()/exec() — multi-process applications cannot run at all
+// (platforms::Capabilities::fork_exec).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 
 #include "core/boot.h"
 #include "core/cpu_profile.h"
@@ -19,18 +18,8 @@
 
 namespace unikernel {
 
-/// Outcome of asking OSv to run an application.
-enum class LoadResult {
-  kOk,
-  kNotRelocatable,   // not compiled as a shared object / PIE
-  kRequiresFork,     // multi-process applications are unsupported
-};
-
 /// How an application is packaged for OSv.
 struct AppImage {
-  std::string name;
-  bool position_independent = true;
-  bool uses_fork = false;
   std::uint64_t binary_bytes = 12ull << 20;
 };
 
@@ -38,9 +27,6 @@ struct AppImage {
 /// OSv kernel.
 class ElfLinker {
  public:
-  /// Validate an application against OSv's constraints.
-  LoadResult load(const AppImage& app) const;
-
   /// Cost of one resolved "syscall" — a function call, not a mode switch.
   sim::Nanos call_cost(sim::Rng& rng) const;
 
@@ -55,10 +41,6 @@ class ElfLinker {
 class OsvScheduler {
  public:
   core::CpuProfile cpu_profile() const;
-
-  /// Effective wall-time multiplier for a job using `threads` threads
-  /// relative to a mature kernel scheduler at the same thread count.
-  double multithread_penalty(int threads) const;
 };
 
 }  // namespace unikernel

@@ -10,11 +10,6 @@ using sim::millis;
 DeviceModel::DeviceModel(std::vector<Device> devices)
     : devices_(std::move(devices)) {}
 
-bool DeviceModel::has_device(const std::string& name) const {
-  return std::any_of(devices_.begin(), devices_.end(),
-                     [&](const Device& d) { return d.name == name; });
-}
-
 std::size_t DeviceModel::count_of_kind(DeviceKind kind) const {
   return static_cast<std::size_t>(
       std::count_if(devices_.begin(), devices_.end(),
@@ -29,14 +24,6 @@ core::BootTimeline DeviceModel::boot_timeline() const {
                                          0.25));
   }
   return t;
-}
-
-bool DeviceModel::supports_extra_disk() const {
-  return !frozen_ && has_device("virtio-blk");
-}
-
-bool DeviceModel::supports_vhost_user() const {
-  return count_of_kind(DeviceKind::kVhostUser) > 0;
 }
 
 namespace {
@@ -94,13 +81,11 @@ DeviceModel DeviceModelCatalog::firecracker() {
       legacy("serial-console", micros(140)),
       legacy("ps2-keyboard", micros(120)),
       legacy("pseudo-boot-clock", micros(60))};
-  DeviceModel model(std::move(devs));
-  model.freeze_topology();  // no extra drives can be attached
-  return model;
+  return DeviceModel(std::move(devs));
 }
 
 DeviceModel DeviceModelCatalog::cloud_hypervisor() {
-  // Section 2.1.3: 16 devices, mostly virtio, plus vhost-user and hotplug.
+  // Section 2.1.3: 16 devices, mostly virtio, plus vhost-user.
   std::vector<Device> devs = {
       platform_dev("acpi", micros(500)),
       platform_dev("pci-bus", micros(450)),
@@ -118,9 +103,7 @@ DeviceModel DeviceModelCatalog::cloud_hypervisor() {
       virtio("virtio-iommu", micros(260)),
       Device{"vhost-user-net", DeviceKind::kVhostUser, micros(320)},
       Device{"vhost-user-blk", DeviceKind::kVhostUser, micros(320)}};
-  DeviceModel model(std::move(devs));
-  model.enable_memory_hotplug().enable_vcpu_hotplug();
-  return model;
+  return DeviceModel(std::move(devs));
 }
 
 DeviceModel DeviceModelCatalog::kata_guest() {

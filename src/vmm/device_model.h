@@ -2,8 +2,7 @@
 //
 // Section 2.1 contrasts the device models of the three hypervisors: QEMU
 // emulates 40+ devices, Cloud Hypervisor supports 16, Firecracker only 7.
-// Device-model size costs VMM initialization time at boot and defines which
-// features (extra disks, hotplug, vhost-user) a platform supports.
+// Device-model size costs VMM initialization time at boot.
 #pragma once
 
 #include <cstdint>
@@ -37,29 +36,13 @@ class DeviceModel {
   std::size_t device_count() const { return devices_.size(); }
   const std::vector<Device>& devices() const { return devices_; }
 
-  bool has_device(const std::string& name) const;
   std::size_t count_of_kind(DeviceKind kind) const;
 
   /// Boot stages: realize/init every device.
   core::BootTimeline boot_timeline() const;
 
-  /// Feature probes used by experiments to honor the paper's exclusions.
-  bool supports_extra_disk() const;  // a second virtio-blk can be attached
-  bool supports_vhost_user() const;
-  bool supports_memory_hotplug() const { return memory_hotplug_; }
-  bool supports_vcpu_hotplug() const { return vcpu_hotplug_; }
-
-  DeviceModel& enable_memory_hotplug() { memory_hotplug_ = true; return *this; }
-  DeviceModel& enable_vcpu_hotplug() { vcpu_hotplug_ = true; return *this; }
-  /// Firecracker: the device list is fixed at build time, no extra drives.
-  DeviceModel& freeze_topology() { frozen_ = true; return *this; }
-  bool topology_frozen() const { return frozen_; }
-
  private:
   std::vector<Device> devices_;
-  bool memory_hotplug_ = false;
-  bool vcpu_hotplug_ = false;
-  bool frozen_ = false;
 };
 
 /// Device-model catalog matching Section 2.1.
@@ -68,7 +51,7 @@ class DeviceModelCatalog {
   static DeviceModel qemu_full();        // 40+ devices
   static DeviceModel qemu_microvm();     // the uVM machine model
   static DeviceModel firecracker();      // exactly 7 devices
-  static DeviceModel cloud_hypervisor(); // 16 devices, hotplug-capable
+  static DeviceModel cloud_hypervisor(); // 16 devices, mostly virtio
   static DeviceModel kata_guest();       // stripped QEMU for Kata guests
 };
 

@@ -77,21 +77,6 @@ TEST(DeviceModelTest, CountsMatchPaper) {
   EXPECT_EQ(DeviceModelCatalog::cloud_hypervisor().device_count(), 16u);
 }
 
-TEST(DeviceModelTest, FirecrackerTopologyFrozen) {
-  const auto fc = DeviceModelCatalog::firecracker();
-  EXPECT_TRUE(fc.topology_frozen());
-  EXPECT_FALSE(fc.supports_extra_disk());  // Figure 9 exclusion
-  EXPECT_TRUE(DeviceModelCatalog::qemu_full().supports_extra_disk());
-}
-
-TEST(DeviceModelTest, CloudHypervisorFeatures) {
-  const auto ch = DeviceModelCatalog::cloud_hypervisor();
-  EXPECT_TRUE(ch.supports_vhost_user());
-  EXPECT_TRUE(ch.supports_memory_hotplug());
-  EXPECT_TRUE(ch.supports_vcpu_hotplug());
-  EXPECT_FALSE(DeviceModelCatalog::firecracker().supports_vhost_user());
-}
-
 TEST(DeviceModelTest, MostCloudHypervisorDevicesAreParavirtualized) {
   const auto ch = DeviceModelCatalog::cloud_hypervisor();
   const auto pv = ch.count_of_kind(vmm::DeviceKind::kVirtio) +
@@ -223,18 +208,6 @@ TEST_F(ContainerBootFixture, RecordBootTracesSetupSyscalls) {
   EXPECT_GT(kernel.ftrace().count_of(reg.id_of("create_new_namespaces")), 0u);
   EXPECT_GT(kernel.ftrace().count_of(reg.id_of("cgroup_attach_task")), 0u);
   EXPECT_GT(kernel.ftrace().count_of(reg.id_of("seccomp_attach_filter")), 0u);
-}
-
-TEST_F(ContainerBootFixture, ExecJoinsNamespaces) {
-  hostk::HostKernel kernel;
-  ContainerRuntime rt(RuntimeCatalog::runc_oci(), kernel);
-  sim::Clock clock;
-  sim::Rng rng(4);
-  kernel.ftrace().start();
-  rt.exec_process(clock, rng);
-  EXPECT_GT(clock.now(), 0);
-  EXPECT_GT(kernel.ftrace().count_of(kernel.registry().id_of("pidns_install")),
-            0u);
 }
 
 TEST(VmBootTest, KvmSetupTraced) {

@@ -164,16 +164,6 @@ TEST_F(PlatformFixture, GvisorKvmPlatformCheaperInterception) {
   EXPECT_GT(ptrace_sum, kvm_sum * 2);  // "KVM mode ought to be faster"
 }
 
-TEST_F(PlatformFixture, OsvRejectsForkingApps) {
-  platforms::OsvPlatform osv(host, platforms::OsvHypervisor::kQemu);
-  unikernel::AppImage forking{.name = "postgres", .uses_fork = true};
-  EXPECT_EQ(osv.can_run(forking), unikernel::LoadResult::kRequiresFork);
-  unikernel::AppImage nonpie{.name = "static-app", .position_independent = false};
-  EXPECT_EQ(osv.can_run(nonpie), unikernel::LoadResult::kNotRelocatable);
-  unikernel::AppImage good{.name = "redis"};
-  EXPECT_EQ(osv.can_run(good), unikernel::LoadResult::kOk);
-}
-
 TEST_F(PlatformFixture, DockerDaemonSlowerThanOci) {
   platforms::DockerPlatform oci(host, /*via_daemon=*/false);
   platforms::DockerPlatform daemon(host, /*via_daemon=*/true);

@@ -136,7 +136,7 @@ TEST(BootCompositionProperty, SampledMeanConvergesToAnalyticMean) {
   sim::Rng rng(6);
   core::BootTimeline t;
   t.stage("x", sim::DurationDist::lognormal(sim::millis(40), 0.2));
-  t.stage("y", sim::DurationDist::normal(sim::millis(10), sim::millis(1)));
+  t.stage("y", sim::DurationDist::constant(sim::millis(10)));
   double sum = 0;
   const int n = 20'000;
   for (int i = 0; i < n; ++i) {

@@ -1,15 +1,11 @@
-// Tests for the secure-container components: Kata's ttRPC/vsock control
-// plane (including failure injection), the Sentry/Gofer split, seccomp
-// confinement, and the hotplug lifecycle of Cloud Hypervisor.
+// Tests for the secure-container components: Kata's boot timeline and
+// host-visible trace, and gVisor's Sentry/Gofer split.
 #include <gtest/gtest.h>
 
 #include "hostk/host_kernel.h"
 #include "securec/gvisor.h"
 #include "securec/kata.h"
-#include "sim/clock.h"
 #include "stats/summary.h"
-#include "vmm/hotplug.h"
-#include "vmm/vm.h"
 
 namespace {
 
@@ -19,73 +15,13 @@ using securec::KataRuntime;
 using securec::KataSpec;
 using securec::Sentry;
 using securec::SentrySpec;
-using securec::TtRpcChannel;
-using vmm::HotplugController;
-using vmm::HotplugStatus;
 
 struct Fixture : public ::testing::Test {
   hostk::HostKernel kernel;
   sim::Rng rng{808};
 };
 
-// --- ttRPC / vsock -------------------------------------------------------
-
-TEST_F(Fixture, TtRpcCallCostsAndCounts) {
-  TtRpcChannel channel(kernel);
-  const auto cost = channel.call(4096, rng);
-  EXPECT_GT(cost, 0);
-  EXPECT_EQ(channel.calls_made(), 1u);
-  EXPECT_EQ(channel.retries_performed(), 0u);
-}
-
-TEST_F(Fixture, TtRpcLargePayloadsFragment) {
-  TtRpcChannel channel(kernel);
-  kernel.ftrace().start();
-  channel.call(1 << 20, rng);  // 1 MiB -> 16 vsock frames
-  const auto& reg = kernel.registry();
-  EXPECT_GE(kernel.ftrace().count_of(reg.id_of("virtio_transport_send_pkt")),
-            16u);
-}
-
-TEST_F(Fixture, TtRpcDropsAreRetriedWithDeadlineCost) {
-  TtRpcChannel lossy(kernel);
-  lossy.set_drop_probability(0.5);
-  lossy.set_max_retries(24);  // make total failure vanishingly unlikely
-  stats::Summary costs;
-  for (int i = 0; i < 200; ++i) {
-    costs.add(static_cast<double>(lossy.call(4096, rng)));
-  }
-  EXPECT_GT(lossy.retries_performed(), 30u);
-  // Deadline waits make lossy calls far dearer than clean ones.
-  TtRpcChannel clean(kernel);
-  stats::Summary clean_costs;
-  for (int i = 0; i < 200; ++i) {
-    clean_costs.add(static_cast<double>(clean.call(4096, rng)));
-  }
-  EXPECT_GT(costs.mean(), clean_costs.mean() * 5);
-}
-
-TEST_F(Fixture, TtRpcDeadChannelThrows) {
-  TtRpcChannel dead(kernel);
-  dead.set_drop_probability(1.0);
-  dead.set_max_retries(2);
-  EXPECT_THROW(dead.call(4096, rng), std::runtime_error);
-}
-
 // --- Kata runtime --------------------------------------------------------
-
-TEST_F(Fixture, KataExecForwardsThroughAgent) {
-  KataRuntime runtime(KataSpec{}, kernel);
-  sim::Clock clock;
-  kernel.ftrace().start();
-  runtime.exec_in_guest(clock, rng);
-  EXPECT_GT(clock.now(), 0);
-  EXPECT_EQ(runtime.channel().calls_made(), 1u);
-  // The exec travels over vsock, not via host namespaces (unlike runc).
-  const auto& reg = kernel.registry();
-  EXPECT_GT(kernel.ftrace().count_of(reg.id_of("vsock_stream_sendmsg")), 0u);
-  EXPECT_EQ(kernel.ftrace().count_of(reg.id_of("pidns_install")), 0u);
-}
 
 TEST_F(Fixture, KataBootTraceShowsDefenseInDepthSplit) {
   KataRuntime runtime(KataSpec{}, kernel);
@@ -156,69 +92,6 @@ TEST_F(Fixture, KvmPlatformAddsVmSetupStage) {
   Sentry kvm_sentry(SentrySpec{.platform = GvisorPlatform::kKvm}, kernel);
   EXPECT_GT(kvm_sentry.boot_timeline().stages().size(),
             ptrace_sentry.boot_timeline().stages().size());
-}
-
-// --- Hotplug (Section 2.1.3) ----------------------------------------------
-
-struct HotplugFixture : public Fixture {
-  vmm::Vm ch_vm{vmm::VmmCatalog::cloud_hypervisor(), kernel};
-  vmm::Vm fc_vm{vmm::VmmCatalog::firecracker(), kernel};
-  sim::Clock clock;
-};
-
-TEST_F(HotplugFixture, MemoryHotplugHappyPath) {
-  HotplugController hp(ch_vm, kernel, /*host_ram=*/256ull << 30);
-  const auto before = hp.guest_ram_bytes();
-  EXPECT_EQ(hp.hotplug_memory(256ull << 20, clock, rng), HotplugStatus::kOk);
-  EXPECT_EQ(hp.guest_ram_bytes(), before + (256ull << 20));
-  EXPECT_GT(clock.now(), 0);
-}
-
-TEST_F(HotplugFixture, MemoryMustBeMultipleOf128MiB) {
-  HotplugController hp(ch_vm, kernel, 256ull << 30);
-  EXPECT_EQ(hp.hotplug_memory(100ull << 20, clock, rng),
-            HotplugStatus::kBadGranularity);
-  EXPECT_EQ(hp.hotplug_memory(0, clock, rng), HotplugStatus::kBadGranularity);
-}
-
-TEST_F(HotplugFixture, MemoryBoundedByHostRam) {
-  HotplugController hp(ch_vm, kernel, /*host_ram=*/8ull << 30);
-  EXPECT_EQ(hp.hotplug_memory(8ull << 30, clock, rng),
-            HotplugStatus::kExceedsHostRam);
-}
-
-TEST_F(HotplugFixture, FirecrackerCannotHotplug) {
-  HotplugController hp(fc_vm, kernel, 256ull << 30);
-  EXPECT_EQ(hp.hotplug_memory(128ull << 20, clock, rng),
-            HotplugStatus::kUnsupported);
-  EXPECT_EQ(hp.hotplug_vcpu(clock, rng), HotplugStatus::kUnsupported);
-}
-
-TEST_F(HotplugFixture, VcpuNeedsManualOnline) {
-  HotplugController hp(ch_vm, kernel, 256ull << 30);
-  const int initial = hp.online_vcpus();
-  EXPECT_EQ(hp.hotplug_vcpu(clock, rng), HotplugStatus::kOk);
-  // Advertised but not yet usable (the paper's sysfs step).
-  EXPECT_EQ(hp.online_vcpus(), initial);
-  EXPECT_EQ(hp.standby_vcpus(), 1);
-  EXPECT_EQ(hp.online_vcpu(clock, rng), HotplugStatus::kOk);
-  EXPECT_EQ(hp.online_vcpus(), initial + 1);
-  EXPECT_EQ(hp.standby_vcpus(), 0);
-}
-
-TEST_F(HotplugFixture, OnlineWithoutHotplugFails) {
-  HotplugController hp(ch_vm, kernel, 256ull << 30);
-  EXPECT_EQ(hp.online_vcpu(clock, rng), HotplugStatus::kNoStandbyVcpu);
-}
-
-TEST_F(HotplugFixture, HotplugSyscallsAreTraced) {
-  HotplugController hp(ch_vm, kernel, 256ull << 30);
-  kernel.ftrace().start();
-  hp.hotplug_memory(128ull << 20, clock, rng);
-  hp.hotplug_vcpu(clock, rng);
-  const auto& reg = kernel.registry();
-  EXPECT_GT(kernel.ftrace().count_of(reg.id_of("__kvm_set_memory_region")), 0u);
-  EXPECT_GT(kernel.ftrace().count_of(reg.id_of("kvm_vm_ioctl_create_vcpu")), 0u);
 }
 
 }  // namespace

@@ -68,13 +68,6 @@ TEST(ClockTest, ZeroCostIsAllowed) {
   EXPECT_EQ(clock.now(), 0);
 }
 
-TEST(ClockTest, ScopedTimerMeasuresElapsed) {
-  Clock clock;
-  sim::ScopedTimer timer(clock);
-  clock.advance(sim::millis(3));
-  EXPECT_EQ(timer.elapsed(), sim::millis(3));
-}
-
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(42);
   Rng b(42);
@@ -150,13 +143,6 @@ TEST(RngTest, ExponentialRejectsNonPositiveLambda) {
   EXPECT_THROW(rng.exponential(-1.0), std::invalid_argument);
 }
 
-TEST(RngTest, ParetoAtLeastScale) {
-  Rng rng(77);
-  for (int i = 0; i < 10'000; ++i) {
-    EXPECT_GE(rng.pareto(3.0, 2.0), 3.0);
-  }
-}
-
 TEST(RngTest, ChanceProbability) {
   Rng rng(31);
   int hits = 0;
@@ -218,14 +204,6 @@ TEST(DurationDistTest, ConstantAlwaysSame) {
   EXPECT_EQ(d.mean(), sim::micros(5));
 }
 
-TEST(DurationDistTest, NormalClampsAtZero) {
-  Rng rng(3);
-  const auto d = DurationDist::normal(10, 1'000'000);
-  for (int i = 0; i < 1'000; ++i) {
-    EXPECT_GE(d.sample(rng), 0);
-  }
-}
-
 TEST(DurationDistTest, LognormalMedianParameterization) {
   Rng rng(17);
   const auto d = DurationDist::lognormal(sim::millis(100), 0.1);
@@ -236,17 +214,6 @@ TEST(DurationDistTest, LognormalMedianParameterization) {
   std::sort(samples.begin(), samples.end());
   const double median = static_cast<double>(samples[samples.size() / 2]);
   EXPECT_NEAR(median / sim::millis(100), 1.0, 0.02);
-}
-
-TEST(DurationDistTest, ExponentialMeanMatches) {
-  Rng rng(21);
-  const auto d = DurationDist::exponential(sim::micros(50));
-  double sum = 0.0;
-  const int n = 100'000;
-  for (int i = 0; i < n; ++i) {
-    sum += static_cast<double>(d.sample(rng));
-  }
-  EXPECT_NEAR(sum / n / sim::micros(50), 1.0, 0.03);
 }
 
 std::uint64_t bits_of(double v) {
@@ -262,9 +229,7 @@ TEST(DurationDistTest, SkipConsumesTheDrawsOfSample) {
   // holding a skipped pair's raw draws.
   const DurationDist dists[] = {
       DurationDist::constant(sim::micros(5)),
-      DurationDist::normal(sim::micros(5), sim::micros(1)),
       DurationDist::lognormal(sim::micros(5), 0.2),
-      DurationDist::exponential(sim::micros(5)),
   };
   for (int start = 0; start < 3; ++start) {
     for (std::size_t k = 0; k < std::size(dists); ++k) {
@@ -289,9 +254,7 @@ TEST(DurationDistTest, SkipConsumesTheDrawsOfSample) {
 
 TEST(DurationDistTest, InvalidParametersThrow) {
   EXPECT_THROW(DurationDist::constant(-1), std::invalid_argument);
-  EXPECT_THROW(DurationDist::normal(-1, 0), std::invalid_argument);
   EXPECT_THROW(DurationDist::lognormal(0, 0.1), std::invalid_argument);
-  EXPECT_THROW(DurationDist::exponential(0), std::invalid_argument);
 }
 
 }  // namespace

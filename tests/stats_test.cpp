@@ -42,33 +42,6 @@ TEST(SummaryTest, SingleSampleHasZeroVariance) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(SummaryTest, MergeMatchesSequential) {
-  Summary a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double v = std::sin(i) * 10 + i;
-    (i % 2 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(SummaryTest, MergeWithEmpty) {
-  Summary a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  const double mean_before = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean_before);
-  Summary c;
-  c.merge(a);
-  EXPECT_DOUBLE_EQ(c.mean(), mean_before);
-}
-
 TEST(SummaryTest, CoefficientOfVariation) {
   Summary s;
   s.add(9.0);

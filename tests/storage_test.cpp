@@ -189,13 +189,6 @@ TEST(BlockPathTest, WritesNoisierOnHypervisors) {
   EXPECT_GT(q.cv(), n.cv());
 }
 
-TEST(BlockPathTest, CapabilityFlagsMatchPaperExclusions) {
-  EXPECT_FALSE(BlockPathCatalog::firecracker_virtio_blk().supports_extra_disk);
-  EXPECT_FALSE(BlockPathCatalog::osv_zfs().supports_libaio);
-  EXPECT_TRUE(BlockPathCatalog::native().supports_extra_disk);
-  EXPECT_TRUE(BlockPathCatalog::native().supports_libaio);
-}
-
 TEST(BlockPathTest, NinePTrafficRecordsVsockMessaging) {
   Fixture f;
   auto kata = f.make(BlockPathCatalog::kata_9p());
