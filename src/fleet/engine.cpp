@@ -553,11 +553,14 @@ FleetEngine::OpIssue FleetEngine::issue_program_op(Tenant& t,
     // exact), and re-issue. The re-issue recomputes the full cost — fresh
     // cache state, fresh contention, and for network ops a fresh peer
     // draw, which is what routes around a partial partition.
+    // validate() bounds the shift and the backoff; the clock refuses a
+    // sum past INT64_MAX, and elapsed never exceeds the clock.
     const sim::Nanos backoff =
         (backoff_base << issue.retries) +
         static_cast<sim::Nanos>(t.rng.next_double() *
                                 static_cast<double>(backoff_base));
-    t.clock.advance(slo + backoff);
+    t.clock.advance(slo);
+    t.clock.advance(backoff);
     elapsed += slo + backoff;
     ++issue.retries;
     OpImpact again{};

@@ -84,6 +84,16 @@ void validate(const TrafficSpec& t) {
     // retry against and the knob would silently do nothing.
     fail("op_max_retries needs a positive op_slo_ms");
   }
+  // The n-th re-issue backs off op_backoff_base_ms << (n - 1): the shift
+  // must stay defined and the longest backoff within the fault horizon.
+  if (t.op_max_retries > 62) {
+    fail("op_max_retries must be at most 62");
+  }
+  if (t.op_max_retries > 0 &&
+      t.op_backoff_base_ms > (kFaultHorizon >> (t.op_max_retries - 1))) {
+    fail("op_backoff_base_ms << (op_max_retries - 1) must stay within "
+         "the fault horizon");
+  }
   // The weighted picks silently drop a share whose weight is zero, negative
   // or NaN, and an infinite weight swamps the rest.
   const auto check_weights = [&](const auto& mix, const std::string& name) {

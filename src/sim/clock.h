@@ -1,6 +1,7 @@
 // The virtual clock that every simulated component charges its costs to.
 #pragma once
 
+#include <limits>
 #include <stdexcept>
 
 #include "sim/time.h"
@@ -19,10 +20,15 @@ class Clock {
   Nanos now() const { return now_; }
 
   /// Charge `cost` virtual nanoseconds. Throws std::invalid_argument on a
-  /// negative cost; a zero cost is allowed (free bookkeeping operations).
+  /// negative cost and std::overflow_error on a cost that would carry the
+  /// clock past the largest Nanos; a zero cost is allowed (free
+  /// bookkeeping operations).
   void advance(Nanos cost) {
     if (cost < 0) {
       throw std::invalid_argument("Clock::advance: negative cost");
+    }
+    if (now_ > std::numeric_limits<Nanos>::max() - cost) {
+      throw std::overflow_error("Clock::advance: time would pass INT64_MAX");
     }
     now_ += cost;
   }

@@ -153,6 +153,22 @@ TEST(ClusterTest, RunRejectsMalformedMixWeights) {
   EXPECT_EQ(r.by_platform.size(), 2u);
 }
 
+TEST(ClusterTest, TimeThatWouldPassInt64MaxThrows) {
+  // Settings the traffic check accepts can still sum past INT64_MAX on one
+  // tenant's clock: the clock throws rather than wrap. 40 retries on a
+  // 1 ms base time out and back off ~1.1e18 ns per op.
+  Scenario retries = Scenario::program_storm(64, 2);
+  retries.op_slo_ms = 1;
+  retries.op_backoff_base_ms = sim::millis(1);
+  retries.op_max_retries = 40;
+  EXPECT_THROW(run_cluster(retries), std::overflow_error);
+  // A churn gap that carries a finished tenant past INT64_MAX.
+  Scenario churn = Scenario::cluster_storm(16, 2);
+  churn.churn_rounds = 1;
+  churn.churn_gap = std::numeric_limits<sim::Nanos>::max() - 5;
+  EXPECT_THROW(run_cluster(churn), std::overflow_error);
+}
+
 // --- Single-host runs ------------------------------------------------------
 
 TEST(ClusterTest, OneHostClusterHasOneRollupAndNoPlacement) {

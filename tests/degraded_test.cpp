@@ -210,6 +210,23 @@ TEST(DegradedTest, RunRejectsMalformedRetryKnobs) {
   s.op_backoff_base_ms = sim::millis(1);
   s.op_slo_ms = 0;
   EXPECT_THROW(run_cluster(s), std::invalid_argument);
+
+  // The n-th re-issue backs off base << (n - 1): the traffic check itself
+  // refuses a shift past 62 bits and a longest backoff past the fault
+  // horizon, before the run can wrap a clock.
+  const auto rejected_up_front = [](const Scenario& row) {
+    try {
+      run_cluster(row);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).rfind("TrafficSpec: ", 0) == 0;
+    }
+    return false;
+  };
+  s.op_slo_ms = sim::millis(12);
+  s.op_max_retries = 64;
+  EXPECT_TRUE(rejected_up_front(s));
+  s.op_max_retries = 44;  // 1 ms << 43 is past the horizon
+  EXPECT_TRUE(rejected_up_front(s));
 }
 
 // --- Disk degrade ------------------------------------------------------------

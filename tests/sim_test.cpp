@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/clock.h"
@@ -66,6 +68,17 @@ TEST(ClockTest, ZeroCostIsAllowed) {
   Clock clock;
   clock.advance(0);
   EXPECT_EQ(clock.now(), 0);
+}
+
+TEST(ClockTest, AdvancePastTheLargestTimeThrows) {
+  constexpr Nanos kMax = std::numeric_limits<Nanos>::max();
+  Clock clock(sim::millis(1));
+  clock.advance(kMax - sim::millis(1));
+  EXPECT_EQ(clock.now(), kMax);
+  EXPECT_THROW(clock.advance(1), std::overflow_error);
+  EXPECT_EQ(clock.now(), kMax);
+  clock.advance(0);
+  EXPECT_EQ(clock.now(), kMax);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {
