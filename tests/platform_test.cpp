@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <set>
 
 #include "platforms/container_platforms.h"
@@ -47,21 +48,40 @@ TEST_F(PlatformFixture, EveryPlatformBoots) {
 }
 
 TEST_F(PlatformFixture, CapabilitiesMatchPaperExclusions) {
-  const auto fc = PlatformFactory::create(PlatformId::kFirecracker, host);
-  EXPECT_FALSE(fc->capabilities().extra_disk);
-  // The root drive exists, but no dedicated benchmark disk can be added.
-  EXPECT_NE(fc->block(), nullptr);
-
-  const auto osv = PlatformFactory::create(PlatformId::kOsvQemu, host);
-  EXPECT_FALSE(osv->capabilities().libaio);
-  EXPECT_FALSE(osv->capabilities().fork_exec);
-
-  const auto kata = PlatformFactory::create(PlatformId::kKataContainers, host);
-  EXPECT_FALSE(kata->capabilities().hugepages);
-
-  const auto docker = PlatformFactory::create(PlatformId::kDocker, host);
-  EXPECT_TRUE(docker->capabilities().extra_disk);
-  EXPECT_TRUE(docker->capabilities().fork_exec);
+  // Every flag of every lineup platform. Firecracker cannot attach a
+  // dedicated benchmark disk (with or without OSv), OSv has neither libaio
+  // nor fork/exec, and Kata has no huge pages.
+  struct Row {
+    PlatformId id;
+    bool extra_disk, libaio, fork_exec, hugepages;
+  };
+  const Row rows[] = {
+      {PlatformId::kNative, true, true, true, true},
+      {PlatformId::kDocker, true, true, true, true},
+      {PlatformId::kLxc, true, true, true, true},
+      {PlatformId::kQemuKvm, true, true, true, true},
+      {PlatformId::kFirecracker, false, true, true, true},
+      {PlatformId::kCloudHypervisor, true, true, true, true},
+      {PlatformId::kKataContainers, true, true, true, false},
+      {PlatformId::kGvisor, true, true, true, true},
+      {PlatformId::kOsvQemu, true, false, false, true},
+      {PlatformId::kOsvFirecracker, false, false, false, true},
+  };
+  const auto lineup = PlatformFactory::paper_lineup(host);
+  ASSERT_EQ(lineup.size(), std::size(rows));
+  for (std::size_t i = 0; i < lineup.size(); ++i) {
+    const Platform& p = *lineup[i];
+    const platforms::Capabilities& caps = p.capabilities();
+    ASSERT_EQ(p.id(), rows[i].id) << i;
+    EXPECT_EQ(caps.extra_disk, rows[i].extra_disk) << p.name();
+    EXPECT_EQ(caps.libaio, rows[i].libaio) << p.name();
+    EXPECT_EQ(caps.fork_exec, rows[i].fork_exec) << p.name();
+    EXPECT_EQ(caps.hugepages, rows[i].hugepages) << p.name();
+  }
+  // Firecracker's root drive exists; only a second, benchmark disk is
+  // missing.
+  EXPECT_NE(PlatformFactory::create(PlatformId::kFirecracker, host)->block(),
+            nullptr);
 }
 
 TEST_F(PlatformFixture, MemoryProfilesMatchArchitecture) {
