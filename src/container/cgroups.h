@@ -29,9 +29,6 @@ class Cgroup {
  public:
   Cgroup(CgroupVersion version, CgroupLimits limits);
 
-  CgroupVersion version() const { return version_; }
-  const CgroupLimits& limits() const { return limits_; }
-
   /// Number of controller files the runtime writes at setup.
   std::size_t controller_writes() const;
 

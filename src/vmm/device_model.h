@@ -34,8 +34,6 @@ class DeviceModel {
   explicit DeviceModel(std::vector<Device> devices);
 
   std::size_t device_count() const { return devices_.size(); }
-  const std::vector<Device>& devices() const { return devices_; }
-
   std::size_t count_of_kind(DeviceKind kind) const;
 
   /// Boot stages: realize/init every device.

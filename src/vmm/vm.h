@@ -58,9 +58,6 @@ class Vm {
  public:
   Vm(VmmSpec spec, hostk::HostKernel& host);
 
-  const VmmSpec& spec() const { return spec_; }
-  const std::string& name() const { return spec_.name; }
-
   /// The complete boot timeline: process creation through init completion
   /// and process termination (the paper's end-to-end convention).
   /// Composed on the first call and kept (the spec is fixed once the Vm

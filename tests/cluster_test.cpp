@@ -167,6 +167,20 @@ TEST(ClusterTest, TimeThatWouldPassInt64MaxThrows) {
   churn.churn_rounds = 1;
   churn.churn_gap = std::numeric_limits<sim::Nanos>::max() - 5;
   EXPECT_THROW(run_cluster(churn), std::overflow_error);
+  // A timeout and a backoff that each fit but whose sum would not: ops
+  // frozen by a partition that lasts to the fault horizon blow a 2^61 ns
+  // budget, then back off by up to 2^63 ns.
+  constexpr sim::Nanos kHorizon = std::numeric_limits<sim::Nanos>::max() / 2;
+  Scenario frozen = Scenario::program_storm(64, 2);
+  frozen.op_max_retries = 1;
+  frozen.op_slo_ms = kHorizon / 2;
+  frozen.op_backoff_base_ms = kHorizon;
+  fleet::Fault cut;
+  cut.kind = fleet::Fault::Kind::kPartition;
+  cut.time = sim::millis(200);
+  cut.duration = kHorizon - cut.time;
+  frozen.faults = {cut};
+  EXPECT_THROW(run_cluster(frozen), std::overflow_error);
 }
 
 // --- Single-host runs ------------------------------------------------------
